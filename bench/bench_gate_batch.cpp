@@ -1,12 +1,12 @@
-// Engine shoot-out for the gate-level replay campaigns: brute-force scalar
-// resimulation vs event-driven difference propagation vs bit-parallel
-// (PPSFP) word simulation, the latter both bare and with the two structural
-// optimizations layered on top — stuck-at equivalence collapsing
-// (GPF_COLLAPSE) and fanout-cone pruning (GPF_CONE) — and the tuned engine
-// again at every SIMD lane width this build and CPU support (64-lane scalar
-// words, 256-lane AVX2, 512-lane AVX-512). All rows produce identical
-// classifications (checked here and asserted in test_batchsim); this bench
-// measures throughput in faults*cycles/sec, the figure of merit for
+// Engine shoot-out for the gate-level replay campaigns: the brute-force
+// scalar oracle vs bit-parallel (PPSFP) word simulation, the latter both
+// bare and with the two structural optimizations layered on top — stuck-at
+// equivalence collapsing (GPF_COLLAPSE) and fanout-cone pruning (GPF_CONE) —
+// interpreted and JIT-compiled, and the tuned engine again at every SIMD
+// lane width this build and CPU support (64-lane scalar words, 256-lane
+// AVX2, 512-lane AVX-512). All rows produce identical classifications
+// (checked here against the brute row and asserted in test_batchsim); this
+// bench measures throughput in faults*cycles/sec, the figure of merit for
 // exhaustive stuck-at sweeps.
 //
 //   bench_gate_batch [decoder|fetch|wsc]...   (no arguments: all three units)
@@ -84,12 +84,10 @@ double mean_cone_fraction(const gate::Netlist& nl,
 struct JsonRow {
   std::string unit, engine;
   std::size_t faults = 0, simulated = 0, cycles = 0, lanes = 0;
-  bool collapse = false, cone = false;
-  bool legacy = false, jit = false;
+  bool collapse = false, cone = false, jit = false;
   double collapse_ratio = 1.0, mean_cone_fraction = 1.0;
   double wall_seconds = 0.0, speedup_vs_brute = 1.0, speedup_vs_batch_base = 1.0;
   double speedup_vs_lanes64 = 1.0;
-  double speedup_vs_pr6 = 1.0;  ///< vs the legacy batch+c+c row at equal lanes
 };
 
 // Machine-readable perf record so the speedup trajectory is tracked across
@@ -132,7 +130,6 @@ void write_bench_json(const std::vector<JsonRow>& rows,
        << ", \"cycles\": " << r.cycles << ", \"lanes\": " << r.lanes
        << ", \"collapse\": " << (r.collapse ? "true" : "false")
        << ", \"cone\": " << (r.cone ? "true" : "false")
-       << ", \"legacy\": " << (r.legacy ? "true" : "false")
        << ", \"jit\": " << (r.jit ? "true" : "false")
        << ", \"collapse_ratio\": " << num(r.collapse_ratio, "%.3f")
        << ", \"mean_cone_fraction\": " << num(r.mean_cone_fraction, "%.3f")
@@ -140,7 +137,6 @@ void write_bench_json(const std::vector<JsonRow>& rows,
        << ", \"speedup_vs_brute\": " << num(r.speedup_vs_brute, "%.3f")
        << ", \"speedup_vs_batch_base\": " << num(r.speedup_vs_batch_base, "%.3f")
        << ", \"speedup_vs_lanes64\": " << num(r.speedup_vs_lanes64, "%.3f")
-       << ", \"speedup_vs_pr6\": " << num(r.speedup_vs_pr6, "%.3f")
        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -185,40 +181,32 @@ int main(int argc, char** argv) {
   }
 
   bool any_mismatch = false;
-  Table t("Gate campaign engines: brute vs event vs batch, tuned per SIMD width");
+  Table t("Gate campaign engines: brute oracle vs batch, tuned per SIMD width");
   t.header({"unit", "faults", "sim'd", "engine", "lanes", "cone frac", "time",
-            "faults*cyc/s", "vs brute", "vs pr6", "vs 64-lane"});
+            "faults*cyc/s", "vs brute", "vs 64-lane"});
 
   struct Row {
     std::string label;
     EngineKind engine;
     int collapse, cone;     // set_*_override values
-    std::size_t lanes = 0;  // batch rows: pinned width (0 = scalar engines)
-    bool legacy = false;    // PR 6 per-slot interpreter (the jit/opt baseline)
-    int jit = 0;            // set_jit_override value for non-legacy batch rows
+    std::size_t lanes = 0;  // batch rows: pinned width (0 = brute)
+    int jit = 0;            // set_jit_override value for batch rows
     std::string base;       // label without the @width suffix (row pairing)
   };
   std::vector<Row> rows = {
-      {"brute", EngineKind::Brute, 0, 0, 0, false, 0, "brute"},
-      {"event", EngineKind::Event, 0, 0, 0, false, 0, "event"},
-      {"batch", EngineKind::Batch, 0, 0, 64, true, 0, "batch"},
-      {"batch+c+c", EngineKind::Batch, 1, 1, 64, true, 0, "batch+c+c"},
-      {"batch+c+c+opt", EngineKind::Batch, 1, 1, 64, false, 0,
-       "batch+c+c+opt"},
-      {"batch+c+c+jit", EngineKind::Batch, 1, 1, 64, false, 1,
-       "batch+c+c+jit"},
+      {"brute", EngineKind::Brute, 0, 0, 0, 0, "brute"},
+      {"batch", EngineKind::Batch, 0, 0, 64, 0, "batch"},
+      {"batch+c+c", EngineKind::Batch, 1, 1, 64, 0, "batch+c+c"},
+      {"batch+c+c+jit", EngineKind::Batch, 1, 1, 64, 1, "batch+c+c+jit"},
   };
-  // The legacy (PR 6), optimized-interpreter and jit engines again at each
-  // wider SIMD path the build/CPU can run: vs-pr6 is the payoff of the gate
-  // program at equal lane width, vs-64-lane the payoff of widening.
+  // The interpreted and jit engines again at each wider SIMD path the
+  // build/CPU can run: vs-64-lane is the payoff of widening.
   for (const std::size_t w : {std::size_t{256}, std::size_t{512}}) {
     if (!gate::batch_width_supported(w)) continue;
     const std::string at = "@" + std::to_string(w);
-    rows.push_back({"batch+c+c" + at, EngineKind::Batch, 1, 1, w, true, 0,
+    rows.push_back({"batch+c+c" + at, EngineKind::Batch, 1, 1, w, 0,
                     "batch+c+c"});
-    rows.push_back({"batch+c+c+opt" + at, EngineKind::Batch, 1, 1, w, false, 0,
-                    "batch+c+c+opt"});
-    rows.push_back({"batch+c+c+jit" + at, EngineKind::Batch, 1, 1, w, false, 1,
+    rows.push_back({"batch+c+c+jit" + at, EngineKind::Batch, 1, 1, w, 1,
                     "batch+c+c+jit"});
   }
 
@@ -243,15 +231,14 @@ int main(int argc, char** argv) {
     set_jit_override(-1);
 
     double brute_s = 0.0, batch_base_s = 0.0;
-    std::map<std::size_t, double> legacy_s;     // lanes -> batch+c+c secs
-    std::map<std::string, double> base64_s;     // base label -> 64-lane secs
+    std::map<std::string, double> base64_s;  // base label -> 64-lane secs
 
     // Measure first, report after. Each round times every row once, so the
     // host's slow phases (seconds-scale frequency / steal-time drift) hit
     // all rows roughly equally instead of poisoning whichever row owned that
     // slice of wall clock; the per-row minimum across rounds then yields
-    // stable vs-* ratios. Rows slower than the repeat budget (brute, event
-    // on the big units) keep their single measurement, exactly like before.
+    // stable vs-* ratios. Rows slower than the repeat budget (brute) keep
+    // their single measurement.
     std::vector<double> row_secs(rows.size(), 1e300);
     std::vector<gate::UnitCampaignResult> row_res(rows.size());
     constexpr int kRounds = 9;
@@ -263,14 +250,11 @@ int main(int argc, char** argv) {
         set_collapse_override(row.collapse);
         set_cone_override(row.cone);
         gate::set_batch_lanes_override(row.lanes);
-        gate::set_batch_legacy_engine(row.legacy);
-        set_jit_override(row.engine == EngineKind::Batch && !row.legacy
-                             ? row.jit
-                             : 0);
+        set_jit_override(row.jit);
         // Warm the jit cache outside the timed region: the one-time compile
         // is reported separately (gate.jit.compile_us), not charged to
         // throughput.
-        if (round == 0 && row.jit == 1 && !row.legacy)
+        if (round == 0 && row.jit == 1)
           gate::make_batch_sim(replayer.netlist(), row.lanes);
         // Sub-0.1s rows (decoder at any width) jitter ±10% even as a
         // min-of-rounds; stretch each timing sample to ~0.2s of work by
@@ -291,7 +275,6 @@ int main(int argc, char** argv) {
     set_collapse_override(-1);
     set_cone_override(-1);
     gate::set_batch_lanes_override(0);
-    gate::set_batch_legacy_engine(false);
     set_jit_override(-1);
 
     gate::UnitCampaignResult reference;
@@ -316,8 +299,6 @@ int main(int argc, char** argv) {
         any_mismatch |= !equal;
       }
       if (row.engine == EngineKind::Batch && !tuned) batch_base_s = secs;
-      if (row.engine == EngineKind::Batch && tuned && row.legacy)
-        legacy_s[row.lanes] = secs;
       if (row.engine == EngineKind::Batch && tuned && row.lanes == 64)
         base64_s[row.base] = secs;
       const double vs_batch = batch_base_s > 0.0 ? batch_base_s / secs : 1.0;
@@ -325,19 +306,12 @@ int main(int argc, char** argv) {
           tuned && row.engine == EngineKind::Batch && base64_s.count(row.base)
               ? base64_s[row.base] / secs
               : 1.0;
-      const double vs_pr6 = row.engine == EngineKind::Batch && !row.legacy &&
-                                    tuned && legacy_s.count(row.lanes)
-                                ? legacy_s[row.lanes] / secs
-                                : 1.0;
 
       t.row({gate::unit_name(unit), std::to_string(faults),
              std::to_string(tuned ? reps.size() : faults), row.label,
              row.lanes ? std::to_string(row.lanes) : std::string("-"),
              tuned ? Table::num(cone_frac[row.lanes], 2) : std::string("1.00"),
              Table::num(secs, 2) + " s", Table::num(work / secs, 0), note,
-             row.engine == EngineKind::Batch && !row.legacy && tuned
-                 ? Table::num(vs_pr6, 2) + "x"
-                 : std::string("-"),
              row.engine == EngineKind::Batch && tuned
                  ? Table::num(vs_64, 2) + "x"
                  : std::string("-")});
@@ -350,8 +324,7 @@ int main(int argc, char** argv) {
       jr.lanes = row.lanes;
       jr.collapse = row.collapse != 0;
       jr.cone = row.cone != 0;
-      jr.legacy = row.legacy;
-      jr.jit = row.jit == 1 && !row.legacy;
+      jr.jit = row.jit == 1;
       jr.collapse_ratio = tuned ? ratio : 1.0;
       jr.mean_cone_fraction = tuned && row.lanes ? cone_frac[row.lanes] : 1.0;
       jr.wall_seconds = secs;
@@ -359,7 +332,6 @@ int main(int argc, char** argv) {
       jr.speedup_vs_batch_base =
           row.engine == EngineKind::Batch ? vs_batch : 1.0;
       jr.speedup_vs_lanes64 = vs_64;
-      jr.speedup_vs_pr6 = vs_pr6;
       json_rows.push_back(jr);
     }
   }
@@ -408,12 +380,12 @@ int main(int argc, char** argv) {
                "pruning (GPF_CONE) word-evaluates only gates downstream of a\n"
                "batch's fault sites. Both default on; all rows classify\n"
                "identically and export byte-identical stores at any width.\n"
-               "The +opt rows run the fused/folded gate program with sparse\n"
-               "force fixups (GPF_FUSE, default on); +jit rows additionally\n"
+               "The batch rows interpret the fused/folded gate program with\n"
+               "sparse force fixups (GPF_FUSE, default on); +jit rows\n"
                "compile the program to native code per level (GPF_JIT=auto,\n"
                "cached under GPF_JIT_CACHE_DIR). Select an engine with\n"
-               "GPF_ENGINE=brute|event|batch, a SIMD path with\n"
-               "GPF_SIMD=native|scalar|avx2|avx512 (or pin GPF_LANES), and\n"
+               "GPF_ENGINE=brute|batch, pin a lane width with\n"
+               "GPF_LANES=64|256|512 (default: the widest the CPU runs), and\n"
                "size the pool with GPF_THREADS.\n";
   write_bench_json(json_rows, metrics_overhead_pct);
   if (any_mismatch) {

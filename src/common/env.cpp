@@ -8,8 +8,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace gpf {
 
@@ -85,22 +87,29 @@ unsigned long long campaign_seed() {
 const char* engine_name(EngineKind e) {
   switch (e) {
     case EngineKind::Brute: return "brute";
-    case EngineKind::Event: return "event";
     case EngineKind::Batch: return "batch";
   }
   return "?";
 }
 
+std::optional<EngineKind> engine_from_name(std::string_view name) {
+  for (const EngineKind e : {EngineKind::Brute, EngineKind::Batch})
+    if (name == engine_name(e)) return e;
+  return std::nullopt;
+}
+
+EngineKind parse_env_engine(const char* value) {
+  if (!value || !*value) return EngineKind::Batch;
+  if (const std::optional<EngineKind> e = engine_from_name(value)) return *e;
+  std::fprintf(stderr,
+               "[gpf] ignoring GPF_ENGINE=\"%s\": expected brute|batch; "
+               "using batch\n",
+               value);
+  return EngineKind::Batch;
+}
+
 EngineKind campaign_engine() {
-  static const EngineKind engine = [] {
-    const char* s = std::getenv("GPF_ENGINE");
-    if (!s) return EngineKind::Batch;
-    const std::string v(s);
-    if (v == "brute") return EngineKind::Brute;
-    if (v == "event") return EngineKind::Event;
-    if (v == "batch") return EngineKind::Batch;
-    return EngineKind::Batch;
-  }();
+  static const EngineKind engine = parse_env_engine(std::getenv("GPF_ENGINE"));
   return engine;
 }
 
@@ -198,34 +207,6 @@ void set_jit_cache_dir_override(const std::string& dir) {
   g_jit_cache_dir_override = dir;
 }
 
-const char* simd_name(SimdKind k) {
-  switch (k) {
-    case SimdKind::Native: return "native";
-    case SimdKind::Scalar: return "scalar";
-    case SimdKind::Avx2: return "avx2";
-    case SimdKind::Avx512: return "avx512";
-  }
-  return "?";
-}
-
-SimdKind simd_request() {
-  static const SimdKind kind = [] {
-    const char* s = std::getenv("GPF_SIMD");
-    if (!s || !*s) return SimdKind::Native;
-    const std::string v(s);
-    if (v == "native") return SimdKind::Native;
-    if (v == "scalar") return SimdKind::Scalar;
-    if (v == "avx2") return SimdKind::Avx2;
-    if (v == "avx512") return SimdKind::Avx512;
-    std::fprintf(stderr,
-                 "[gpf] ignoring GPF_SIMD=\"%s\": expected "
-                 "native|scalar|avx2|avx512; using native\n",
-                 s);
-    return SimdKind::Native;
-  }();
-  return kind;
-}
-
 std::size_t lanes_request() {
   static const std::size_t lanes = [] {
     const unsigned long long v =
@@ -234,7 +215,7 @@ std::size_t lanes_request() {
       return static_cast<std::size_t>(v);
     std::fprintf(stderr,
                  "[gpf] ignoring GPF_LANES=%llu: expected 64, 256 or 512; "
-                 "deferring to GPF_SIMD\n",
+                 "using 0 (widest width this CPU supports)\n",
                  v);
     return std::size_t{0};
   }();
@@ -390,9 +371,8 @@ void dump_env(std::ostream& os) {
     os << "# GPF_JIT_CACHE_DIR=" << jit_cache_dir() << " (override)\n";
   else
     line("GPF_JIT_CACHE_DIR", jit_cache_dir());
-  line("GPF_SIMD", simd_name(simd_request()));
   line("GPF_LANES", lanes_request() ? std::to_string(lanes_request())
-                                    : "0 (auto: GPF_SIMD/cpuid)");
+                                    : "0 (auto: widest cpuid width)");
   if (const std::size_t o = g_threads_override.load())
     os << "# GPF_THREADS=" << o << " (--jobs override)\n";
   else

@@ -6,14 +6,13 @@
 //
 //   GPF_SCALE             campaign size multiplier (default 1.0)
 //   GPF_SEED              base RNG seed (default 0xC0FFEE)
-//   GPF_ENGINE            gate fault-simulation engine: brute | event | batch
+//   GPF_ENGINE            gate fault-simulation engine: brute | batch (default batch)
 //   GPF_COLLAPSE          structural stuck-at fault collapsing: 1 | 0 (default 1)
 //   GPF_CONE              batch-engine fanout-cone pruning: 1 | 0 (default 1)
 //   GPF_FUSE              gate-program optimizer (fold/fuse/DCE/vreg): 1 | 0 (default 1)
 //   GPF_JIT               native-code gate eval: on | off | auto (default auto)
 //   GPF_JIT_CACHE_DIR     compiled-netlist .so cache (default <tmp>/gpf-jit)
-//   GPF_SIMD              batch-engine SIMD path: native | scalar | avx2 | avx512
-//   GPF_LANES             batch-engine lane width: 64 | 256 | 512 (0 = auto)
+//   GPF_LANES             batch-engine lane width: 64 | 256 | 512 (0 = widest the CPU runs)
 //   GPF_THREADS           campaign thread-pool width (0 = hardware threads)
 //   GPF_STORE_DIR         directory for persistent campaign stores (default ".")
 //   GPF_COORD_ADDR        gpfd coordinator host:port (default 127.0.0.1:9777)
@@ -27,15 +26,18 @@
 //   GPF_COMPACT_MS        gpfd incremental-compaction period in ms (default 5000, 0 = at exit only)
 //   GPF_HTTP_ADDR         gpfd HTTP/JSON endpoint host:port (default "" = off)
 //
-// Numeric knobs are parsed strictly: a value that is not entirely a number
-// (e.g. GPF_THREADS=max) is rejected with a warning on stderr and the
-// documented default is used — it never silently becomes 0.
+// Knobs are parsed strictly: a value that is not entirely a number (e.g.
+// GPF_THREADS=max) or not one of the listed names (e.g. GPF_ENGINE=fast) is
+// rejected with a warning on stderr and the documented default is used — it
+// never silently becomes 0 or some other setting.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace gpf {
 
@@ -61,17 +63,27 @@ std::size_t scaled(std::size_t n, std::size_t min_n = 8);
 /// GPF_SEED environment variable (default 0xC0FFEE).
 unsigned long long campaign_seed();
 
-/// Gate-campaign fault-simulation engine (see gate/replay.hpp for the
-/// trade-offs). Selected per process by GPF_ENGINE.
+/// Gate-campaign fault-simulation engine (see gate/replay.hpp). Selected per
+/// process by GPF_ENGINE. The values are the engine byte of every gate store
+/// header and lease grant, so they are pinned: 1 belonged to a removed
+/// engine and must never be reused.
 enum class EngineKind : std::uint8_t {
-  Brute,  ///< full scalar resimulation of every (fault, cycle)
-  Event,  ///< single-fault difference-cone propagation
-  Batch,  ///< bit-parallel (PPSFP) word simulation, 64-512 lanes (GPF_SIMD)
+  Brute = 0,  ///< scalar resimulation of every (fault, cycle): the oracle
+  Batch = 2,  ///< bit-parallel (PPSFP) word simulation, 64-512 lanes (GPF_LANES)
 };
 const char* engine_name(EngineKind e);
 
-/// GPF_ENGINE environment variable: "brute" | "event" | "batch"
-/// (default batch, the fastest engine; all three classify identically).
+/// The engine called `name` ("brute" | "batch"), or nullopt for any other
+/// string. GPF_ENGINE and the --engine flags of gpfctl/gpfd both resolve
+/// names here, so this is the one list of engine names.
+std::optional<EngineKind> engine_from_name(std::string_view name);
+
+/// Parses a GPF_ENGINE value with the parse_env_u64 contract: unset or empty
+/// means batch silently; an unknown name warns on stderr and means batch.
+EngineKind parse_env_engine(const char* value);
+
+/// GPF_ENGINE environment variable: "brute" | "batch" (default batch, the
+/// production engine; brute is the oracle it must match).
 EngineKind campaign_engine();
 
 /// GPF_COLLAPSE environment variable: when on (the default), gate campaigns
@@ -124,24 +136,10 @@ std::string jit_cache_dir();
 /// re-execing). An empty string defers to the environment.
 void set_jit_cache_dir_override(const std::string& dir);
 
-/// Batch-engine SIMD path requested via GPF_SIMD (default native = widest
-/// the CPU supports). The request is resolved against the build's compiled
-/// widths and cpuid by gate::batch_lane_width().
-enum class SimdKind : std::uint8_t {
-  Native,  ///< widest path this build and CPU support (the default)
-  Scalar,  ///< 64-lane uint64_t baseline
-  Avx2,    ///< 256-lane AVX2 ymm path
-  Avx512,  ///< 512-lane AVX-512 zmm path
-};
-const char* simd_name(SimdKind k);
-
-/// GPF_SIMD environment variable: "native" | "scalar" | "avx2" | "avx512"
-/// (default native). Unrecognized values warn on stderr and mean native.
-SimdKind simd_request();
-
 /// GPF_LANES environment variable: an exact batch lane width (64, 256 or
-/// 512). 0 / unset defers to GPF_SIMD. Takes precedence over GPF_SIMD when
-/// both are set; other values warn on stderr and mean 0.
+/// 512). 0 / unset means the widest width this build and CPU support, which
+/// gate::batch_lane_width() resolves against cpuid; other values warn on
+/// stderr and mean 0.
 std::size_t lanes_request();
 
 /// GPF_THREADS environment variable: worker count for campaign thread pools

@@ -4,8 +4,7 @@
 //
 //   set_batch_lanes_override(w)   tests/benches pin a width in-process
 //   GPF_LANES=64|256|512          pin a width from the environment
-//   GPF_SIMD=scalar|avx2|avx512   name a path (scalar = 64 lanes, ...)
-//   (default)                     widest path the CPU supports (cpuid)
+//   (default, GPF_LANES=0)        widest path the CPU supports (cpuid)
 //
 // A pinned width that this build or CPU cannot run falls back to the widest
 // supported width at or below the request, with a one-line stderr warning —
@@ -34,7 +33,6 @@ std::unique_ptr<BatchSim> make_batch_sim_512(const Netlist& nl);
 namespace {
 
 std::atomic<std::size_t> g_lanes_override{0};
-std::atomic<bool> g_legacy_engine{false};
 
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -88,30 +86,14 @@ void set_batch_lanes_override(std::size_t lanes) {
   g_lanes_override.store(lanes, std::memory_order_relaxed);
 }
 
-void set_batch_legacy_engine(bool on) {
-  g_legacy_engine.store(on, std::memory_order_relaxed);
-}
-
-bool batch_legacy_engine() {
-  return g_legacy_engine.load(std::memory_order_relaxed);
-}
-
 std::size_t batch_lane_width() {
   if (const std::size_t o = g_lanes_override.load(std::memory_order_relaxed))
     return o;
   static const std::size_t dispatched = [] {
-    // GPF_LANES pins an exact width; GPF_SIMD names a path; otherwise take
-    // the widest path this build and CPU support.
-    std::size_t want = lanes_request();
-    bool pinned = want != 0;
-    if (!want) {
-      switch (simd_request()) {
-        case SimdKind::Scalar: want = 64; pinned = true; break;
-        case SimdKind::Avx2: want = 256; pinned = true; break;
-        case SimdKind::Avx512: want = 512; pinned = true; break;
-        case SimdKind::Native: want = 512; break;
-      }
-    }
+    // GPF_LANES pins an exact width; otherwise take the widest path this
+    // build and CPU support.
+    const bool pinned = lanes_request() != 0;
+    const std::size_t want = pinned ? lanes_request() : 512;
     std::size_t w = 64;
     if (want >= 256 && batch_width_supported(256)) w = 256;
     if (want >= 512 && batch_width_supported(512)) w = 512;

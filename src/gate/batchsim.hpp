@@ -1,4 +1,6 @@
-// N-way bit-parallel stuck-at fault simulation (PPSFP): every net carries an
+// N-way bit-parallel stuck-at fault simulation (PPSFP), the production gate
+// engine; the scalar Simulator (sim.hpp) is the oracle it must match lane
+// for lane. Every net carries an
 // N-bit SIMD word whose lane k is the net's value under fault k, so one
 // levelized pass over the netlist advances N fault machines at once using
 // plain bitwise ops. Stuck-at overlays are per-lane force masks applied at
@@ -11,9 +13,8 @@
 // times: N = 64 (scalar uint64_t baseline), N = 256 (AVX2 ymm) and N = 512
 // (AVX-512 zmm), each in its own translation unit compiled with the matching
 // -m flags. Callers never name a width: make_batch_sim() runtime-dispatches
-// on CPU features (cpuid) and the GPF_LANES / GPF_SIMD knobs to the widest
-// path the machine supports, and every mask crossing the BatchSim interface
-// is a width-agnostic LaneMask. Record synthesis is per-fault, so campaign
+// to the widest path the CPU supports (cpuid) unless GPF_LANES pins one, and
+// every mask crossing the BatchSim interface is a width-agnostic LaneMask. Record synthesis is per-fault, so campaign
 // stores and exports are byte-identical at any width.
 //
 // Fanout-cone pruning (GPF_CONE, default on): a batch's N faults can only
@@ -48,9 +49,9 @@ class BatchSim {
   virtual std::size_t width() const = 0;
   /// Human-readable SIMD path for logs: "scalar64" | "avx2x256" | "avx512x512".
   virtual const char* path_name() const = 0;
-  /// Resolved execution strategy of this instance: "legacy" (PR 6 per-slot
-  /// interpreter), "full"/"fused" (direct-threaded gate program), with
-  /// "+jit" appended when a native module is loaded for the stream.
+  /// Resolved execution strategy of this instance: "full"/"fused"
+  /// (direct-threaded gate program), with "+jit" appended when a native
+  /// module is loaded for the stream.
   virtual const char* engine_desc() const = 0;
 
   /// Install up to width() faults (lane k carries faults[k]) and reset state.
@@ -128,7 +129,7 @@ class BatchSim {
 bool batch_width_supported(std::size_t lanes);
 
 /// The dispatched lane width every batch campaign partitions by:
-/// set_batch_lanes_override > GPF_LANES > GPF_SIMD > widest CPU-supported.
+/// set_batch_lanes_override > GPF_LANES > widest CPU-supported.
 std::size_t batch_lane_width();
 
 /// SIMD-path name for a lane width ("scalar64" | "avx2x256" | "avx512x512").
@@ -137,13 +138,6 @@ const char* batch_simd_path(std::size_t lanes);
 /// Process-wide width pin for tests/benches (0 = clear, defer to env/CPU
 /// dispatch). Throws std::invalid_argument if the width is unsupported.
 void set_batch_lanes_override(std::size_t lanes);
-
-/// Process-wide pin to the PR 6 per-slot interpreter with per-store force
-/// overlays. Benches and equality tests construct baseline engines through
-/// this to compare the optimized gate program against the legacy inner loop
-/// in the same process. Affects engines constructed AFTER the call.
-void set_batch_legacy_engine(bool on);
-bool batch_legacy_engine();
 
 /// Engine at the dispatched width (also publishes the gate.batch.lanes gauge).
 std::unique_ptr<BatchSim> make_batch_sim(const Netlist& nl);

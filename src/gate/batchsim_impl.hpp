@@ -6,12 +6,9 @@
 // runtime cpuid dispatch in batchsim.cpp, so a pre-AVX2 machine never
 // executes (or even links in statically-chosen copies of) ymm/zmm code.
 //
-// Since PR 9 the engine runs the optimized gate program (gate/gateprog.hpp)
-// in one of three modes:
+// The engine runs the optimized gate program (gate/gateprog.hpp) in one of
+// two modes:
 //
-//   legacy  the PR 6 inner loop — opcode switch over CompiledNetlist slots
-//           with a per-store force overlay. Kept behind
-//           set_batch_legacy_engine() as the bench/test baseline.
 //   full    GPF_FUSE=0: the 1:1 instruction stream, direct-threaded
 //           (computed goto), stuck-at forces applied as sparse fixups
 //           between instructions instead of per store.
@@ -67,19 +64,17 @@ class BatchFaultSimT final : public BatchSim {
       : nl_(nl),
         cn_(nl.compiled()),
         gp_(nl.program()),
-        mode_(batch_legacy_engine()   ? Mode::Legacy
-              : gpf::fuse_enabled()   ? Mode::Fused
-                                      : Mode::Full),
+        mode_(gpf::fuse_enabled() ? Mode::Fused : Mode::Full),
         base_(mode_ == Mode::Fused ? &gp_.fused : &gp_.full),
         num_nets_(nl.num_nets()),
-        val_(mode_ == Mode::Legacy ? num_nets_ : gp_.storage_size, W::zero()),
+        val_(gp_.storage_size, W::zero()),
         force0_(num_nets_, W::zero()),
         force1_(num_nets_, W::zero()),
         forced_flag_(num_nets_, 0),
         dff_next_(nl.dffs().size(), W::zero()),
         cone_enabled_(gpf::cone_enabled()) {
     if (!nl.finalized()) throw std::logic_error("netlist not finalized");
-    if (mode_ != Mode::Legacy) jit_ = jit_module(gp_, *base_, N);
+    jit_ = jit_module(gp_, *base_, N);
     // Latch-order partition: only a DFF whose out net feeds another DFF's
     // D/EN pin needs the two-phase (compute-all-then-store) latch; the rest
     // can compute and store in one pass, saving a word load+store per DFF
@@ -95,11 +90,7 @@ class BatchFaultSimT final : public BatchSim {
           is_pin[static_cast<std::size_t>(cn_.dff_en[i])] = 1;
       }
       for (std::size_t i = 0; i < cn_.dff_out.size(); ++i) {
-        // The legacy engine is the frozen PR 6 baseline: keep its latch
-        // two-phase for every DFF so bench comparisons measure the real
-        // historical engine.
         dff_deferred_flag_[i] =
-            mode_ == Mode::Legacy ||
             is_pin[static_cast<std::size_t>(cn_.dff_out[i])];
         (dff_deferred_flag_[i] ? dff_deferred_ : dff_direct_)
             .push_back(static_cast<std::uint32_t>(i));
@@ -110,12 +101,8 @@ class BatchFaultSimT final : public BatchSim {
   std::size_t width() const override { return kLanes; }
   const char* path_name() const override { return batch_simd_path(kLanes); }
   const char* engine_desc() const override {
-    switch (mode_) {
-      case Mode::Legacy: return "legacy";
-      case Mode::Full: return jit_ ? "full+jit" : "full";
-      case Mode::Fused: return jit_ ? "fused+jit" : "fused";
-    }
-    return "?";
+    if (mode_ == Mode::Fused) return jit_ ? "fused+jit" : "fused";
+    return jit_ ? "full+jit" : "full";
   }
 
   void begin(std::span<const StuckFault> faults) override {
@@ -129,10 +116,9 @@ class BatchFaultSimT final : public BatchSim {
     // Plan reuse: the campaign driver replays the same fault batch against
     // every trace through one engine. The per-batch plan — fixups, patched
     // stream, cone program — depends only on the fault set, so an unchanged
-    // set keeps it (the legacy engine predates the plan and stays as-is).
+    // set keeps it.
     const bool same_faults =
-        mode_ != Mode::Legacy && plan_ready_ &&
-        faults.size() == prev_faults_.size() &&
+        plan_ready_ && faults.size() == prev_faults_.size() &&
         std::equal(faults.begin(), faults.end(), prev_faults_.begin(),
                    [](const StuckFault& x, const StuckFault& y) {
                      return x.net == y.net && x.stuck_high == y.stuck_high;
@@ -170,7 +156,7 @@ class BatchFaultSimT final : public BatchSim {
           kind == GateKind::Const1 || kind == GateKind::Dff)
         source_sites_.push_back(f.net);
     }
-    if (mode_ != Mode::Legacy && !same_faults) {
+    if (!same_faults) {
       plan_batch();
       plan_ready_ = true;
     }
@@ -211,18 +197,11 @@ class BatchFaultSimT final : public BatchSim {
     for (const auto& [n, v] : nl_.constants())
       val_[static_cast<std::size_t>(n)] = W::broadcast(v);
     apply_source_overlays();
-    switch (mode_) {
-      case Mode::Legacy:
-        eval_slots(AllSlots{});
-        return;
-      default:
-        if (use_jit_) {
-          jit_eval();
-        } else {
-          run_code(active_code_.data(), active_code_.size(),
-                   std::span<const Fixup>(fixups_), nullptr);
-        }
-        return;
+    if (use_jit_) {
+      jit_eval();
+    } else {
+      run_code(active_code_.data(), active_code_.size(),
+               std::span<const Fixup>(fixups_), nullptr);
     }
   }
 
@@ -244,13 +223,6 @@ class BatchFaultSimT final : public BatchSim {
     // inputs. A caller that sticks to plain eval() keeps full latching even
     // though the cone sets exist for the diff/retire read restrictions.
     cone_eval_live_ = true;
-    if (mode_ == Mode::Legacy) {
-      ensure_cone_legacy();
-      refresh_frontier(golden);
-      apply_source_overlays();
-      for (const std::uint32_t s : cone_slots_) eval_slot(s);
-      return;
-    }
     ensure_cone_program();
     refresh_frontier(golden);
     apply_source_overlays();
@@ -368,10 +340,6 @@ class BatchFaultSimT final : public BatchSim {
   std::size_t cone_gate_count() override {
     if (!cone_enabled_ || !lane_mask_.any() || use_jit_ || skip_cone_)
       return cn_.num_slots();
-    if (mode_ == Mode::Legacy) {
-      ensure_cone_legacy();
-      return cone_slots_.size();
-    }
     ensure_cone_program();
     return cone_covered_;
   }
@@ -379,8 +347,7 @@ class BatchFaultSimT final : public BatchSim {
   std::size_t total_gate_count() const override { return cn_.num_slots(); }
 
  private:
-  enum class Mode : std::uint8_t { Legacy, Full, Fused };
-  struct AllSlots {};  ///< tag: iterate every compiled slot in program order
+  enum class Mode : std::uint8_t { Full, Fused };
 
   /// A pending stuck-at overlay: applied to storage index `storage` right
   /// after instruction `pos` of the active code, using net `net`'s force
@@ -425,7 +392,7 @@ class BatchFaultSimT final : public BatchSim {
     }
   }
 
-  // ---- per-batch execution plan (full/fused modes) -----------------------
+  // ---- per-batch execution plan ------------------------------------------
 
   void plan_batch() {
     use_jit_ = false;
@@ -632,43 +599,10 @@ class BatchFaultSimT final : public BatchSim {
 #endif
   }
 
-  // ---- legacy (PR 6) inner loop ------------------------------------------
-
-  /// Word-evaluates one compiled slot and stores through the force overlay.
-  void eval_slot(std::size_t s) {
-    const auto va = [&](Net x) -> const W& {
-      return val_[static_cast<std::size_t>(x)];
-    };
-    W v = W::zero();
-    switch (cn_.kind[s]) {
-      case GateKind::Buf: v = va(cn_.a[s]); break;
-      case GateKind::Not: v = ~va(cn_.a[s]); break;
-      case GateKind::And: v = va(cn_.a[s]) & va(cn_.b[s]); break;
-      case GateKind::Or: v = va(cn_.a[s]) | va(cn_.b[s]); break;
-      case GateKind::Nand: v = ~(va(cn_.a[s]) & va(cn_.b[s])); break;
-      case GateKind::Nor: v = ~(va(cn_.a[s]) | va(cn_.b[s])); break;
-      case GateKind::Xor: v = va(cn_.a[s]) ^ va(cn_.b[s]); break;
-      case GateKind::Xnor: v = ~(va(cn_.a[s]) ^ va(cn_.b[s])); break;
-      case GateKind::Mux: {
-        const W sel = va(cn_.a[s]);
-        v = (sel & va(cn_.c[s])) | (~sel & va(cn_.b[s]));
-        break;
-      }
-      default: return;
-    }
-    const auto i = static_cast<std::size_t>(cn_.out[s]);
-    val_[i] = (v & ~force0_[i]) | force1_[i];
-  }
-
-  void eval_slots(AllSlots) {
-    for (std::size_t s = 0; s < cn_.num_slots(); ++s) eval_slot(s);
-  }
-
   // ---- fanout cone --------------------------------------------------------
 
   /// BFS over the fan-out CSR from the fault sites: fills cone_nets_ (the
-  /// worklist doubles as the result), cone_dffs_, the in-cone stamps, and
-  /// splits observed_ into in-cone/frontier. Shared by both cone builders.
+  /// worklist doubles as the result), cone_dffs_ and the in-cone stamps.
   void build_cone_sets() {
     if (cone_stamp_.empty()) {
       cone_stamp_.assign(cn_.num_nets(), 0);
@@ -734,24 +668,6 @@ class BatchFaultSimT final : public BatchSim {
     total_gates.add(cn_.num_slots());
   }
 
-  void ensure_cone_legacy() {
-    if (cone_built_) return;
-    cone_built_ = true;
-    build_cone_sets();
-    cone_slots_.clear();
-    for (const Net n : cone_nets_) {
-      const auto i = static_cast<std::size_t>(n);
-      if (cn_.slot_of[i] != kNoSlot) cone_slots_.push_back(cn_.slot_of[i]);
-    }
-    std::sort(cone_slots_.begin(), cone_slots_.end());  // levelized order
-    for (const std::uint32_t s : cone_slots_) {
-      add_frontier(cn_.a[s]);
-      add_frontier(cn_.b[s]);
-      add_frontier(cn_.c[s]);
-    }
-    finish_cone(cone_slots_.size());
-  }
-
   /// Builds the per-batch cone PROGRAM: the in-cone subsequence of the
   /// active code, with Mat pseudo-ops materializing out-of-cone values that
   /// live in vreg slots (a frontier broadcast cannot reach those), and the
@@ -812,7 +728,7 @@ class BatchFaultSimT final : public BatchSim {
   const Netlist& nl_;
   const CompiledNetlist& cn_;
   const GateProgram& gp_;
-  const Mode mode_;          ///< legacy / full / fused, latched at ctor
+  const Mode mode_;          ///< full / fused, latched at ctor
   const Stream* base_;       ///< the mode's default stream
   const std::size_t num_nets_;
   std::shared_ptr<const JitModule> jit_;  ///< nullptr = interpret
@@ -826,7 +742,7 @@ class BatchFaultSimT final : public BatchSim {
   std::vector<Net> sites_;        ///< per-lane fault site
   W lane_mask_ = W::zero();
 
-  // Per-batch execution plan (full/fused modes).
+  // Per-batch execution plan.
   std::span<const Instr> active_code_;
   std::span<const OpMeta> active_meta_;
   const Stream* active_stream_ = nullptr;  ///< null when patched
@@ -853,7 +769,6 @@ class BatchFaultSimT final : public BatchSim {
   std::uint32_t cone_epoch_ = 0;
   std::vector<std::uint32_t> cone_stamp_;      ///< per-net in-cone epoch
   std::vector<std::uint32_t> frontier_stamp_;  ///< per-net frontier epoch
-  std::vector<std::uint32_t> cone_slots_;      ///< legacy: in-cone slots
   std::vector<std::uint32_t> cone_ops_;        ///< in-cone active-code indices
   std::vector<Instr> cone_code_;               ///< in-cone program + Mat ops
   std::vector<Fixup> cone_fixups_;

@@ -7,10 +7,10 @@
 // engine was rebuilding for itself:
 //   - per-level slot offsets (levelized scheduling without re-sorting),
 //   - a CSR fan-out adjacency over combinational gates AND DFF pins (the
-//     event engine's difference propagation and the batch engine's
-//     fanout-cone pruning both traverse it),
+//     batch engine's fanout-cone pruning traverses it; fault collapsing
+//     reads its fan-out counts),
 //   - a topological index per net (fault lists sorted by it keep the union
-//     cone of a 64-fault batch tight).
+//     cone of a lane-width fault batch tight).
 #pragma once
 
 #include <cstdint>

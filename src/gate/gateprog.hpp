@@ -6,10 +6,10 @@
 // the inner loops of the simulators, in two variants:
 //
 //   full   one Instr per compiled slot, same order, same semantics — every
-//          net written, no folding. The golden Simulator, the event engine
-//          and the GPF_FUSE=0 batch path run this stream; it is the exact
-//          reference the optimized stream must match on every materialized
-//          net.
+//          net written, no folding. The golden Simulator (the scalar
+//          oracle) and the GPF_FUSE=0 batch path run this stream; it is the
+//          exact reference the optimized stream must match on every
+//          materialized net.
 //
 //   fused  the optimizer pipeline's output:
 //            1. constant folding — operands driven by Const0/Const1 nets (and
@@ -49,7 +49,7 @@
 // output executes strictly later, and applying the overlay right after the
 // writing instruction is exact. That removes two mask loads and three bitwise
 // ops from every gate of every eval — most of the interpreter's win over the
-// PR 6 engine.
+// earlier per-slot engine.
 #pragma once
 
 #include <cstdint>
@@ -196,9 +196,9 @@ struct GateProgram {
             (kNetInterior | kNetDead | kNetVreg)) == 0;
   }
 
-  /// Scalar (uint8) evaluation of one instruction; the golden Simulator and
-  /// the event engine route their per-gate evaluation through this so all
-  /// engines execute the same program.
+  /// Scalar (uint8) evaluation of one instruction; the golden Simulator
+  /// routes its per-gate evaluation through this so the oracle and the batch
+  /// engine execute the same program.
   static std::uint8_t eval_scalar(const Instr& in, const std::uint8_t* v);
 };
 

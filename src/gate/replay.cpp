@@ -9,7 +9,6 @@
 #include "gate/batchsim.hpp"
 #include "gate/collapse.hpp"
 #include "gate/compiled.hpp"
-#include "gate/eventsim.hpp"
 #include "isa/encoding.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -565,7 +564,7 @@ void UnitReplayer::classify_batch(BatchSim& sim, const UnitTraces& t,
   const Ports& p = *ports_;
   // A diverged lane is retired the moment it hangs: the unit makes no further
   // progress there, so later trace cycles are unreachable (same contract as
-  // the scalar engines). Lanes entering here always have hang == false.
+  // the brute oracle). Lanes entering here always have hang == false.
   const auto retire = [&](unsigned k) {
     live.clear(k);
     sim.retire_lane(k, gv);
@@ -745,10 +744,9 @@ void UnitReplayer::classify_batch(BatchSim& sim, const UnitTraces& t,
 }
 
 void UnitReplayer::run_fault(const StuckFault& fault, const UnitTraces& t,
-                             const GoldenTrace& g, FaultCharacterization& out,
-                             EngineKind engine) const {
+                             const GoldenTrace& g,
+                             FaultCharacterization& out) const {
   if (out.hang) return;  // hung in an earlier trace: the unit is already dead
-  const bool event_driven = engine != EngineKind::Brute;
   const std::size_t n = num_cycles(t);
   const auto site = static_cast<std::size_t>(fault.net);
   const std::uint8_t stuck = fault.stuck_high ? 1 : 0;
@@ -756,24 +754,15 @@ void UnitReplayer::run_fault(const StuckFault& fault, const UnitTraces& t,
   if (kind_ == UnitKind::Decoder) {
     // Combinational: each pattern is independent; skip non-activating ones.
     Simulator sim(*nl_);
-    EventFaultSim esim(*nl_);
     for (std::size_t c = 0; c < n; ++c) {
       if (g.vals[c][site] == stuck) continue;  // not activated by this pattern
       out.activated = true;
-      if (event_driven) {
-        esim.begin(fault);
-        esim.eval_cycle(g.vals[c]);
-        compare_outputs(
-            t, c, g.vals[c],
-            [&](const PortBus& b) { return esim.bus_value(b, g.vals[c]); }, out);
-      } else {
-        sim.reset();
-        sim.set_fault(fault);
-        drive_inputs(sim, t, c);
-        sim.eval();
-        compare_outputs(t, c, g.vals[c],
-                        [&](const PortBus& b) { return sim.bus_value(b); }, out);
-      }
+      sim.reset();
+      sim.set_fault(fault);
+      drive_inputs(sim, t, c);
+      sim.eval();
+      compare_outputs(t, c, g.vals[c],
+                      [&](const PortBus& b) { return sim.bus_value(b); }, out);
       if (out.hang) return;  // hang retire: no further patterns are decoded
     }
     return;
@@ -782,31 +771,9 @@ void UnitReplayer::run_fault(const StuckFault& fault, const UnitTraces& t,
   // Sequential: the activation window comes precomputed with the golden
   // trace (a stuck-at-v site activates exactly where the golden value is !v).
   const GoldenTrace::Window& win = g.windows[site];
-  if ((stuck ? win.first0 : win.first1) == GoldenTrace::kNoCycle)
-    return;  // never activated
-  const std::size_t first = stuck ? win.first0 : win.first1;
-  const std::size_t last = stuck ? win.last0 : win.last1;
+  const std::uint32_t first = stuck ? win.first0 : win.first1;
+  if (first == GoldenTrace::kNoCycle) return;  // never activated
   out.activated = true;
-
-  if (event_driven) {
-    EventFaultSim esim(*nl_);
-    esim.begin(fault);
-    for (std::size_t c = first; c < n; ++c) {
-      const bool diverges = esim.eval_cycle(g.vals[c]);
-      if (diverges && cycle_is_issue(t, c)) {
-        compare_outputs(
-            t, c, g.vals[c],
-            [&](const PortBus& b) { return esim.bus_value(b, g.vals[c]); }, out);
-        if (out.hang) return;  // hang retire
-      }
-      if (c + 1 < n) esim.clock(g.vals[c], g.vals[c + 1]);
-      // Early exit: past the last activating cycle with no combinational
-      // divergence and no divergent state, the faulty machine equals the
-      // golden one for the rest of the trace.
-      if (c > last && !diverges && !esim.state_live()) break;
-    }
-    return;
-  }
 
   Simulator sim(*nl_);
   sim.load_values(g.vals[first]);
@@ -1071,7 +1038,7 @@ UnitCampaignResult run_unit_campaign(UnitKind unit, std::span<const UnitTraces> 
       const UnitReplayer::GoldenTrace g = replayer.compute_golden(t);
       if (collapse) act.add(g);
       auto work = [&](std::size_t i) {
-        replayer.run_fault(sim_faults[i], t, g, sim_out[i], engine);
+        replayer.run_fault(sim_faults[i], t, g, sim_out[i]);
       };
       if (pool)
         pool->parallel_for(sim_faults.size(), work);

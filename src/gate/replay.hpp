@@ -2,6 +2,11 @@
 // the profiled stimulus traces on a unit netlist with one stuck-at fault at a
 // time, compare the unit outputs against the fault-free run, and classify
 // every divergence into the paper's instruction-level error models.
+//
+// Two engines, one answer: run_fault() is the oracle — the scalar Simulator
+// resimulating the whole netlist per (fault, cycle) — and run_fault_batch()
+// is the production bit-parallel engine (gate/batchsim.hpp), which must
+// produce exactly the oracle's characterization for every fault.
 #pragma once
 
 #include <array>
@@ -101,17 +106,14 @@ class UnitReplayer {
   };
   GoldenTrace compute_golden(const UnitTraces& t) const;
 
-  /// Evaluate one fault against one trace, accumulating into `out`.
-  /// Engine::Brute resimulates the full netlist per (fault, cycle);
-  /// Engine::Event propagates only the difference cone (identical results,
-  /// much faster; see bench_eventsim). Engine::Batch is a multi-fault engine
-  /// and falls back to Event here — use run_fault_batch for word parallelism.
-  /// All engines stop replaying a fault once it is flagged as a hang (a hung
-  /// unit makes no further progress, so later trace cycles are unreachable);
-  /// a fault already hung by an earlier trace is skipped outright.
+  /// The oracle: evaluate one fault against one trace by resimulating the
+  /// full netlist per (fault, cycle) with the scalar Simulator, accumulating
+  /// into `out`. Both engines stop replaying a fault once it is flagged as a
+  /// hang (a hung unit makes no further progress, so later trace cycles are
+  /// unreachable); a fault already hung by an earlier trace is skipped
+  /// outright.
   void run_fault(const StuckFault& f, const UnitTraces& t, const GoldenTrace& g,
-                 FaultCharacterization& out,
-                 EngineKind engine = EngineKind::Event) const;
+                 FaultCharacterization& out) const;
 
   /// Evaluate up to batch_lane_width() faults simultaneously with the
   /// bit-parallel (PPSFP) engine: lane k of every net word carries the value
@@ -202,7 +204,7 @@ FaultCharacterization expand_collapsed(const FaultCharacterization& rep,
 /// Full campaign over (sampled) faults x traces. The engine defaults to the
 /// GPF_ENGINE environment knob (batch unless overridden); with the batch
 /// engine, batch_lane_width()-fault batches are distributed across the pool
-/// exactly like single faults are for the scalar engines. Chunking by lane
+/// exactly like single faults are for the brute oracle. Chunking by lane
 /// width never changes record content — exports are byte-identical at any
 /// width because each fault's characterization is independent of which batch
 /// carried it.

@@ -247,8 +247,18 @@ WorkerStats run_worker(const WorkerConfig& cfg, const UnitFnFactory& make_fn) {
             throw FatalWorkerError("worker: campaign '" + grant.campaign +
                                    "' changed identity mid-fleet");
         } else {
+          // A campaign this process cannot build (unknown engine byte or
+          // workload, a fault-id space from other code) fails the same way
+          // on every lease: stop with the reason, do not reconnect.
+          UnitFn fn;
+          try {
+            fn = make_fn(grant.meta);
+          } catch (const std::exception& e) {
+            throw FatalWorkerError("worker: cannot serve campaign '" +
+                                   grant.campaign + "': " + e.what());
+          }
           metas.emplace(grant.campaign, grant.meta);
-          fns.emplace(grant.campaign, make_fn(grant.meta));
+          fns.emplace(grant.campaign, std::move(fn));
           ++stats.campaigns;
           if (cfg.verbose)
             std::fprintf(stderr, "[%s] serving campaign '%s'\n",

@@ -82,8 +82,8 @@ struct WorkerStats {
 
 /// Runs the worker loop until the coordinator reports its work drained or
 /// the connection is lost for good. Throws only on non-network fatal errors
-/// (a campaign whose meta changes identity mid-fleet, a work function that
-/// throws).
+/// (a campaign whose meta changes identity mid-fleet or cannot be built, a
+/// work function that throws).
 WorkerStats run_worker(const WorkerConfig& cfg, const UnitFnFactory& make_fn);
 
 /// Observer client: one Hello + StatsRequest round-trip against a running

@@ -86,10 +86,24 @@ store::CampaignMeta gate_campaign_meta(gate::UnitKind unit,
   return meta;
 }
 
+EngineKind gate_campaign_engine(const store::CampaignMeta& meta) {
+  switch (meta.engine) {
+    case static_cast<std::uint8_t>(EngineKind::Brute):
+      return EngineKind::Brute;
+    case static_cast<std::uint8_t>(EngineKind::Batch):
+    case 0xFF:  // merged shards disagreed; every engine yields the same records
+      return EngineKind::Batch;
+  }
+  throw std::runtime_error("gate campaign: unknown engine byte " +
+                           std::to_string(meta.engine) +
+                           " in campaign header (expected 0 = brute, "
+                           "2 = batch or 255 = mixed)");
+}
+
 GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
                                const store::CampaignMeta& meta)
     : traces_(traces),
-      engine_(static_cast<EngineKind>(meta.engine)),
+      engine_(gate_campaign_engine(meta)),
       replayer_(static_cast<gate::UnitKind>(meta.target)) {
   if (meta.kind != store::CampaignKind::Gate)
     throw std::runtime_error("gate campaign: meta is not a gate campaign");
@@ -198,7 +212,7 @@ void GateUnitRunner::run_collapsed(std::span<const std::uint64_t> ids,
     gate::FaultCharacterization fc;
     fc.fault = jobs[i].rep;
     for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc, engine_);
+      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc);
     expand(jobs[i], fc);
   };
   if (pool)
@@ -250,7 +264,7 @@ void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
     gate::FaultCharacterization fc;
     fc.fault = faults_.at(ids[i]);
     for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc, engine_);
+      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc);
     emit(ids[i], fc);
     retired.add(1);
   };

@@ -28,7 +28,7 @@ struct GateCampaigns {
 
 /// Run the stuck-at campaigns for the three units over the given traces.
 /// `faults_per_unit` of 0 evaluates the full collapsed fault list. Faults
-/// (or 64-fault batches, for the batch engine) are spread across a thread
+/// (or lane-width batches, for the batch engine) are spread across a thread
 /// pool sized by GPF_THREADS; the engine defaults to the GPF_ENGINE knob.
 GateCampaigns run_gate_campaigns(const std::vector<gate::UnitTraces>& traces,
                                  std::size_t faults_per_unit, std::uint64_t seed,
@@ -43,6 +43,13 @@ store::CampaignMeta gate_campaign_meta(gate::UnitKind unit,
                                        EngineKind engine,
                                        std::uint32_t shard_index = 0,
                                        std::uint32_t shard_count = 1);
+
+/// The engine a gate campaign with this header runs. The engine byte comes
+/// from a .gpfs header or a LeaseGrant, so it is checked, not cast: Brute
+/// runs the oracle, Batch and 0xFF (what a merge of mixed-engine shards
+/// writes) run the batch engine, and any other byte — including 1, the
+/// removed event engine — throws std::runtime_error naming the byte.
+EngineKind gate_campaign_engine(const store::CampaignMeta& meta);
 
 /// Durable variant of run_unit_campaign: every retired fault is appended to
 /// `ckpt` as it completes, faults already in the store are restored instead
@@ -91,7 +98,7 @@ class GateUnitRunner {
   std::size_t representative_count() const { return rep_count_; }
 
   /// Evaluates `ids` (campaign fault ids, each < meta.total), invoking
-  /// emit(id, result) as each fault retires. With a pool, 64-fault batches
+  /// emit(id, result) as each fault retires. With a pool, lane-width batches
   /// (batch engine) or single faults are spread across it and emit must be
   /// thread-safe. `stop`, when set, is polled between batches for
   /// cooperative cancellation (already-started batches still emit).

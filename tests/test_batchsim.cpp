@@ -1,5 +1,5 @@
-// The bit-parallel (PPSFP) engine must be observationally equivalent to both
-// scalar engines at every compiled SIMD width: lane-for-lane identical
+// The bit-parallel (PPSFP) engine must be observationally equivalent to the
+// brute-force scalar oracle at every compiled SIMD width: lane-for-lane identical
 // FaultCharacterization (class, activation, hang, per-model error counts)
 // for every fault on every unit over real profiled traces, including a
 // ragged final batch (< lane-width faults) and both stuck-at polarities.
@@ -69,7 +69,7 @@ class BatchSimEquivalence : public ::testing::TestWithParam<UnitKind> {};
 // Full-campaign equivalence over two real profiled traces at every supported
 // lane width. 150 sampled faults force a ragged final batch at all widths
 // (150 % 64 = 22; a 256/512-lane run gets one partially filled batch).
-TEST_P(BatchSimEquivalence, CampaignMatchesScalarEnginesAtEveryWidth) {
+TEST_P(BatchSimEquivalence, CampaignMatchesBruteOracleAtEveryWidth) {
   const std::vector<UnitTraces> traces = {trace_of("p_tiled_mxm"),
                                           trace_of("p_sort")};
   constexpr std::size_t kFaults = 150;
@@ -79,10 +79,7 @@ TEST_P(BatchSimEquivalence, CampaignMatchesScalarEnginesAtEveryWidth) {
 
   const auto brute = run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr,
                                        EngineKind::Brute);
-  const auto event = run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr,
-                                       EngineKind::Event);
   ASSERT_EQ(brute.faults.size(), kFaults);
-  ASSERT_EQ(event.faults.size(), kFaults);
 
   for (const std::size_t width : supported_widths()) {
     set_batch_lanes_override(width);
@@ -99,12 +96,9 @@ TEST_P(BatchSimEquivalence, CampaignMatchesScalarEnginesAtEveryWidth) {
                             [&](const auto& f) { return !high(f); }));
 
     const std::string label = "width " + std::to_string(width);
-    for (std::size_t i = 0; i < kFaults; ++i) {
+    for (std::size_t i = 0; i < kFaults; ++i)
       expect_same(brute.faults[i], batch.faults[i],
                   ("brute-vs-batch @ " + label).c_str());
-      expect_same(event.faults[i], batch.faults[i],
-                  ("event-vs-batch @ " + label).c_str());
-    }
   }
 }
 
@@ -139,7 +133,7 @@ TEST_P(BatchSimEquivalence, RaggedBatchMatchesRunFault) {
     for (std::size_t k = 0; k < sample.size(); ++k) {
       FaultCharacterization scalar;
       scalar.fault = sample[k];
-      replayer.run_fault(sample[k], t, golden, scalar, EngineKind::Brute);
+      replayer.run_fault(sample[k], t, golden, scalar);
       expect_same(scalar, batch[k],
                   ("brute-vs-batch(lane) @ width " + std::to_string(width))
                       .c_str());
@@ -177,8 +171,7 @@ TEST_P(BatchSimEquivalence, KnobMatrixClassifiesIdentically) {
 
   for (const int collapse : {0, 1}) {
     for (const int cone : {0, 1}) {
-      for (const EngineKind e :
-           {EngineKind::Brute, EngineKind::Event, EngineKind::Batch}) {
+      for (const EngineKind e : {EngineKind::Brute, EngineKind::Batch}) {
         if (collapse == 0 && cone == 0 && e == EngineKind::Brute)
           continue;  // the reference itself
         set_collapse_override(collapse);
@@ -197,17 +190,16 @@ TEST_P(BatchSimEquivalence, KnobMatrixClassifiesIdentically) {
   }
 }
 
-// The gate-program engines are pure optimizations too: the legacy slot
-// interpreter, the optimized streams with fusion on/off, and the JIT'd
-// native code must all characterize every fault identically. JIT rows are
-// skipped (not failed) when the container has no C++ compiler.
+// The gate-program engines are pure optimizations too: the optimized
+// streams with fusion on/off and the JIT'd native code must all characterize
+// every fault exactly like the brute oracle. JIT rows are skipped (not
+// failed) when the container has no C++ compiler.
 TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
   const std::vector<UnitTraces> traces = {trace_of("p_tiled_mxm", 250)};
   constexpr std::size_t kFaults = 130;
   KnobGuard guard;
   struct EngineGuard {
     ~EngineGuard() {
-      set_batch_legacy_engine(false);
       set_fuse_override(-1);
       set_jit_override(-1);
       set_jit_cache_dir_override("");
@@ -217,12 +209,9 @@ TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
   const std::string jit_dir = ::testing::TempDir() + "gpf-jit-knobmatrix";
   set_jit_cache_dir_override(jit_dir);
 
-  set_jit_override(0);
-  set_batch_legacy_engine(true);
   const auto reference = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                           nullptr, EngineKind::Batch);
+                                           nullptr, EngineKind::Brute);
   ASSERT_EQ(reference.faults.size(), kFaults);
-  set_batch_legacy_engine(false);
 
   for (const int fuse : {0, 1}) {
     for (const int jit : {0, 1}) {
@@ -233,7 +222,7 @@ TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
       const auto res = run_unit_campaign(GetParam(), traces, kFaults, 42,
                                          nullptr, EngineKind::Batch);
       const std::string label = std::string("fuse=") + std::to_string(fuse) +
-                                " jit=" + std::to_string(jit) + " vs legacy";
+                                " jit=" + std::to_string(jit) + " vs brute";
       ASSERT_EQ(res.faults.size(), reference.faults.size()) << label;
       for (std::size_t i = 0; i < kFaults; ++i)
         expect_same(reference.faults[i], res.faults[i], label.c_str());

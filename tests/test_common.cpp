@@ -3,6 +3,7 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -224,6 +225,37 @@ TEST(Env, ParseDoubleStrictGrammar) {
   EXPECT_DOUBLE_EQ(parse_env_double("GPF_TEST", "", 2.0), 2.0);
   EXPECT_DOUBLE_EQ(parse_env_double("GPF_TEST", "inf", 2.0), 2.0);  // finite only
   EXPECT_DOUBLE_EQ(parse_env_double("GPF_TEST", "1e999", 2.0), 2.0);  // ERANGE
+}
+
+TEST(Env, EngineNamesComeFromOneTable) {
+  for (const EngineKind e : {EngineKind::Brute, EngineKind::Batch})
+    EXPECT_TRUE(engine_from_name(engine_name(e)) == e) << engine_name(e);
+  // The values are the engine byte of store headers and lease grants.
+  EXPECT_EQ(static_cast<int>(EngineKind::Brute), 0);
+  EXPECT_EQ(static_cast<int>(EngineKind::Batch), 2);
+  for (const char* bad : {"event", "", "Batch", " brute", "batch2"})
+    EXPECT_FALSE(engine_from_name(bad).has_value()) << '"' << bad << '"';
+}
+
+TEST(Env, UnknownEngineValueWarnsAndMeansBatch) {
+  EXPECT_EQ(parse_env_engine(nullptr), EngineKind::Batch);
+  EXPECT_EQ(parse_env_engine(""), EngineKind::Batch);
+
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(parse_env_engine("brute"), EngineKind::Brute);
+  EXPECT_EQ(parse_env_engine("batch"), EngineKind::Batch);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  // The removed event engine is an unknown name like any other: it must
+  // warn, not silently run some engine the user did not ask for.
+  for (const char* bad : {"event", "fast"}) {
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(parse_env_engine(bad), EngineKind::Batch);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("GPF_ENGINE=\"" + std::string(bad) + "\""),
+              std::string::npos)
+        << err;
+  }
 }
 
 TEST(Env, FsyncAndMetricsOverrides) {

@@ -7,6 +7,7 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "gate/batchsim.hpp"
@@ -60,6 +61,13 @@ class GateExperimentsTest : public ::testing::Test {
     return os.str();
   }
 
+  /// The id-keyed record payloads of a store: what an export's records are
+  /// made of, without the header that names the engine.
+  static std::map<std::uint64_t, std::vector<std::uint8_t>> records_of(
+      const std::string& store_path) {
+    return store::load_store(store_path).records;
+  }
+
   static const std::vector<gate::UnitTraces>& traces() { return *traces_; }
 
  protected:
@@ -79,17 +87,17 @@ TEST_F(GateExperimentsTest, ProfilingTracesCoverAllWorkloads) {
   }
 }
 
-// Satellite requirement: per-unit class counts are stable across engines at
-// the campaign-driver level.
+// Per-unit class counts are stable across engines at the campaign-driver
+// level: the batch engine reproduces the brute oracle.
 TEST_F(GateExperimentsTest, ClassCountsStableAcrossEngines) {
   const auto batch =
       report::run_gate_campaigns(traces(), kFaults, kSeed, EngineKind::Batch);
-  const auto event =
-      report::run_gate_campaigns(traces(), kFaults, kSeed, EngineKind::Event);
-  ASSERT_EQ(batch.units.size(), event.units.size());
+  const auto brute =
+      report::run_gate_campaigns(traces(), kFaults, kSeed, EngineKind::Brute);
+  ASSERT_EQ(batch.units.size(), brute.units.size());
   for (unsigned u = 0; u < 3; ++u) {
     SCOPED_TRACE(gate::unit_name(batch.units[u].unit));
-    EXPECT_EQ(class_counts(batch.units[u]), class_counts(event.units[u]));
+    EXPECT_EQ(class_counts(batch.units[u]), class_counts(brute.units[u]));
   }
   EXPECT_GT(batch.total_dynamic_instructions, 0u);
 }
@@ -268,16 +276,17 @@ TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossLaneWidths) {
 }
 
 // Acceptance: exports are also byte-identical across the gate ENGINE knobs —
-// the legacy slot interpreter, the optimized streams with fusion on or off,
-// and the JIT'd native code all retire exactly the same record for every
-// fault. JIT rows are skipped (not failed) without a system compiler.
+// the optimized streams with fusion on or off and the JIT'd native code all
+// retire exactly the same record for every fault as the interpreter with the
+// JIT off. JIT rows are skipped (not failed) without a system compiler. The
+// brute oracle's store must hold the same records too; its export names a
+// different engine, so only the records are compared there.
 TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossEngineKnobs) {
   const auto unit = gate::UnitKind::Fetch;
   const auto meta = report::gate_campaign_meta(unit, kFaults, kMaxIssues, kSeed,
                                                EngineKind::Batch);
   struct EngineGuard {
     ~EngineGuard() {
-      gate::set_batch_legacy_engine(false);
       set_fuse_override(-1);
       set_jit_override(-1);
       set_jit_cache_dir_override("");
@@ -287,13 +296,20 @@ TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossEngineKnobs) {
   set_jit_cache_dir_override(path("jit-cache"));
 
   set_jit_override(0);
-  gate::set_batch_legacy_engine(true);
   {
-    store::CampaignCheckpoint ckpt(path("legacy.gpfs"), meta);
+    store::CampaignCheckpoint ckpt(path("interp.gpfs"), meta);
     report::run_unit_campaign_store(traces(), ckpt);
   }
-  const std::string base_json = export_json(path("legacy.gpfs"));
-  gate::set_batch_legacy_engine(false);
+  const std::string base_json = export_json(path("interp.gpfs"));
+
+  {
+    store::CampaignCheckpoint ckpt(
+        path("brute.gpfs"),
+        report::gate_campaign_meta(unit, kFaults, kMaxIssues, kSeed,
+                                   EngineKind::Brute));
+    report::run_unit_campaign_store(traces(), ckpt);
+  }
+  EXPECT_EQ(records_of(path("brute.gpfs")), records_of(path("interp.gpfs")));
 
   for (const int fuse : {0, 1}) {
     for (const int jit : {0, 1}) {
@@ -310,6 +326,50 @@ TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossEngineKnobs) {
       EXPECT_EQ(export_json(p), base_json);
     }
   }
+}
+
+// The engine byte of a campaign header is checked, never cast: Brute and
+// Batch run their engines, 0xFF (a merge of mixed-engine shards) runs the
+// batch engine, and any other byte — 1 was the removed event engine — is
+// refused with an error that names it instead of silently running brute.
+TEST_F(GateExperimentsTest, EngineByteIsValidated) {
+  auto meta = report::gate_campaign_meta(gate::UnitKind::Decoder, kFaults,
+                                         kMaxIssues, kSeed, EngineKind::Batch);
+  EXPECT_EQ(report::gate_campaign_engine(meta), EngineKind::Batch);
+  meta.engine = static_cast<std::uint8_t>(EngineKind::Brute);
+  EXPECT_EQ(report::gate_campaign_engine(meta), EngineKind::Brute);
+
+  for (const std::uint8_t bad : {std::uint8_t{1}, std::uint8_t{7}}) {
+    SCOPED_TRACE(static_cast<int>(bad));
+    meta.engine = bad;
+    try {
+      const report::GateUnitRunner runner(traces(), meta);
+      ADD_FAILURE() << "runner accepted engine byte " << static_cast<int>(bad);
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("engine byte " + std::to_string(bad)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // 0xFF runs the batch engine and retires the same records it does.
+  meta.engine = 0xFF;
+  EXPECT_EQ(report::gate_campaign_engine(meta), EngineKind::Batch);
+  const report::GateUnitRunner mixed(traces(), meta);
+  meta.engine = static_cast<std::uint8_t>(EngineKind::Batch);
+  const report::GateUnitRunner batch(traces(), meta);
+  std::vector<std::uint64_t> ids(kFaults);
+  for (std::uint64_t i = 0; i < kFaults; ++i) ids[i] = i;
+  std::map<std::uint64_t, std::vector<std::uint8_t>> got, want;
+  const auto into = [](std::map<std::uint64_t, std::vector<std::uint8_t>>& m) {
+    return [&m](std::uint64_t id, const gate::FaultCharacterization& fc) {
+      m[id] = store::encode(report::to_gate_record(fc));
+    };
+  };
+  mixed.run(ids, into(got));
+  batch.run(ids, into(want));
+  EXPECT_EQ(got.size(), kFaults);
+  EXPECT_EQ(got, want);
 }
 
 // A store written for one unit refuses to resume a different campaign.

@@ -4,7 +4,7 @@
 // at every lane width, for faults on every net — including sites the fused
 // stream no longer materializes (interior, folded, dead). These tests pin
 // the per-rule rewrites structurally, then drive randomized netlists through
-// the full knob matrix against the legacy (PR 6) engine, and exercise the
+// the full knob matrix against the scalar Simulator oracle, and exercise the
 // JIT's disk cache invalidation path.
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "gate/gateprog.hpp"
 #include "gate/jit.hpp"
 #include "gate/netlist.hpp"
+#include "gate/sim.hpp"
 
 namespace gpf::gate {
 namespace {
@@ -240,7 +241,7 @@ TEST(GateProgOptimizer, StreamsStayLevelizedAndOpcodeGrouped) {
 }
 
 // ---------------------------------------------------------------------------
-// Knob matrix: randomized netlists, every fault site, vs the legacy engine
+// Knob matrix: randomized netlists, every fault site, vs the Simulator oracle
 // ---------------------------------------------------------------------------
 
 /// Same shape as test_gate.cpp's generator: a levelized gate soup with DFF
@@ -289,7 +290,6 @@ Netlist random_netlist(Rng& rng) {
 /// Restores every engine knob this file touches, even on early ASSERT exit.
 struct EngineKnobGuard {
   ~EngineKnobGuard() {
-    set_batch_legacy_engine(false);
     set_fuse_override(-1);
     set_jit_override(-1);
     set_jit_cache_dir_override("");
@@ -308,7 +308,7 @@ std::vector<std::size_t> supported_widths() {
 /// Drives `iters` random netlists through (fuse, jit) x widths, faulting
 /// EVERY net in both polarities (chunked into lane batches), and compares
 /// per-lane values on the classification read set (bus nets + DFF outputs)
-/// against the legacy engine lane for lane, cycle for cycle.
+/// against a scalar Simulator carrying that lane's fault, cycle for cycle.
 void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
   EngineKnobGuard guard;
   Rng rng(seed);
@@ -355,9 +355,25 @@ void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
           return out;
         };
 
-        set_batch_legacy_engine(true);
-        const std::vector<std::uint8_t> want = run(make_batch_sim(nl, width));
-        set_batch_legacy_engine(false);
+        // The oracle: one Simulator per lane, read in the same order.
+        std::vector<std::uint8_t> want;
+        std::vector<Simulator> sims;
+        sims.reserve(count);
+        for (const StuckFault& f : chunk) {
+          sims.emplace_back(nl);
+          sims.back().set_fault(f);
+        }
+        for (const auto& cyc : drive) {
+          for (Simulator& sim : sims) {
+            for (std::size_t i = 0; i < inputs.size(); ++i)
+              sim.set_input(inputs[i], cyc[i] != 0);
+            sim.eval();
+          }
+          for (const Net n : probe)
+            for (const Simulator& sim : sims)
+              want.push_back(sim.value(n) ? 1 : 0);
+          for (Simulator& sim : sims) sim.clock();
+        }
 
         for (const int fuse : {0, 1}) {
           for (const int jit : with_jit ? std::vector<int>{0, 1}
@@ -377,11 +393,11 @@ void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
   }
 }
 
-TEST(GateProgKnobMatrix, RandomNetlistsMatchLegacyAtEveryFuseSetting) {
+TEST(GateProgKnobMatrix, RandomNetlistsMatchSimulatorAtEveryFuseSetting) {
   run_knob_matrix(0xF00D, 25, /*with_jit=*/false);
 }
 
-TEST(GateProgKnobMatrix, RandomNetlistsMatchLegacyUnderJit) {
+TEST(GateProgKnobMatrix, RandomNetlistsMatchSimulatorUnderJit) {
   if (!jit_compiler_available()) GTEST_SKIP() << "no system C++ compiler";
   EngineKnobGuard guard;
   const std::string dir = ::testing::TempDir() + "gpf-jit-matrix";
@@ -490,10 +506,6 @@ TEST(GateProgKnobs, EngineDescReflectsResolvedConfiguration) {
   EngineKnobGuard guard;
   Rng rng(7);
   const Netlist nl = random_netlist(rng);
-
-  set_batch_legacy_engine(true);
-  EXPECT_STREQ(make_batch_sim(nl, 64)->engine_desc(), "legacy");
-  set_batch_legacy_engine(false);
 
   set_jit_override(0);
   set_fuse_override(1);

@@ -605,16 +605,20 @@ TEST(NetE2E, FleetExportMatchesSingleProcessByteForByte) {
 
 // Engine knobs cannot leak into fleet results: a two-worker fleet running
 // the optimized engine (JIT'd when the container has a compiler) must export
-// the same bytes as a single-process run on the legacy slot interpreter.
-TEST(NetE2E, GateFleetJitExportMatchesLegacySingleProcess) {
+// the same bytes as a single-process run on the interpreter with the JIT
+// off, and hold the same records as the brute oracle's store (whose export
+// names a different engine, so only the records are compared there).
+TEST(NetE2E, GateFleetJitExportMatchesInterpreterSingleProcess) {
   constexpr std::size_t kMaxIssues = 30;
-  const store::CampaignMeta meta = report::gate_campaign_meta(
-      gate::UnitKind::Decoder, /*faults_per_unit=*/48, kMaxIssues, /*seed=*/5,
-      EngineKind::Batch);
+  const auto meta_for = [](EngineKind engine) {
+    return report::gate_campaign_meta(gate::UnitKind::Decoder,
+                                      /*faults_per_unit=*/48, kMaxIssues,
+                                      /*seed=*/5, engine);
+  };
+  const store::CampaignMeta meta = meta_for(EngineKind::Batch);
   const auto traces = report::collect_profiling_traces(kMaxIssues);
   struct EngineGuard {
     ~EngineGuard() {
-      gate::set_batch_legacy_engine(false);
       set_jit_override(-1);
       set_jit_cache_dir_override("");
       gate::jit_reset_for_tests();
@@ -622,14 +626,17 @@ TEST(NetE2E, GateFleetJitExportMatchesLegacySingleProcess) {
   } guard;
 
   set_jit_override(0);
-  gate::set_batch_legacy_engine(true);
   const std::string solo_path = temp_store_path("gate_solo");
   {
     store::CampaignCheckpoint ckpt(solo_path, meta);
     report::run_unit_campaign_store(traces, ckpt);
   }
+  const std::string brute_path = temp_store_path("gate_brute");
+  {
+    store::CampaignCheckpoint ckpt(brute_path, meta_for(EngineKind::Brute));
+    report::run_unit_campaign_store(traces, ckpt);
+  }
 
-  gate::set_batch_legacy_engine(false);
   set_jit_override(gate::jit_compiler_available() ? 1 : 0);
   set_jit_cache_dir_override(testing::TempDir() + "gpf-jit-fleet");
   gate::jit_reset_for_tests();
@@ -640,7 +647,10 @@ TEST(NetE2E, GateFleetJitExportMatchesLegacySingleProcess) {
   }
 
   EXPECT_EQ(export_json(solo_path), export_json(fleet_path));
+  EXPECT_EQ(store::load_store(brute_path).records,
+            store::load_store(fleet_path).records);
   std::remove(solo_path.c_str());
+  std::remove(brute_path.c_str());
   std::remove(fleet_path.c_str());
   std::filesystem::remove_all(testing::TempDir() + "gpf-jit-fleet");
 }
@@ -1361,6 +1371,47 @@ TEST(NetHttp, StatsJsonCarriesProgressCampaignsAndWorkers) {
   EXPECT_NE(reg.find("\"campaigns\""), std::string::npos);
   EXPECT_NE(reg.find("\"name\": \"perfi-vectoradd-IOC\""), std::string::npos);
   EXPECT_NE(reg.find("\"priority\": 2"), std::string::npos);
+}
+
+// A campaign the worker cannot build — here a gate header whose engine
+// byte names no engine — fails the same way on every lease, so the worker
+// must stop with the reason instead of reconnecting and re-leasing it.
+TEST(NetE2E, WorkerStopsOnCampaignItCannotBuild) {
+  store::CampaignMeta meta = report::gate_campaign_meta(
+      gate::UnitKind::Decoder, /*faults_per_unit=*/16, /*max_issues=*/30,
+      /*seed=*/5, EngineKind::Batch);
+  meta.engine = 7;
+  const std::string path = temp_store_path("bad_engine");
+  store::CampaignCheckpoint ckpt(path, meta);
+
+  CoordinatorConfig ccfg;
+  ccfg.port = 0;
+  ccfg.lease_ms = 5000;
+  ccfg.unit_size = 8;
+  ccfg.status_interval_ms = 0;
+  Coordinator coord(ckpt, ccfg);
+  std::thread serve([&] { coord.serve(); });
+
+  int builds = 0;
+  WorkerConfig wcfg;
+  wcfg.port = coord.port();
+  wcfg.backoff_ms = 20;
+  try {
+    run_worker(wcfg, [&](const store::CampaignMeta& m) {
+      ++builds;
+      return make_unit_fn(m);
+    });
+    ADD_FAILURE() << "worker served a campaign with engine byte 7";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("engine byte 7"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(builds, 1);
+
+  coord.request_drain();  // the lost lease is reclaimed on disconnect
+  serve.join();
+  EXPECT_EQ(ckpt.done_count(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(NetE2E, WorkerGivesUpWhenNoCoordinator) {

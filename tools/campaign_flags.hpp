@@ -66,10 +66,8 @@ struct Args {
 };
 
 inline gpf::EngineKind parse_engine(const std::string& s) {
-  if (s == "brute") return gpf::EngineKind::Brute;
-  if (s == "event") return gpf::EngineKind::Event;
-  if (s == "batch") return gpf::EngineKind::Batch;
-  throw UsageError("unknown engine: " + s);
+  if (const auto e = gpf::engine_from_name(s)) return *e;
+  throw UsageError("unknown engine: " + s + " (brute|batch)");
 }
 
 inline gpf::gate::UnitKind parse_unit(const std::string& s) {

@@ -9,7 +9,7 @@
 // over TCP and streams results back (see src/net/).
 //
 //   gpfctl run --campaign gate  --unit decoder|fetch|wsc|all [--faults N]
-//              [--max-issues N] [--engine brute|event|batch]
+//              [--max-issues N] [--engine brute|batch]
 //   gpfctl run --campaign rtl   --tile max|zero|random
 //              --site fu|sfu|pipeline|scheduler --injections N
 //   gpfctl run --campaign perfi --app NAME --model IOC|IRA|... --injections N
@@ -84,7 +84,7 @@ int usage(const char* msg = nullptr) {
   std::cerr <<
       "usage:\n"
       "  gpfctl run --campaign gate --unit decoder|fetch|wsc|all [--faults N]\n"
-      "             [--max-issues N] [--engine brute|event|batch]\n"
+      "             [--max-issues N] [--engine brute|batch]\n"
       "  gpfctl run --campaign rtl --tile max|zero|random\n"
       "             --site fu|sfu|pipeline|scheduler --injections N\n"
       "  gpfctl run --campaign perfi --app NAME --model IOC|... --injections N\n"
@@ -432,11 +432,16 @@ int cmd_status(const Args& a) {
         std::cout << "  collapsed: " << reps << " representatives simulated for "
                   << s.meta.total << " faults (" << ratio << ")\n";
       }
-      if (campaign_engine() == EngineKind::Batch) {
-        const std::size_t lanes = gate::batch_lane_width();
-        std::cout << "  batch lanes: " << lanes << " ("
-                  << gate::batch_simd_path(lanes) << ", "
-                  << gate::batch_engine_tag() << ")\n";
+      // A resume runs the store's engine, not this process's GPF_ENGINE.
+      try {
+        if (report::gate_campaign_engine(s.meta) == EngineKind::Batch) {
+          const std::size_t lanes = gate::batch_lane_width();
+          std::cout << "  batch lanes: " << lanes << " ("
+                    << gate::batch_simd_path(lanes) << ", "
+                    << gate::batch_engine_tag() << ")\n";
+        }
+      } catch (const std::runtime_error& e) {
+        std::cout << "  not resumable: " << e.what() << "\n";
       }
     }
   }

@@ -71,7 +71,7 @@ int usage(const char* msg = nullptr) {
   std::cerr <<
       "usage:\n"
       "  gpfd --campaign gate --unit decoder|fetch|wsc|all [--faults N]\n"
-      "       [--max-issues N] [--engine brute|event|batch]\n"
+      "       [--max-issues N] [--engine brute|batch]\n"
       "  gpfd --campaign rtl --tile max|zero|random\n"
       "       --site fu|sfu|pipeline|scheduler --injections N\n"
       "  gpfd --campaign perfi --app NAME --model IOC|... --injections N\n"

@@ -4,10 +4,13 @@
 // equivalence collapsing (GPF_COLLAPSE) and fanout-cone pruning (GPF_CONE) —
 // interpreted and JIT-compiled, and the tuned engine again at every SIMD
 // lane width this build and CPU support (64-lane scalar words, 256-lane
-// AVX2, 512-lane AVX-512). All rows produce identical classifications
-// (checked here against the brute row and asserted in test_batchsim); this
-// bench measures throughput in faults*cycles/sec, the figure of merit for
-// exhaustive stuck-at sweeps.
+// AVX2, 512-lane AVX-512). The runner rows time the path stores and fleets
+// run instead: a serial report::GateUnitRunner::run over the whole fault
+// list in lease-sized slices (64 or 512 ids) at the dispatched width, which
+// is what a fleet worker computes for a campaign's work units back to back.
+// All rows produce identical classifications (checked here against the
+// brute row and asserted in test_batchsim); this bench measures throughput
+// in faults*cycles/sec, the figure of merit for exhaustive stuck-at sweeps.
 //
 //   bench_gate_batch [decoder|fetch|wsc]...   (no arguments: all three units)
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "gate/batchsim.hpp"
 #include "gate/collapse.hpp"
 #include "gate/jit.hpp"
+#include "obs/metrics.hpp"
 #include "report/gate_experiments.hpp"
 
 using namespace gpf;
@@ -81,13 +86,48 @@ double mean_cone_fraction(const gate::Netlist& nl,
   return batches ? acc / static_cast<double>(batches) : 1.0;
 }
 
+/// A fleet worker's work for a whole campaign: GateUnitRunner::run over
+/// every fault id in lease-sized slices of `unit_ids`, serially. Returns the
+/// records in id order, like run_unit_campaign.
+gate::UnitCampaignResult run_leases(const report::GateUnitRunner& runner,
+                                    gate::UnitKind unit, std::size_t unit_ids) {
+  gate::UnitCampaignResult res;
+  res.unit = unit;
+  res.full_fault_list_size = runner.full_fault_list_size();
+  res.faults.resize(runner.faults().size());
+  std::vector<std::uint64_t> ids(runner.faults().size());
+  std::iota(ids.begin(), ids.end(), 0);
+  for (std::size_t lo = 0; lo < ids.size(); lo += unit_ids)
+    runner.run(std::span(ids).subspan(lo, std::min(unit_ids, ids.size() - lo)),
+               [&](std::uint64_t id, const gate::FaultCharacterization& fc) {
+                 res.faults[id] = fc;
+               });
+  return res;
+}
+
+/// Class representatives the runner simulates for lease-sized slices: each
+/// run() collapses only its own ids, so a class split across slices is
+/// simulated once per slice it appears in.
+std::size_t slice_representatives(const gate::Netlist& nl,
+                                  const std::vector<gate::StuckFault>& faults,
+                                  std::size_t unit_ids) {
+  std::size_t n = 0;
+  for (std::size_t lo = 0; lo < faults.size(); lo += unit_ids) {
+    const auto first = faults.begin() + static_cast<std::ptrdiff_t>(lo);
+    const auto len = std::min(unit_ids, faults.size() - lo);
+    n += representatives(nl, {first, first + static_cast<std::ptrdiff_t>(len)})
+             .size();
+  }
+  return n;
+}
+
 struct JsonRow {
   std::string unit, engine;
-  std::size_t faults = 0, simulated = 0, cycles = 0, lanes = 0;
+  std::size_t faults = 0, simulated = 0, cycles = 0, lanes = 0, unit_ids = 0;
   bool collapse = false, cone = false, jit = false;
   double collapse_ratio = 1.0, mean_cone_fraction = 1.0;
   double wall_seconds = 0.0, speedup_vs_brute = 1.0, speedup_vs_batch_base = 1.0;
-  double speedup_vs_lanes64 = 1.0;
+  double speedup_vs_lanes64 = 1.0, speedup_vs_64ids = 1.0;
 };
 
 // Machine-readable perf record so the speedup trajectory is tracked across
@@ -128,6 +168,7 @@ void write_bench_json(const std::vector<JsonRow>& rows,
     os << "    {\"unit\": \"" << r.unit << "\", \"engine\": \"" << r.engine
        << "\", \"faults\": " << r.faults << ", \"simulated\": " << r.simulated
        << ", \"cycles\": " << r.cycles << ", \"lanes\": " << r.lanes
+       << ", \"unit_ids\": " << r.unit_ids
        << ", \"collapse\": " << (r.collapse ? "true" : "false")
        << ", \"cone\": " << (r.cone ? "true" : "false")
        << ", \"jit\": " << (r.jit ? "true" : "false")
@@ -137,6 +178,7 @@ void write_bench_json(const std::vector<JsonRow>& rows,
        << ", \"speedup_vs_brute\": " << num(r.speedup_vs_brute, "%.3f")
        << ", \"speedup_vs_batch_base\": " << num(r.speedup_vs_batch_base, "%.3f")
        << ", \"speedup_vs_lanes64\": " << num(r.speedup_vs_lanes64, "%.3f")
+       << ", \"speedup_vs_64ids\": " << num(r.speedup_vs_64ids, "%.3f")
        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -151,7 +193,8 @@ int main(int argc, char** argv) {
   // is the workload the collapse/cone layers are built for (a sparse sample
   // under-states both the class sizes and the batch cone overlap).
   const std::size_t max_faults = 0;
-  const auto traces = report::collect_profiling_traces(scaled(400, 100));
+  const std::size_t max_issues = scaled(400, 100);
+  const auto traces = report::collect_profiling_traces(max_issues);
   std::vector<JsonRow> json_rows;
 
   std::vector<gate::UnitKind> units = {gate::UnitKind::Decoder,
@@ -192,6 +235,7 @@ int main(int argc, char** argv) {
     std::size_t lanes = 0;  // batch rows: pinned width (0 = brute)
     int jit = 0;            // set_jit_override value for batch rows
     std::string base;       // label without the @width suffix (row pairing)
+    std::size_t unit_ids = 0;  // runner rows: ids per run() (0 = campaign)
   };
   std::vector<Row> rows = {
       {"brute", EngineKind::Brute, 0, 0, 0, 0, "brute"},
@@ -209,6 +253,13 @@ int main(int argc, char** argv) {
     rows.push_back({"batch+c+c+jit" + at, EngineKind::Batch, 1, 1, w, 1,
                     "batch+c+c+jit"});
   }
+  // The store/fleet path at the dispatched width and default JIT mode:
+  // GateUnitRunner over 64-id slices (a unit that fills a 64-lane word) and
+  // 512-id slices (one that fills the widest word). vs-64-ids is the payoff
+  // of lane-filling leases on this CPU.
+  for (const std::size_t ids : {std::size_t{64}, gate::kWidestBatchLanes})
+    rows.push_back({"runner@" + std::to_string(ids) + "ids", EngineKind::Batch,
+                    1, 1, gate::batch_lane_width(), -1, "runner", ids});
 
   for (gate::UnitKind unit : units) {
     const std::size_t cycles = unit_cycles(unit, traces);
@@ -220,8 +271,6 @@ int main(int argc, char** argv) {
     const std::size_t faults = list.size();
     const double work = static_cast<double>(faults) * static_cast<double>(cycles);
     const auto reps = representatives(replayer.netlist(), list);
-    const double ratio =
-        static_cast<double>(list.size()) / static_cast<double>(reps.size());
     std::map<std::size_t, double> cone_frac;
     set_jit_override(0);  // jit full-eval batches would report fraction 1.0
     for (const Row& row : rows)
@@ -230,7 +279,18 @@ int main(int argc, char** argv) {
                                                   row.lanes);
     set_jit_override(-1);
 
-    double brute_s = 0.0, batch_base_s = 0.0;
+    // The runner rows' campaign: the same full fault list as the others.
+    set_collapse_override(1);
+    const report::GateUnitRunner runner(
+        traces, report::gate_campaign_meta(unit, max_faults, max_issues, 7,
+                                           EngineKind::Batch));
+    set_collapse_override(-1);
+    // Runner rows' cone fraction, as the engine's own cone counters saw it
+    // (their batches are made of per-slice representatives).
+    std::map<std::size_t, double> runner_cone;  // row index -> fraction
+    bool runner_jit = false;
+
+    double brute_s = 0.0, batch_base_s = 0.0, ids64_s = 0.0;
     std::map<std::string, double> base64_s;  // base label -> 64-lane secs
 
     // Measure first, report after. Each round times every row once, so the
@@ -254,8 +314,13 @@ int main(int argc, char** argv) {
         // Warm the jit cache outside the timed region: the one-time compile
         // is reported separately (gate.jit.compile_us), not charged to
         // throughput.
-        if (round == 0 && row.jit == 1)
-          gate::make_batch_sim(replayer.netlist(), row.lanes);
+        if (round == 0 && row.jit != 0 && row.lanes) {
+          const auto sim = gate::make_batch_sim(replayer.netlist(), row.lanes);
+          // GPF_JIT=auto rows: whether the engine loaded native code.
+          if (row.jit == -1)
+            runner_jit = std::string(sim->engine_desc()).find("jit") !=
+                         std::string::npos;
+        }
         // Sub-0.1s rows (decoder at any width) jitter ±10% even as a
         // min-of-rounds; stretch each timing sample to ~0.2s of work by
         // repeating the campaign and dividing.
@@ -263,13 +328,27 @@ int main(int argc, char** argv) {
             round == 0 ? 1
                        : static_cast<int>(std::clamp(
                              0.2 / std::max(row_secs[ri], 1e-9), 1.0, 16.0));
+        const bool count_cone = round == 0 && row.unit_ids;
+        const obs::Snapshot before =
+            count_cone ? obs::snapshot() : obs::Snapshot{};
         const auto t0 = Clock::now();
         for (int rep = 0; rep < reps; ++rep)
-          row_res[ri] = gate::run_unit_campaign(unit, traces, max_faults, 7,
-                                                nullptr, row.engine);
+          row_res[ri] =
+              row.unit_ids
+                  ? run_leases(runner, unit, row.unit_ids)
+                  : gate::run_unit_campaign(unit, traces, max_faults, 7,
+                                            nullptr, row.engine);
         row_secs[ri] = std::min(
             row_secs[ri],
             std::chrono::duration<double>(Clock::now() - t0).count() / reps);
+        if (count_cone) {
+          const obs::Snapshot after = obs::snapshot();
+          const auto delta = [&](const char* c) {
+            return static_cast<double>(after.counter(c) - before.counter(c));
+          };
+          const double total = delta("gate.cone_total_gates");
+          runner_cone[ri] = total > 0 ? delta("gate.cone_gates") / total : 1.0;
+        }
       }
     }
     set_collapse_override(-1);
@@ -283,6 +362,13 @@ int main(int argc, char** argv) {
       const double secs = row_secs[ri];
       const gate::UnitCampaignResult& res = row_res[ri];
       const bool tuned = row.collapse || row.cone;
+      const std::size_t simulated =
+          row.unit_ids
+              ? slice_representatives(replayer.netlist(), list, row.unit_ids)
+              : tuned ? reps.size() : faults;
+      const double cone = row.unit_ids ? runner_cone[ri]
+                          : tuned && row.lanes ? cone_frac[row.lanes]
+                                               : 1.0;
 
       std::string note;
       if (row.engine == EngineKind::Brute) {
@@ -299,39 +385,46 @@ int main(int argc, char** argv) {
         any_mismatch |= !equal;
       }
       if (row.engine == EngineKind::Batch && !tuned) batch_base_s = secs;
-      if (row.engine == EngineKind::Batch && tuned && row.lanes == 64)
+      if (row.engine == EngineKind::Batch && tuned && row.lanes == 64 &&
+          !row.unit_ids)
         base64_s[row.base] = secs;
+      if (row.unit_ids == 64) ids64_s = secs;
       const double vs_batch = batch_base_s > 0.0 ? batch_base_s / secs : 1.0;
       const double vs_64 =
-          tuned && row.engine == EngineKind::Batch && base64_s.count(row.base)
+          tuned && !row.unit_ids && base64_s.count(row.base)
               ? base64_s[row.base] / secs
               : 1.0;
+      const double vs_64ids =
+          row.unit_ids && ids64_s > 0.0 ? ids64_s / secs : 1.0;
 
       t.row({gate::unit_name(unit), std::to_string(faults),
-             std::to_string(tuned ? reps.size() : faults), row.label,
+             std::to_string(simulated), row.label,
              row.lanes ? std::to_string(row.lanes) : std::string("-"),
-             tuned ? Table::num(cone_frac[row.lanes], 2) : std::string("1.00"),
-             Table::num(secs, 2) + " s", Table::num(work / secs, 0), note,
-             row.engine == EngineKind::Batch && tuned
-                 ? Table::num(vs_64, 2) + "x"
-                 : std::string("-")});
+             Table::num(cone, 2), Table::num(secs, 2) + " s",
+             Table::num(work / secs, 0), note,
+             row.unit_ids ? Table::num(vs_64ids, 2) + "x (ids)"
+             : tuned      ? Table::num(vs_64, 2) + "x"
+                          : std::string("-")});
       JsonRow jr;
       jr.unit = gate::unit_name(unit);
       jr.engine = row.label;
       jr.faults = faults;
-      jr.simulated = tuned ? reps.size() : faults;
+      jr.simulated = simulated;
       jr.cycles = cycles;
       jr.lanes = row.lanes;
+      jr.unit_ids = row.unit_ids;
       jr.collapse = row.collapse != 0;
       jr.cone = row.cone != 0;
-      jr.jit = row.jit == 1;
-      jr.collapse_ratio = tuned ? ratio : 1.0;
-      jr.mean_cone_fraction = tuned && row.lanes ? cone_frac[row.lanes] : 1.0;
+      jr.jit = row.jit == 1 || (row.jit == -1 && runner_jit);
+      jr.collapse_ratio =
+          static_cast<double>(faults) / static_cast<double>(simulated);
+      jr.mean_cone_fraction = cone;
       jr.wall_seconds = secs;
       jr.speedup_vs_brute = row.engine == EngineKind::Brute ? 1.0 : brute_s / secs;
       jr.speedup_vs_batch_base =
           row.engine == EngineKind::Batch ? vs_batch : 1.0;
       jr.speedup_vs_lanes64 = vs_64;
+      jr.speedup_vs_64ids = vs_64ids;
       json_rows.push_back(jr);
     }
   }
@@ -380,6 +473,11 @@ int main(int argc, char** argv) {
                "pruning (GPF_CONE) word-evaluates only gates downstream of a\n"
                "batch's fault sites. Both default on; all rows classify\n"
                "identically and export byte-identical stores at any width.\n"
+               "The runner rows run the store/fleet path instead: a serial\n"
+               "GateUnitRunner::run over the fault list in lease-sized\n"
+               "slices at the dispatched width; their last column is the\n"
+               "speedup of 512-id over 64-id slices (gpfd's gate units are\n"
+               "512 ids, so they fill whole words at any lane width).\n"
                "The batch rows interpret the fused/folded gate program with\n"
                "sparse force fixups (GPF_FUSE, default on); +jit rows\n"
                "compile the program to native code per level (GPF_JIT=auto,\n"

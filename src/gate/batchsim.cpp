@@ -93,7 +93,7 @@ std::size_t batch_lane_width() {
     // GPF_LANES pins an exact width; otherwise take the widest path this
     // build and CPU support.
     const bool pinned = lanes_request() != 0;
-    const std::size_t want = pinned ? lanes_request() : 512;
+    const std::size_t want = pinned ? lanes_request() : kWidestBatchLanes;
     std::size_t w = 64;
     if (want >= 256 && batch_width_supported(256)) w = 256;
     if (want >= 512 && batch_width_supported(512)) w = 512;

@@ -124,6 +124,11 @@ class BatchSim {
   virtual std::size_t total_gate_count() const = 0;
 };
 
+/// The widest lane word any build dispatches (AVX-512). Every supported
+/// width divides it, so a run of this many faults fills whole batches at
+/// 64, 256 and 512 lanes alike.
+inline constexpr std::size_t kWidestBatchLanes = LaneMask::kMaxLanes;
+
 /// True when this build compiled the width AND this CPU can execute it
 /// (64 is always supported; 256 needs AVX2, 512 needs AVX-512F).
 bool batch_width_supported(std::size_t lanes);

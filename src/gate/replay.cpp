@@ -790,14 +790,6 @@ void UnitReplayer::run_fault(const StuckFault& fault, const UnitTraces& t,
   }
 }
 
-void UnitReplayer::run_fault_batch(std::span<const StuckFault> faults,
-                                   const UnitTraces& t, const GoldenTrace& g,
-                                   std::span<FaultCharacterization> out) const {
-  if (num_cycles(t) == 0 || faults.empty()) return;
-  const std::unique_ptr<BatchSim> sim = make_batch_sim(*nl_);
-  run_fault_batch(*sim, faults, t, g, out);
-}
-
 void UnitReplayer::run_fault_batch(BatchSim& sim,
                                    std::span<const StuckFault> faults,
                                    const UnitTraces& t, const GoldenTrace& g,
@@ -909,6 +901,42 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
 // Campaign driver
 // ---------------------------------------------------------------------------
 
+void replay_faults(const UnitReplayer& replayer, EngineKind engine,
+                   std::span<const StuckFault> faults,
+                   std::span<const UnitTraces> traces,
+                   std::span<const UnitReplayer::GoldenTrace> goldens,
+                   std::span<FaultCharacterization> out, ThreadPool* pool,
+                   const std::function<bool()>& stop,
+                   const std::function<void(std::size_t, std::size_t)>& done) {
+  const bool batch = engine == EngineKind::Batch;
+  const std::size_t width = batch ? batch_lane_width() : 1;
+  const std::size_t units = (faults.size() + width - 1) / width;
+  const auto work = [&](std::size_t u) {
+    if (stop && stop()) return;
+    const std::size_t lo = u * width;
+    const std::size_t len = std::min(width, faults.size() - lo);
+    const auto f = faults.subspan(lo, len);
+    const auto o = out.subspan(lo, len);
+    if (batch) {
+      obs::TraceSpan batch_span("gate", "batch");
+      batch_span.arg("lanes", len);
+      const std::unique_ptr<BatchSim> sim =
+          make_batch_sim(replayer.netlist(), width);
+      for (std::size_t ti = 0; ti < traces.size(); ++ti)
+        replayer.run_fault_batch(*sim, f, traces[ti], goldens[ti], o);
+      if (done) done(lo, len);
+      return;
+    }
+    for (std::size_t ti = 0; ti < traces.size(); ++ti)
+      replayer.run_fault(f[0], traces[ti], goldens[ti], o[0]);
+    if (done) done(lo, len);
+  };
+  if (pool)
+    pool->parallel_for(units, work);
+  else
+    for (std::size_t u = 0; u < units; ++u) work(u);
+}
+
 std::vector<StuckFault> sampled_fault_list(const Netlist& nl, UnitKind unit,
                                            std::size_t max_faults,
                                            std::uint64_t seed) {
@@ -1001,53 +1029,15 @@ UnitCampaignResult run_unit_campaign(UnitKind unit, std::span<const UnitTraces> 
   std::vector<FaultCharacterization> sim_out(sim_faults.size());
   for (std::size_t j = 0; j < sim_faults.size(); ++j)
     sim_out[j].fault = sim_faults[j];
-  ActivationSummary act(collapse ? replayer.netlist().num_nets() : 0);
-
-  if (engine == EngineKind::Batch) {
-    // Batch-major order: one engine per fault batch replays every trace, so
-    // the engine's per-batch plan (fixups, patched stream, cone program) is
-    // built once and reused across traces. Golden traces are shared by all
-    // batches and precomputed up front.
-    std::vector<UnitReplayer::GoldenTrace> goldens;
-    goldens.reserve(traces.size());
-    for (const UnitTraces& t : traces) {
-      goldens.push_back(replayer.compute_golden(t));
-      if (collapse) act.add(goldens.back());
-    }
-    const std::size_t kB = batch_lane_width();
-    const std::size_t batches = (sim_faults.size() + kB - 1) / kB;
-    auto work = [&](std::size_t b) {
-      const std::size_t lo = b * kB;
-      const std::size_t len = std::min(kB, sim_faults.size() - lo);
-      const std::unique_ptr<BatchSim> sim =
-          make_batch_sim(replayer.netlist());
-      for (std::size_t ti = 0; ti < traces.size(); ++ti) {
-        obs::TraceSpan batch_span("gate", "batch");
-        batch_span.arg("lanes", len);
-        replayer.run_fault_batch(*sim, std::span(sim_faults).subspan(lo, len),
-                                 traces[ti], goldens[ti],
-                                 std::span(sim_out).subspan(lo, len));
-      }
-    };
-    if (pool)
-      pool->parallel_for(batches, work);
-    else
-      for (std::size_t b = 0; b < batches; ++b) work(b);
-  } else {
-    for (const UnitTraces& t : traces) {
-      const UnitReplayer::GoldenTrace g = replayer.compute_golden(t);
-      if (collapse) act.add(g);
-      auto work = [&](std::size_t i) {
-        replayer.run_fault(sim_faults[i], t, g, sim_out[i]);
-      };
-      if (pool)
-        pool->parallel_for(sim_faults.size(), work);
-      else
-        for (std::size_t i = 0; i < sim_faults.size(); ++i) work(i);
-    }
-  }
+  std::vector<UnitReplayer::GoldenTrace> goldens;
+  goldens.reserve(traces.size());
+  for (const UnitTraces& t : traces)
+    goldens.push_back(replayer.compute_golden(t));
+  replay_faults(replayer, engine, sim_faults, traces, goldens, sim_out, pool);
 
   if (collapse) {
+    ActivationSummary act(replayer.netlist().num_nets());
+    for (const UnitReplayer::GoldenTrace& g : goldens) act.add(g);
     for (std::size_t i = 0; i < faults.size(); ++i)
       result.faults[i] = expand_collapsed(sim_out[rep_slot[i]], faults[i], act);
   } else {

@@ -7,6 +7,8 @@
 // resimulating the whole netlist per (fault, cycle) — and run_fault_batch()
 // is the production bit-parallel engine (gate/batchsim.hpp), which must
 // produce exactly the oracle's characterization for every fault.
+// replay_faults() is the one fault loop over both that every campaign
+// driver runs.
 #pragma once
 
 #include <array>
@@ -115,21 +117,15 @@ class UnitReplayer {
   void run_fault(const StuckFault& f, const UnitTraces& t, const GoldenTrace& g,
                  FaultCharacterization& out) const;
 
-  /// Evaluate up to batch_lane_width() faults simultaneously with the
-  /// bit-parallel (PPSFP) engine: lane k of every net word carries the value
-  /// under faults[k], and out[k] receives exactly the characterization
-  /// run_fault would produce. The SIMD path (64/256/512 lanes) is dispatched
-  /// per process — see gate/batchsim.hpp. Hung lanes are retired early and
-  /// stop paying classification cost.
-  void run_fault_batch(std::span<const StuckFault> faults, const UnitTraces& t,
-                       const GoldenTrace& g,
-                       std::span<FaultCharacterization> out) const;
-
-  /// Same, but with a caller-owned engine. Replaying the same fault batch
-  /// against many traces through one engine lets the engine keep its
-  /// per-batch execution plan (fixups, patched stream, fanout-cone program)
-  /// across traces — begin() detects the unchanged fault set and skips the
-  /// rebuild. The campaign driver runs one engine per batch this way.
+  /// Evaluate up to sim.width() faults simultaneously with the bit-parallel
+  /// (PPSFP) engine `sim`: lane k of every net word carries the value under
+  /// faults[k], and out[k] receives exactly the characterization run_fault
+  /// would produce. Hung lanes are retired early and stop paying
+  /// classification cost. Replaying the same fault batch against many
+  /// traces through one engine lets it keep its per-batch execution plan
+  /// (fixups, patched stream, fanout-cone program) across traces — begin()
+  /// detects the unchanged fault set and skips the rebuild — which is how
+  /// replay_faults() drives it.
   void run_fault_batch(BatchSim& sim, std::span<const StuckFault> faults,
                        const UnitTraces& t, const GoldenTrace& g,
                        std::span<FaultCharacterization> out) const;
@@ -164,6 +160,24 @@ class UnitReplayer {
   struct Ports;
   std::unique_ptr<Ports> ports_;
 };
+
+/// The fault loop behind every campaign driver (run_unit_campaign and
+/// report::GateUnitRunner): replays `faults` against every trace, with
+/// goldens[i] precomputed from traces[i], filling out[k], whose .fault must
+/// be faults[k]. The batch engine runs batch-major: the faults are cut into
+/// batch_lane_width() batches, and each batch replays every trace through
+/// one engine, so its per-batch plan is built once (gate.cone_builds counts
+/// one per batch). The brute oracle runs one fault at a time. With a pool,
+/// batches (or single faults) are spread across it. `stop`, when set, is
+/// polled before each one starts; `done(lo, len)`, when set, runs on the
+/// thread that just finished faults [lo, lo + len).
+void replay_faults(
+    const UnitReplayer& replayer, EngineKind engine,
+    std::span<const StuckFault> faults, std::span<const UnitTraces> traces,
+    std::span<const UnitReplayer::GoldenTrace> goldens,
+    std::span<FaultCharacterization> out, ThreadPool* pool = nullptr,
+    const std::function<bool()>& stop = {},
+    const std::function<void(std::size_t, std::size_t)>& done = {});
 
 /// The campaign's (possibly sampled) fault list: the full stuck-at list of
 /// `nl` when `max_faults` is 0 or not smaller, else a seeded partial shuffle

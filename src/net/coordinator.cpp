@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "gate/batchsim.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpf::net {
@@ -86,8 +87,6 @@ std::uint64_t RateWindow::eta_ms(std::uint64_t remaining) const {
 
 Coordinator::Coordinator(const CoordinatorConfig& cfg)
     : cfg_(cfg), listener_(listen_tcp(cfg.host, cfg.port)) {
-  if (cfg_.unit_size == 0)
-    throw std::runtime_error("gpfd: unit_size must be > 0");
   port_ = local_port(listener_);
   set_nonblocking(listener_, true);
   epoll_fd_ = ::epoll_create1(0);
@@ -120,17 +119,25 @@ std::uint64_t Coordinator::register_campaign_locked(
   c.ckpt = &ckpt;
   c.owned = std::move(owned);
   c.done_at_open = ckpt.done().size();
-  c.dispatcher = std::make_unique<LeaseDispatcher>(ckpt.meta(), cfg_.unit_size,
+  const std::size_t unit_size = unit_size_for(ckpt.meta());
+  c.dispatcher = std::make_unique<LeaseDispatcher>(ckpt.meta(), unit_size,
                                                    done_ids(ckpt));
   c.rate.idle_reset_ms = cfg_.idle_reset_ms;
   const std::uint64_t cid = c.cid;
   if (cfg_.verbose)
-    std::fprintf(stderr, "[gpfd] campaign '%s' registered (cid %llu, %llu ids, prio %u)\n",
+    std::fprintf(stderr,
+                 "[gpfd] campaign '%s' registered (cid %llu, %llu ids, "
+                 "unit size %zu, prio %u)\n",
                  c.name.c_str(), static_cast<unsigned long long>(cid),
                  static_cast<unsigned long long>(c.dispatcher->id_count()),
-                 c.priority);
+                 unit_size, c.priority);
   campaigns_.emplace(cid, std::move(c));
   return cid;
+}
+
+std::size_t Coordinator::unit_size_for(const store::CampaignMeta& meta) const {
+  if (cfg_.unit_size != 0) return cfg_.unit_size;
+  return meta.kind == store::CampaignKind::Gate ? gate::kWidestBatchLanes : 64;
 }
 
 void Coordinator::add_campaign(store::CampaignCheckpoint& ckpt,

@@ -52,7 +52,10 @@ namespace gpf::net {
 struct CoordinatorConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;     ///< 0 = kernel-assigned (read back via port())
-  std::size_t unit_size = 64; ///< fault ids per work unit
+  /// Fault ids per work unit. 0 (the default) sizes units by campaign
+  /// kind (see Coordinator::unit_size_for); any other value pins every
+  /// campaign to it.
+  std::size_t unit_size = 0;
   std::uint32_t lease_ms = 10000;
   bool verbose = false;       ///< per-event log lines on stderr
   std::uint32_t status_interval_ms = 5000;  ///< progress log period (0 = off)
@@ -107,6 +110,13 @@ class Coordinator {
   /// store's filename stem (e.g. "perfi-mxm-IOC" from ".../perfi-mxm-IOC.gpfs"),
   /// which is what workers pin to and what exports key on.
   void add_campaign(store::CampaignCheckpoint& ckpt, std::uint32_t priority = 1);
+
+  /// Fault ids per work unit for a campaign with this meta: cfg.unit_size
+  /// when pinned, else gate::kWidestBatchLanes for gate campaigns (a unit
+  /// then fills whole batches at any worker's dispatched lane width) and
+  /// 64 for perfi and rtl ones (milliseconds per injection keep such a
+  /// unit short). Every registration path sizes its units here.
+  std::size_t unit_size_for(const store::CampaignMeta& meta) const;
 
   std::uint16_t port() const { return port_; }
 

@@ -1,10 +1,10 @@
 #include "report/gate_experiments.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "gate/batchsim.hpp"
 #include "gate/collapse.hpp"
 #include "gate/profiler.hpp"
 #include "obs/metrics.hpp"
@@ -156,122 +156,54 @@ std::size_t gate_campaign_representatives(const store::CampaignMeta& meta) {
   return seen.size();
 }
 
-void GateUnitRunner::run_collapsed(std::span<const std::uint64_t> ids,
-                                   const Emit& emit, ThreadPool* pool,
-                                   const std::function<bool()>& stop) const {
-  // Group the requested ids by equivalence class: one simulation per unique
-  // representative, expanded onto every member id as it retires.
-  struct Job {
-    gate::StuckFault rep;
-    std::vector<std::uint64_t> ids;
-  };
-  std::vector<Job> jobs;
-  std::unordered_map<std::uint32_t, std::size_t> job_of_node;
-  for (const std::uint64_t id : ids) {
-    const gate::StuckFault rep = rep_of_id_.at(id);
-    const auto [it, inserted] =
-        job_of_node.try_emplace(gate::FaultCollapse::node(rep), jobs.size());
-    if (inserted) jobs.push_back(Job{rep, {}});
-    jobs[it->second].ids.push_back(id);
-  }
-  static obs::Counter& retired = obs::counter("gate.faults_retired");
-  const auto expand = [&](const Job& job, const gate::FaultCharacterization& rc) {
-    for (const std::uint64_t id : job.ids)
-      emit(id, gate::expand_collapsed(rc, faults_[id], act_));
-    retired.add(job.ids.size());
-  };
-
-  if (engine_ == EngineKind::Batch) {
-    const std::size_t kB = gate::batch_lane_width();
-    const std::size_t batches = (jobs.size() + kB - 1) / kB;
-    const auto work = [&](std::size_t b) {
-      if (stop && stop()) return;
-      const std::size_t lo = b * kB;
-      const std::size_t len = std::min(kB, jobs.size() - lo);
-      obs::TraceSpan batch_span("gate", "batch");
-      batch_span.arg("lanes", len);
-      std::vector<gate::StuckFault> bf(len);
-      std::vector<gate::FaultCharacterization> bo(len);
-      for (std::size_t j = 0; j < len; ++j) {
-        bf[j] = jobs[lo + j].rep;
-        bo[j].fault = bf[j];
-      }
-      for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-        replayer_.run_fault_batch(bf, traces_[ti], goldens_[ti], bo);
-      for (std::size_t j = 0; j < len; ++j) expand(jobs[lo + j], bo[j]);
-    };
-    if (pool)
-      pool->parallel_for(batches, work);
-    else
-      for (std::size_t b = 0; b < batches; ++b) work(b);
-    return;
-  }
-
-  const auto work = [&](std::size_t i) {
-    if (stop && stop()) return;
-    gate::FaultCharacterization fc;
-    fc.fault = jobs[i].rep;
-    for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc);
-    expand(jobs[i], fc);
-  };
-  if (pool)
-    pool->parallel_for(jobs.size(), work);
-  else
-    for (std::size_t i = 0; i < jobs.size(); ++i) work(i);
-}
-
 void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
                          ThreadPool* pool,
                          const std::function<bool()>& stop) const {
+  // Jobs are the faults actually simulated. With collapsing on, the ids of
+  // one equivalence class share a job (the class representative) and each
+  // member's record is expanded from it; otherwise every id is its own job.
+  std::vector<gate::StuckFault> jobs;
+  std::vector<std::size_t> job_of(ids.size());
   if (collapse_) {
-    run_collapsed(ids, emit, pool, stop);
-    return;
+    std::unordered_map<std::uint32_t, std::size_t> job_of_node;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const gate::StuckFault rep = rep_of_id_.at(ids[k]);
+      const auto [it, inserted] =
+          job_of_node.try_emplace(gate::FaultCollapse::node(rep), jobs.size());
+      if (inserted) jobs.push_back(rep);
+      job_of[k] = it->second;
+    }
+  } else {
+    jobs.reserve(ids.size());
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      jobs.push_back(faults_.at(ids[k]));
+      job_of[k] = k;
+    }
   }
-  static obs::Counter& retired = obs::counter("gate.faults_retired");
-  if (engine_ == EngineKind::Batch) {
-    const std::size_t kB = gate::batch_lane_width();
-    const std::size_t batches = (ids.size() + kB - 1) / kB;
-    const auto work = [&](std::size_t b) {
-      if (stop && stop()) return;
-      const std::size_t lo = b * kB;
-      const std::size_t len = std::min(kB, ids.size() - lo);
-      obs::TraceSpan batch_span("gate", "batch");
-      batch_span.arg("lanes", len);
-      // The ids are not contiguous after a resume / lease reassignment, so
-      // stage the batch through dense arrays (per-fault results are
-      // independent of batch composition — asserted by test_batchsim).
-      std::vector<gate::StuckFault> bf(len);
-      std::vector<gate::FaultCharacterization> bo(len);
-      for (std::size_t j = 0; j < len; ++j) {
-        bf[j] = faults_.at(ids[lo + j]);
-        bo[j].fault = bf[j];
-      }
-      for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-        replayer_.run_fault_batch(bf, traces_[ti], goldens_[ti], bo);
-      for (std::size_t j = 0; j < len; ++j) emit(ids[lo + j], bo[j]);
-      retired.add(len);
-    };
-    if (pool)
-      pool->parallel_for(batches, work);
-    else
-      for (std::size_t b = 0; b < batches; ++b) work(b);
-    return;
-  }
+  // The ids grouped by job (members[first[j]..first[j + 1]) are job j's),
+  // so each finished batch emits exactly its own jobs' ids.
+  std::vector<std::size_t> first(jobs.size() + 1, 0);
+  for (const std::size_t j : job_of) ++first[j + 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint64_t> members(ids.size());
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  for (std::size_t k = 0; k < ids.size(); ++k)
+    members[fill[job_of[k]]++] = ids[k];
 
-  const auto work = [&](std::size_t i) {
-    if (stop && stop()) return;
-    gate::FaultCharacterization fc;
-    fc.fault = faults_.at(ids[i]);
-    for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc);
-    emit(ids[i], fc);
-    retired.add(1);
-  };
-  if (pool)
-    pool->parallel_for(ids.size(), work);
-  else
-    for (std::size_t i = 0; i < ids.size(); ++i) work(i);
+  std::vector<gate::FaultCharacterization> out(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) out[j].fault = jobs[j];
+  static obs::Counter& retired = obs::counter("gate.faults_retired");
+  gate::replay_faults(
+      replayer_, engine_, jobs, traces_, goldens_, out, pool, stop,
+      [&](std::size_t lo, std::size_t len) {
+        for (std::size_t j = lo; j < lo + len; ++j)
+          for (std::size_t m = first[j]; m < first[j + 1]; ++m) {
+            const std::uint64_t id = members[m];
+            emit(id, collapse_ ? gate::expand_collapsed(out[j], faults_[id], act_)
+                               : out[j]);
+          }
+        retired.add(first[lo + len] - first[lo]);
+      });
 }
 
 gate::UnitCampaignResult run_unit_campaign_store(

@@ -98,8 +98,9 @@ class GateUnitRunner {
   std::size_t representative_count() const { return rep_count_; }
 
   /// Evaluates `ids` (campaign fault ids, each < meta.total), invoking
-  /// emit(id, result) as each fault retires. With a pool, lane-width batches
-  /// (batch engine) or single faults are spread across it and emit must be
+  /// emit(id, result) as each fault retires. Runs gate::replay_faults: one
+  /// engine per lane-width batch (batch engine) or one fault at a time
+  /// (brute); with a pool these are spread across it and emit must be
   /// thread-safe. `stop`, when set, is polled between batches for
   /// cooperative cancellation (already-started batches still emit).
   void run(std::span<const std::uint64_t> ids, const Emit& emit,
@@ -107,9 +108,6 @@ class GateUnitRunner {
            const std::function<bool()>& stop = {}) const;
 
  private:
-  void run_collapsed(std::span<const std::uint64_t> ids, const Emit& emit,
-                     ThreadPool* pool, const std::function<bool()>& stop) const;
-
   const std::vector<gate::UnitTraces>& traces_;
   EngineKind engine_;
   gate::UnitReplayer replayer_;

@@ -128,7 +128,8 @@ TEST_P(BatchSimEquivalence, RaggedBatchMatchesRunFault) {
     set_batch_lanes_override(width);
     std::vector<FaultCharacterization> batch(sample.size());
     for (std::size_t k = 0; k < sample.size(); ++k) batch[k].fault = sample[k];
-    replayer.run_fault_batch(sample, t, golden, batch);
+    const std::unique_ptr<BatchSim> sim = make_batch_sim(replayer.netlist());
+    replayer.run_fault_batch(*sim, sample, t, golden, batch);
 
     for (std::size_t k = 0; k < sample.size(); ++k) {
       FaultCharacterization scalar;

@@ -13,6 +13,7 @@
 #include "gate/batchsim.hpp"
 #include "gate/jit.hpp"
 #include "gate/replay.hpp"
+#include "obs/metrics.hpp"
 #include "report/gate_experiments.hpp"
 #include "store/export.hpp"
 #include "store/merge.hpp"
@@ -369,6 +370,51 @@ TEST_F(GateExperimentsTest, EngineByteIsValidated) {
   mixed.run(ids, into(got));
   batch.run(ids, into(want));
   EXPECT_EQ(got.size(), kFaults);
+  EXPECT_EQ(got, want);
+}
+
+// GateUnitRunner::run replays each lane-width batch against every trace
+// through one engine, so each batch builds its cone program once — not once
+// per (batch, trace) pair, as a fresh engine per trace did. The ids are a
+// non-contiguous subset spanning several batches at every width, like the
+// ids of a resumed or reassigned lease, and their records must equal the
+// brute oracle's.
+TEST_F(GateExperimentsTest, RunnerBuildsOneConeProgramPerBatch) {
+  auto meta = report::gate_campaign_meta(gate::UnitKind::Decoder, 1200,
+                                         kMaxIssues, kSeed, EngineKind::Batch);
+  struct KnobGuard {
+    ~KnobGuard() {
+      set_collapse_override(-1);
+      set_cone_override(-1);
+      set_metrics_override(-1);
+    }
+  } guard;
+  set_collapse_override(0);  // one simulated fault per id
+  set_cone_override(1);
+  set_metrics_override(1);
+
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = 0; id < meta.total; ++id)
+    if (id % 3 != 1) ids.push_back(id);
+  const std::size_t width = gate::batch_lane_width();
+  const std::size_t batches = (ids.size() + width - 1) / width;
+  ASSERT_GT(batches, 1u);
+
+  std::map<std::uint64_t, std::vector<std::uint8_t>> got, want;
+  const auto into = [](std::map<std::uint64_t, std::vector<std::uint8_t>>& m) {
+    return [&m](std::uint64_t id, const gate::FaultCharacterization& fc) {
+      m[id] = store::encode(report::to_gate_record(fc));
+    };
+  };
+  const report::GateUnitRunner batch(traces(), meta);
+  const std::uint64_t builds = obs::snapshot().counter("gate.cone_builds");
+  batch.run(ids, into(got));
+  EXPECT_EQ(obs::snapshot().counter("gate.cone_builds") - builds, batches);
+
+  meta.engine = static_cast<std::uint8_t>(EngineKind::Brute);
+  const report::GateUnitRunner brute(traces(), meta);
+  brute.run(ids, into(want));
+  EXPECT_EQ(got.size(), ids.size());
   EXPECT_EQ(got, want);
 }
 

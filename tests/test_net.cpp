@@ -1,10 +1,10 @@
 // Tests for the distributed campaign service (src/net): frame/codec
 // round-trips (protocol v3, incl. the registry messages), CRC rejection,
 // the lease state machine, deficit-round-robin fair share, the rate/ETA
-// window, backpressure (Busy) on both sides of the wire, connection-churn
-// and session-TTL accounting, and in-process fleet e2e runs — single- and
-// multi-campaign — whose stores must match single-process runs byte for
-// byte.
+// window, per-kind work-unit sizing, backpressure (Busy) on both sides of
+// the wire, connection-churn and session-TTL accounting, and in-process
+// fleet e2e runs — single- and multi-campaign — whose stores must match
+// single-process runs byte for byte.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -33,6 +35,7 @@
 #include "net/worker.hpp"
 #include "perfi/campaign.hpp"
 #include "report/gate_experiments.hpp"
+#include "rtl/campaign.hpp"
 #include "store/bytes.hpp"
 #include "store/checkpoint.hpp"
 #include "store/export.hpp"
@@ -536,18 +539,121 @@ TEST(NetCoordinator, RateWindowRestartsAfterIdleGap) {
   EXPECT_EQ(rw.rate_milli(), 10000u);
 }
 
+// --- work-unit sizing ------------------------------------------------------
+
+/// The first LeaseGrant a worker pinned to `campaign` receives (the probe
+/// disconnects right after, which returns the unit to pending).
+LeaseGrant first_grant(std::uint16_t port, const std::string& campaign) {
+  Socket c = connect_tcp("127.0.0.1", port);
+  Hello hello;
+  hello.worker_name = "probe";
+  hello.campaign = campaign;
+  send_frame(c, encode(hello));
+  Frame reply;
+  EXPECT_EQ(recv_frame(c, reply), RecvStatus::Ok);
+  send_frame(c, encode(LeaseRequest{}));
+  EXPECT_EQ(recv_frame(c, reply), RecvStatus::Ok);
+  return decode_lease_grant(reply);
+}
+
+store::CampaignMeta gate_meta(gate::UnitKind unit, std::size_t faults) {
+  return report::gate_campaign_meta(unit, faults, /*max_issues=*/30,
+                                    /*seed=*/5, EngineKind::Batch);
+}
+
+store::CampaignMeta rtl_meta(std::size_t injections) {
+  return rtl::tmxm_campaign_meta(workloads::TileType::Max, rtl::Site::FuLane,
+                                 injections, /*seed=*/3);
+}
+
+// Work units are sized per campaign. By default a gate unit spans the
+// widest lane word (or the whole campaign when smaller) and perfi and rtl
+// units stay at 64 ids; a campaign submitted over the wire is sized by its
+// own kind, not by the registry it joins; a nonzero unit_size pins every
+// kind.
+TEST(NetCoordinator, UnitSizeFollowsCampaignKindUnlessPinned) {
+  const std::size_t kGate = gate::kWidestBatchLanes;
+  struct Case {
+    std::size_t unit_size;
+    std::vector<store::CampaignMeta> registered;
+    std::vector<std::size_t> want;  // first-grant ids per registered one
+    std::optional<store::CampaignMeta> submitted;
+    std::size_t want_submitted = 0;
+  };
+  const Case cases[] = {
+      {0,
+       {gate_meta(gate::UnitKind::Decoder, 1200),
+        gate_meta(gate::UnitKind::Fetch, 100), perfi_meta(200, 5),
+        rtl_meta(100)},
+       {kGate, 100, 64, 64},
+       std::nullopt},
+      {0, {perfi_meta(200, 5)}, {64},
+       gate_meta(gate::UnitKind::Decoder, 1200), kGate},
+      {0, {gate_meta(gate::UnitKind::Decoder, 1200)}, {kGate},
+       perfi_meta(200, 6), 64},
+      {8,
+       {gate_meta(gate::UnitKind::Decoder, 1200), perfi_meta(200, 5),
+        rtl_meta(100)},
+       {8, 8, 8}, gate_meta(gate::UnitKind::WSC, 100), 8},
+  };
+  for (std::size_t ci = 0; ci < std::size(cases); ++ci) {
+    const Case& c = cases[ci];
+    SCOPED_TRACE("case " + std::to_string(ci));
+    const std::string dir = testing::TempDir() + "gpf_net_sizing_" +
+                            std::to_string(::getpid()) + "_" +
+                            std::to_string(ci);
+    std::filesystem::create_directories(dir);
+    {
+      std::vector<std::unique_ptr<store::CampaignCheckpoint>> ckpts;
+      CoordinatorConfig ccfg;
+      ccfg.unit_size = c.unit_size;
+      ccfg.status_interval_ms = 0;
+      ccfg.store_dir = dir;
+      Coordinator coord(ccfg);
+      for (std::size_t i = 0; i < c.registered.size(); ++i) {
+        ckpts.push_back(std::make_unique<store::CampaignCheckpoint>(
+            dir + "/c" + std::to_string(i) + ".gpfs", c.registered[i]));
+        coord.add_campaign(*ckpts.back());
+      }
+      struct Serving {
+        Coordinator& coord;
+        std::thread thread;
+        ~Serving() {
+          coord.request_drain();
+          thread.join();
+        }
+      } serving{coord, std::thread([&coord] { coord.serve(); })};
+
+      for (std::size_t i = 0; i < c.registered.size(); ++i)
+        EXPECT_EQ(first_grant(coord.port(), "c" + std::to_string(i)).ids.size(),
+                  c.want[i])
+            << "campaign " << i;
+      if (c.submitted) {
+        const OpResult r = submit_campaign("127.0.0.1", coord.port(),
+                                           "submitted", *c.submitted);
+        EXPECT_TRUE(r.ok) << r.message;
+        EXPECT_EQ(first_grant(coord.port(), "submitted").ids.size(),
+                  c.want_submitted);
+      }
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
 // --- end-to-end ------------------------------------------------------------
 
-/// Runs a coordinator over a checkpoint plus `n_workers` in-process workers;
-/// returns when the campaign completes.
-void run_fleet(store::CampaignCheckpoint& ckpt, int n_workers,
-               std::uint32_t lease_ms, std::size_t unit_size) {
+/// Runs a coordinator over checkpoints plus `n_workers` in-process workers;
+/// returns when every campaign completes. `unit_size` 0 keeps the default
+/// per-kind unit sizing.
+void run_fleet(const std::vector<store::CampaignCheckpoint*>& ckpts,
+               int n_workers, std::uint32_t lease_ms, std::size_t unit_size) {
   CoordinatorConfig ccfg;
   ccfg.port = 0;  // ephemeral
   ccfg.lease_ms = lease_ms;
   ccfg.unit_size = unit_size;
   ccfg.status_interval_ms = 0;
-  Coordinator coord(ckpt, ccfg);
+  Coordinator coord(ccfg);
+  for (store::CampaignCheckpoint* ckpt : ckpts) coord.add_campaign(*ckpt);
 
   std::thread serve([&] { coord.serve(); });
   std::vector<std::thread> workers;
@@ -575,32 +681,62 @@ std::string export_json(const std::string& path) {
   return os.str();
 }
 
+/// Single-process reference store of a gate or perfi campaign (what
+/// `gpfctl run` writes).
+void run_solo(const store::CampaignMeta& meta, const std::string& path) {
+  store::CampaignCheckpoint ckpt(path, meta);
+  if (meta.kind == store::CampaignKind::Gate)
+    report::run_unit_campaign_store(
+        report::collect_profiling_traces(meta.param1), ckpt);
+  else
+    perfi::run_epr_cell_store(*workloads::find(meta.app), ckpt);
+}
+
+// Every store a two-worker fleet writes exports the same bytes as its
+// single-process reference: a perfi campaign split into 4-id units, and a
+// default-config registry (units sized by kind) serving a gate campaign of
+// more than one 512-id unit next to a small perfi campaign.
 TEST(NetE2E, FleetExportMatchesSingleProcessByteForByte) {
-  const store::CampaignMeta meta = perfi_meta(40, 2026);
-  const workloads::Workload* w = workloads::find("vectoradd");
-  ASSERT_NE(w, nullptr);
+  struct Case {
+    const char* name;
+    std::vector<store::CampaignMeta> metas;
+    std::size_t unit_size;
+  };
+  const Case cases[] = {
+      {"perfi@4", {perfi_meta(40, 2026)}, 4},
+      {"by-kind",
+       {report::gate_campaign_meta(gate::UnitKind::Decoder,
+                                   /*faults_per_unit=*/600, /*max_issues=*/30,
+                                   /*seed=*/5, EngineKind::Batch),
+        perfi_meta(24, 2028)},
+       0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::string> solo_paths, fleet_paths;
+    std::vector<std::unique_ptr<store::CampaignCheckpoint>> ckpts;
+    std::vector<store::CampaignCheckpoint*> fleet;
+    for (const store::CampaignMeta& m : c.metas) {
+      solo_paths.push_back(temp_store_path("solo"));
+      run_solo(m, solo_paths.back());
+      fleet_paths.push_back(temp_store_path("fleet"));
+      ckpts.push_back(
+          std::make_unique<store::CampaignCheckpoint>(fleet_paths.back(), m));
+      fleet.push_back(ckpts.back().get());
+    }
+    // Fleet: coordinator + two workers over real TCP (loopback).
+    run_fleet(fleet, /*n_workers=*/2, /*lease_ms=*/5000, c.unit_size);
+    ckpts.clear();
 
-  // Reference: single-process checkpointed run.
-  const std::string solo_path = temp_store_path("solo");
-  {
-    store::CampaignCheckpoint ckpt(solo_path, meta);
-    perfi::run_epr_cell_store(*w, ckpt);
+    for (std::size_t i = 0; i < c.metas.size(); ++i) {
+      const store::LoadedStore loaded = store::load_store(fleet_paths[i]);
+      EXPECT_EQ(loaded.records.size(), c.metas[i].total);
+      EXPECT_EQ(loaded.duplicate_records, 0u);
+      EXPECT_EQ(export_json(solo_paths[i]), export_json(fleet_paths[i]));
+      std::remove(solo_paths[i].c_str());
+      std::remove(fleet_paths[i].c_str());
+    }
   }
-
-  // Fleet: coordinator + two workers over real TCP (loopback).
-  const std::string fleet_path = temp_store_path("fleet");
-  {
-    store::CampaignCheckpoint ckpt(fleet_path, meta);
-    run_fleet(ckpt, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/4);
-  }
-
-  const store::LoadedStore fleet = store::load_store(fleet_path);
-  EXPECT_EQ(fleet.records.size(), 40u);
-  EXPECT_EQ(fleet.duplicate_records, 0u);
-  EXPECT_EQ(export_json(solo_path), export_json(fleet_path));
-
-  std::remove(solo_path.c_str());
-  std::remove(fleet_path.c_str());
 }
 
 // Engine knobs cannot leak into fleet results: a two-worker fleet running
@@ -643,7 +779,7 @@ TEST(NetE2E, GateFleetJitExportMatchesInterpreterSingleProcess) {
   const std::string fleet_path = temp_store_path("gate_fleet");
   {
     store::CampaignCheckpoint ckpt(fleet_path, meta);
-    run_fleet(ckpt, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/8);
+    run_fleet({&ckpt}, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/8);
   }
 
   EXPECT_EQ(export_json(solo_path), export_json(fleet_path));
@@ -676,7 +812,7 @@ TEST(NetE2E, FleetResumesPartialStore) {
   }
   {
     store::CampaignCheckpoint ckpt(fleet_path, meta);
-    run_fleet(ckpt, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/4);
+    run_fleet({&ckpt}, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/4);
   }
 
   EXPECT_EQ(export_json(solo_path), export_json(fleet_path));
@@ -689,8 +825,6 @@ TEST(NetE2E, FleetResumesPartialStore) {
 // campaign removed while the fleet runs. Every completed campaign's store
 // must export byte-identically to its single-process reference.
 TEST(NetE2E, MultiCampaignFleetWithMidRunSubmitAndRemove) {
-  const workloads::Workload* vec = workloads::find("vectoradd");
-  ASSERT_NE(vec, nullptr);
   constexpr std::size_t kMaxIssues = 20;
   const store::CampaignMeta meta_a = perfi_meta(40, 2027);
   const store::CampaignMeta meta_b =
@@ -703,24 +837,16 @@ TEST(NetE2E, MultiCampaignFleetWithMidRunSubmitAndRemove) {
 
   // Single-process references for the campaigns that must complete.
   std::map<std::string, std::string> ref;  // name -> export json
-  const auto solo_perfi = [&](const char* tag, const store::CampaignMeta& m) {
+  const auto solo = [&](const char* tag, const store::CampaignMeta& m) {
     const std::string p = temp_store_path(tag);
-    store::CampaignCheckpoint ckpt(p, m);
-    perfi::run_epr_cell_store(*vec, ckpt);
+    run_solo(m, p);
     ref[tag] = export_json(p);
     std::remove(p.c_str());
   };
-  solo_perfi("mc_a", meta_a);
-  solo_perfi("mc_b", meta_b);
-  solo_perfi("mc_extra", meta_extra);
-  {
-    const std::string p = temp_store_path("mc_gate");
-    store::CampaignCheckpoint ckpt(p, meta_gate);
-    report::run_unit_campaign_store(report::collect_profiling_traces(kMaxIssues),
-                                    ckpt);
-    ref["mc_gate"] = export_json(p);
-    std::remove(p.c_str());
-  }
+  solo("mc_a", meta_a);
+  solo("mc_b", meta_b);
+  solo("mc_extra", meta_extra);
+  solo("mc_gate", meta_gate);
 
   const std::string submit_dir =
       testing::TempDir() + "gpf_net_submit_" + std::to_string(::getpid());

@@ -26,7 +26,6 @@
 // for `gpfd --resume` / `gpfctl resume`.
 #include <csignal>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -42,7 +41,6 @@
 
 #include "campaign_flags.hpp"
 #include "common/env.hpp"
-#include "gate/batchsim.hpp"
 #include "net/coordinator.hpp"
 #include "net/framing.hpp"
 #include "net/http.hpp"
@@ -80,6 +78,8 @@ int usage(const char* msg = nullptr) {
       "            [--priority N] [--seed S] [--store DIR] [--shard-index I]\n"
       "            [--shard-count K] [--status-ms N] [--verbose]\n"
       "            [--http HOST:PORT] [--compact-ms N]\n"
+      "    --unit-size N: fault ids per work unit; 0 (default) = by campaign\n"
+      "            kind (gate 512, perfi and rtl 64), N > 0 pins every campaign\n"
       "    more campaigns can be added while serving: gpfctl submit\n";
   return 2;
 }
@@ -228,15 +228,7 @@ int main(int argc, char** argv) {
     cfg.port = port;
     cfg.lease_ms = static_cast<std::uint32_t>(
         a.get_u64("lease-ms", lease_duration_ms()));
-    // Gate work units default to the dispatched SIMD lane width so each
-    // leased unit fills whole batches (a 64-id unit on an AVX-512 build would
-    // run every batch 1/8 full); mixed-kind registries keep the historic 64.
-    const bool all_gate =
-        std::all_of(metas.begin(), metas.end(), [](const auto& m) {
-          return m.kind == store::CampaignKind::Gate;
-        });
-    cfg.unit_size = static_cast<std::size_t>(
-        a.get_u64("unit-size", all_gate ? gate::batch_lane_width() : 64));
+    cfg.unit_size = static_cast<std::size_t>(a.get_u64("unit-size", 0));
     cfg.status_interval_ms =
         static_cast<std::uint32_t>(a.get_u64("status-ms", 5000));
     cfg.verbose = a.has("verbose");
@@ -254,10 +246,11 @@ int main(int argc, char** argv) {
 
     std::cout << "[gpfd] serving " << paths.size() << " campaign(s) on "
               << cfg.host << ":" << coordinator.port() << " (lease "
-              << cfg.lease_ms << "ms, unit size " << cfg.unit_size << ")\n";
+              << cfg.lease_ms << "ms)\n";
     for (std::size_t i = 0; i < paths.size(); ++i)
       std::cout << "[gpfd]   " << paths[i] << " (" << ckpts[i]->done().size()
-                << "/" << metas[i].total << " already retired)\n";
+                << "/" << metas[i].total << " already retired, unit size "
+                << coordinator.unit_size_for(metas[i]) << ")\n";
 
     // Warehouse compaction: roll every store into its .gpfw segment now,
     // then keep them fresh on a timer while serving, picking up remotely

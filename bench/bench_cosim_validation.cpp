@@ -5,6 +5,7 @@
 //   - uncontrollable/HW-masked faults must be Masked end-to-end;
 //   - SW-error faults should be visible (SDC or DUE) when the application
 //     actually exercises the corrupted field.
+#include <algorithm>
 #include <iostream>
 
 #include "common/env.hpp"
@@ -32,9 +33,8 @@ End run_cosim(const workloads::Workload& w, const gate::StuckFault& f,
   gpu.set_hooks(nullptr);
   if (!s.ok) return End::DUE;
   const workloads::OutputSpec spec = w.output();
-  for (std::size_t i = 0; i < spec.words; ++i)
-    if (gpu.global()[spec.addr + i] != golden[i]) return End::SDC;
-  return End::Masked;
+  return std::ranges::equal(gpu.read_global(spec.addr, spec.words), golden) ? End::Masked
+                                                                            : End::SDC;
 }
 
 }  // namespace

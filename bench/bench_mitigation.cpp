@@ -3,6 +3,7 @@
 // argues fetch/decoder faults need hardware hardening because they collapse
 // into DUEs. This bench measures CFC detection coverage of the SDCs each
 // error model produces.
+#include <algorithm>
 #include <iostream>
 
 #include "common/env.hpp"
@@ -51,10 +52,8 @@ int main() {
         const workloads::RunStats s = w.run(g, 400'000);
         g.set_hooks(nullptr);
         if (!s.ok) continue;  // DUE: already "detected" by the device
-        bool differs = false;
-        for (std::size_t k = 0; k < spec.words; ++k)
-          if (g.global()[spec.addr + k] != golden[k]) differs = true;
-        if (!differs) continue;  // masked
+        if (std::ranges::equal(g.read_global(spec.addr, spec.words), golden))
+          continue;  // masked
         ++sdcs;
         if (sig.digest() != gsig) ++detected;
       }

@@ -66,8 +66,9 @@ int main() {
         g.set_hooks(nullptr);
         if (!s.ok) continue;  // rare (address-feeding corruption)
         bool differs = false;
+        const std::span<const std::uint32_t> out = g.read_global(spec.addr, spec.words);
         for (std::size_t k = 0; k < spec.words; ++k) {
-          const std::uint32_t got = g.global()[spec.addr + k];
+          const std::uint32_t got = out[k];
           if (got == golden[k]) continue;
           differs = true;
           if (spec.is_float) {

@@ -1,5 +1,6 @@
 // Table 1 reproduction: the 15 evaluation workloads, validated fault-free
 // against their host references, with execution statistics.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 
@@ -23,10 +24,8 @@ bool validate(const workloads::Workload& w, arch::Gpu& gpu) {
     }
     return true;
   }
-  const auto expect = w.host_reference_u();
-  for (std::size_t i = 0; i < spec.words; ++i)
-    if (gpu.global()[spec.addr + i] != expect[i]) return false;
-  return true;
+  return std::ranges::equal(gpu.read_global(spec.addr, spec.words),
+                            w.host_reference_u());
 }
 
 }  // namespace

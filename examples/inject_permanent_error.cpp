@@ -71,9 +71,10 @@ int main(int argc, char** argv) {
     (void)app->run(g2);
     g2.set_hooks(nullptr);
     const workloads::OutputSpec spec = app->output();
+    const std::span<const std::uint32_t> out = g2.read_global(spec.addr, spec.words);
     unsigned shown = 0;
     for (std::size_t i = 0; i < spec.words && shown < 10; ++i) {
-      const std::uint32_t got = g2.global()[spec.addr + i];
+      const std::uint32_t got = out[i];
       if (got == golden[i]) continue;
       ++shown;
       if (spec.is_float)

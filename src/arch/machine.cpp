@@ -56,7 +56,6 @@ void ExecCtx::write_pred(unsigned lane, std::uint8_t p, bool v) {
 // ---------------------------------------------------------------------------
 
 Gpu::Gpu(GpuConfig cfg) : cfg_(cfg) {
-  global_.assign(cfg_.global_words, 0);
   const_.assign(cfg_.const_words, 0);
   sms_.resize(cfg_.num_sms);
   for (Sm& sm : sms_) {
@@ -72,15 +71,20 @@ Gpu::Gpu(GpuConfig cfg) : cfg_(cfg) {
   }
 }
 
+std::vector<std::uint32_t>& Gpu::global() {
+  global_.resize(cfg_.global_words);
+  return global_;
+}
+
 void Gpu::write_global(std::size_t addr, std::span<const std::uint32_t> data) {
-  if (addr + data.size() > global_.size())
+  if (!global_in_bounds(addr, data.size()))
     throw std::out_of_range("write_global out of bounds");
   reserve_global(addr, data.size());
   std::copy(data.begin(), data.end(), global_.begin() + static_cast<std::ptrdiff_t>(addr));
 }
 
 void Gpu::write_global_f(std::size_t addr, std::span<const float> data) {
-  if (addr + data.size() > global_.size())
+  if (!global_in_bounds(addr, data.size()))
     throw std::out_of_range("write_global_f out of bounds");
   reserve_global(addr, data.size());
   for (std::size_t i = 0; i < data.size(); ++i) global_[addr + i] = f32_bits(data[i]);
@@ -88,8 +92,9 @@ void Gpu::write_global_f(std::size_t addr, std::span<const float> data) {
 
 void Gpu::reserve_global(std::size_t addr, std::size_t words) {
   if (words == 0) return;
-  if (addr + words > global_.size())
+  if (!global_in_bounds(addr, words))
     throw std::out_of_range("reserve_global out of bounds");
+  if (global_.size() < addr + words) global_.resize(addr + words);  // zero-fills
   // Merge with an existing adjacent/overlapping segment when possible.
   for (auto& [base, size] : segments_) {
     if (addr <= base + size && base <= addr + words) {
@@ -104,24 +109,32 @@ void Gpu::reserve_global(std::size_t addr, std::size_t words) {
 }
 
 bool Gpu::global_addr_valid(std::uint64_t addr) const {
-  if (addr >= global_.size()) return false;
+  if (addr >= cfg_.global_words) return false;
   if (segments_.empty()) return true;  // bare-metal mode
   for (const auto& [base, size] : segments_)
     if (addr >= base && addr < base + size) return true;
   return false;
 }
 
+std::span<const std::uint32_t> Gpu::read_global(std::size_t addr, std::size_t n) const {
+  if (n > global_.size() || addr > global_.size() - n)
+    throw std::out_of_range("read_global outside the stored prefix");
+  return {global_.data() + addr, n};
+}
+
 std::vector<float> Gpu::read_global_f(std::size_t addr, std::size_t n) const {
-  if (addr + n > global_.size()) throw std::out_of_range("read_global_f out of bounds");
+  const std::span<const std::uint32_t> words = read_global(addr, n);
   std::vector<float> out(n);
-  for (std::size_t i = 0; i < n; ++i) out[i] = bits_f32(global_[addr + i]);
+  for (std::size_t i = 0; i < n; ++i) out[i] = bits_f32(words[i]);
   return out;
 }
 
 void Gpu::clear_memories() {
-  std::fill(global_.begin(), global_.end(), 0u);
-  std::fill(const_.begin(), const_.end(), 0u);
+  global_.clear();
   segments_.clear();
+  std::fill(const_.begin(), const_.end(), 0u);
+  for (Sm& sm : sms_)
+    for (Ppb& ppb : sm.ppbs) std::fill(ppb.local.begin(), ppb.local.end(), 0u);
 }
 
 std::uint32_t& Gpu::reg_at(unsigned sm, unsigned ppb, unsigned slot, unsigned lane,
@@ -582,6 +595,8 @@ LaunchResult Gpu::launch(const isa::Program& prog, Dim3 grid, Dim3 block,
     }
   }
 
+  // Bare-metal mode: every address is valid, so all of memory is stored.
+  if (segments_.empty()) global_.resize(cfg_.global_words);
   if (hooks_) hooks_->on_launch_begin(*this, prog);
 
   const std::uint64_t budget = max_cycles ? max_cycles : cfg_.watchdog_cycles;

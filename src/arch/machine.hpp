@@ -137,12 +137,28 @@ class Gpu {
   const GpuConfig& config() const { return cfg_; }
 
   // -- memory ------------------------------------------------------------
-  std::vector<std::uint32_t>& global() { return global_; }
-  const std::vector<std::uint32_t>& global() const { return global_; }
+  // Global memory spans GpuConfig::global_words words, but only a prefix of
+  // it is stored: logical memory is the stored prefix followed by zeros up
+  // to global_words. The prefix grows to the end of the highest registered
+  // segment; a bare-metal launch or a global() call stores all of it.
+
+  /// The whole of global memory, for bare-metal tests. Stores all
+  /// global_words words (8 MiB by default) until the next clear_memories();
+  /// host code reads through read_global instead.
+  std::vector<std::uint32_t>& global();
   std::vector<std::uint32_t>& constm() { return const_; }
   void write_global(std::size_t addr, std::span<const std::uint32_t> data);
   void write_global_f(std::size_t addr, std::span<const float> data);
+  /// Words [addr, addr + n), which must lie in the stored prefix (every
+  /// registered segment does); throws std::out_of_range otherwise. The view
+  /// lasts until the prefix next grows or is cleared.
+  std::span<const std::uint32_t> read_global(std::size_t addr, std::size_t n) const;
   std::vector<float> read_global_f(std::size_t addr, std::size_t n) const;
+  /// Number of global words stored (the prefix length).
+  std::size_t resident_global_words() const { return global_.size(); }
+  /// Zeroes global, constant and local memory and drops every segment. The
+  /// stored prefix drops to zero length but keeps its capacity, so the cost
+  /// is O(stored words), paid by the next setup's zero-fill.
   void clear_memories();
 
   /// Allocation map: like CUDA allocations, only registered segments are
@@ -193,8 +209,12 @@ class Gpu {
   std::uint32_t special_value(const ExecCtx& ctx, unsigned lane,
                               std::uint8_t sr) const;
 
+  bool global_in_bounds(std::size_t addr, std::size_t n) const {
+    return n <= cfg_.global_words && addr <= cfg_.global_words - n;
+  }
+
   GpuConfig cfg_;
-  std::vector<std::uint32_t> global_;
+  std::vector<std::uint32_t> global_;  // the stored prefix of global memory
   std::vector<std::uint32_t> const_;
   std::vector<std::pair<std::size_t, std::size_t>> segments_;  // (base, words)
   std::vector<Sm> sms_;

@@ -38,9 +38,8 @@ AppInjectionRunner::AppInjectionRunner(const workloads::Workload& w) : w_(w) {
     throw std::runtime_error("golden run failed for " + std::string(w.name()));
   golden_cycles_ = stats.cycles;
   const workloads::OutputSpec spec = w_.output();
-  golden_.assign(
-      gpu_.global().begin() + static_cast<std::ptrdiff_t>(spec.addr),
-      gpu_.global().begin() + static_cast<std::ptrdiff_t>(spec.addr + spec.words));
+  const std::span<const std::uint32_t> out = gpu_.read_global(spec.addr, spec.words);
+  golden_.assign(out.begin(), out.end());
   // Per-launch hang budget: generous multiple of the whole golden run.
   budget_ = std::max<std::uint64_t>(golden_cycles_ * 30, 100'000);
 }
@@ -59,9 +58,7 @@ AppOutcome AppInjectionRunner::inject(const errmodel::ErrorDescriptor& desc) {
   }
   last_trap_ = arch::TrapKind::None;
   const workloads::OutputSpec spec = w_.output();
-  const bool equal = std::equal(
-      golden_.begin(), golden_.end(),
-      gpu_.global().begin() + static_cast<std::ptrdiff_t>(spec.addr));
+  const bool equal = std::ranges::equal(golden_, gpu_.read_global(spec.addr, spec.words));
   return equal ? AppOutcome::Masked : AppOutcome::SDC;
 }
 

@@ -51,6 +51,7 @@ class AppInjectionRunner {
   AppOutcome inject(const errmodel::ErrorDescriptor& desc);
   arch::TrapKind last_trap() const { return last_trap_; }
   std::uint64_t golden_cycles() const { return golden_cycles_; }
+  const arch::Gpu& gpu() const { return gpu_; }
 
  private:
   const workloads::Workload& w_;

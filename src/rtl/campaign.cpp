@@ -230,9 +230,9 @@ Injector::Injector(Target target) : target_(std::move(target)) {
   gpu_.set_exec(target_.use_soft_exec ? &soft : nullptr);
   if (!target_.run(gpu_, 0)) throw std::runtime_error("golden RTL run failed");
   gpu_.set_exec(nullptr);
-  golden_.assign(gpu_.global().begin() + static_cast<std::ptrdiff_t>(target_.out_addr),
-                 gpu_.global().begin() +
-                     static_cast<std::ptrdiff_t>(target_.out_addr + target_.out_words));
+  const std::span<const std::uint32_t> out =
+      gpu_.read_global(target_.out_addr, target_.out_words);
+  golden_.assign(out.begin(), out.end());
   // A faulty run may legitimately take longer (divergence changes); hang
   // detection uses a padded multiple of a fixed per-launch allowance.
   budget_ = 400'000;
@@ -279,9 +279,11 @@ InjectionResult Injector::inject(const FaultSpec& fault) {
     return res;
   }
 
+  const std::span<const std::uint32_t> out =
+      gpu_.read_global(target_.out_addr, target_.out_words);
   for (std::size_t i = 0; i < target_.out_words; ++i) {
     const std::uint32_t g = golden_[i];
-    const std::uint32_t b = gpu_.global()[target_.out_addr + i];
+    const std::uint32_t b = out[i];
     if (g == b) continue;
     ++res.corrupted;
     res.corrupted_idx.push_back(static_cast<std::uint32_t>(i));
@@ -418,6 +420,13 @@ void TmxmUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
     Rng rng = base_.fork(i);
     emit(i, injector_for(i % 4).inject(random_fault(site, true, rng)));
   }
+}
+
+std::size_t TmxmUnitRunner::resident_global_words() const {
+  std::size_t words = 0;
+  for (const auto& injector : injectors_)
+    if (injector) words += injector->gpu().resident_global_words();
+  return words;
 }
 
 AvfSummary run_tmxm_campaign_store(store::CampaignCheckpoint& ckpt,

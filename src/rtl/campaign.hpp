@@ -88,6 +88,7 @@ class Injector {
 
   InjectionResult inject(const FaultSpec& fault);
   const std::vector<std::uint32_t>& golden() const { return golden_; }
+  const arch::Gpu& gpu() const { return gpu_; }
 
  private:
   Target target_;
@@ -142,6 +143,9 @@ class TmxmUnitRunner {
   /// `stop`, when set, is polled before each injection.
   void run(std::span<const std::uint64_t> ids, const Emit& emit,
            const std::function<bool()>& stop = {});
+
+  /// Global words stored by the injectors built so far.
+  std::size_t resident_global_words() const;
 
  private:
   Injector& injector_for(std::uint64_t draw);

@@ -1,6 +1,7 @@
 // accl — connected-component labelling (NUPAR ACCL formulation): iterative
 // label propagation with min-reduction over neighbours, one kernel pair per
 // iteration until a fixed point (host polls a convergence flag).
+#include <array>
 #include <memory>
 
 #include "isa/builder.hpp"
@@ -67,12 +68,12 @@ class Accl final : public AppBase {
   RunStats run(arch::Gpu& gpu, std::uint64_t mc) const override {
     RunStats s;
     for (int it = 0; it < 128; ++it) {
-      gpu.global()[kFlag] = 0;
+      gpu.write_global(kFlag, std::array<std::uint32_t, 1>{0});
       const isa::Program& prog = it % 2 == 0 ? a2b_ : b2a_;
       if (!step(gpu, s, prog, {kNodes / 64, 1, 1}, {64, 1, 1}, mc)) return s;
       // Converged: no label changed, so both buffers hold the fixed point
       // and output() can always read label A.
-      if (gpu.global()[kFlag] == 0) break;
+      if (gpu.read_global(kFlag, 1)[0] == 0) break;
     }
     return s;
   }

@@ -4,6 +4,7 @@
 // originals: gaussian/lud launch two kernels per elimination step, nw one
 // kernel per anti-diagonal wave, bfs one pair of kernels per level.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -342,10 +343,10 @@ class Bfs final : public AppBase {
   RunStats run(arch::Gpu& gpu, std::uint64_t mc) const override {
     RunStats s;
     for (int level = 0; level < 64; ++level) {
-      gpu.global()[kFlag] = 0;
+      gpu.write_global(kFlag, std::array<std::uint32_t, 1>{0});
       if (!step(gpu, s, expand_, {kNodes / 64, 1, 1}, {64, 1, 1}, mc)) return s;
       if (!step(gpu, s, swap_, {kNodes / 64, 1, 1}, {64, 1, 1}, mc)) return s;
-      if (gpu.global()[kFlag] == 0) break;
+      if (gpu.read_global(kFlag, 1)[0] == 0) break;
     }
     return s;
   }

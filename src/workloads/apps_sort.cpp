@@ -211,9 +211,10 @@ class QuickSort final : public AppBase {
       // Host bookkeeping: read pivot positions, emit child segments.
       std::vector<std::pair<std::uint32_t, std::uint32_t>> next(
           segs.begin() + nsegs, segs.end());
+      const std::span<const std::uint32_t> pivots = gpu.read_global(kPivotPos, nsegs);
       for (std::uint32_t t = 0; t < nsegs; ++t) {
         const std::uint32_t lo = segs[t].first, hi = segs[t].second;
-        const std::uint32_t p = gpu.global()[kPivotPos + t];
+        const std::uint32_t p = pivots[t];
         if (p > lo + 1) next.emplace_back(lo, p);
         if (hi > p + 2) next.emplace_back(p + 1, hi);
       }

@@ -82,8 +82,8 @@ std::vector<std::uint32_t> golden_output(const Workload& w, arch::Gpu& gpu) {
   if (!stats.ok) throw std::runtime_error("golden run failed for " +
                                           std::string(w.name()));
   const OutputSpec spec = w.output();
-  return {gpu.global().begin() + static_cast<std::ptrdiff_t>(spec.addr),
-          gpu.global().begin() + static_cast<std::ptrdiff_t>(spec.addr + spec.words)};
+  const std::span<const std::uint32_t> out = gpu.read_global(spec.addr, spec.words);
+  return {out.begin(), out.end()};
 }
 
 }  // namespace gpf::workloads

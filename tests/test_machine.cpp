@@ -310,6 +310,18 @@ TEST(Machine, LocalMemoryPerThread) {
   Gpu gpu;
   ASSERT_TRUE(gpu.launch(prog, {1, 1, 1}, {64, 1, 1}).ok);
   for (unsigned t = 0; t < 64; ++t) EXPECT_EQ(gpu.global()[t], t) << t;
+
+  // clear_memories zeroes local memory: a local load reads 0, not what
+  // the previous run stored.
+  KernelBuilder kb2("local-load");
+  auto tid2 = kb2.reg();
+  auto v2 = kb2.reg();
+  kb2.s2r(tid2, SpecialReg::TID_X);
+  kb2.ld(v2, MemSpace::Local, KernelBuilder::RZ, 3);
+  kb2.stg(tid2, 0, v2);
+  gpu.clear_memories();
+  ASSERT_TRUE(gpu.launch(kb2.build(), {1, 1, 1}, {64, 1, 1}).ok);
+  for (unsigned t = 0; t < 64; ++t) EXPECT_EQ(gpu.global()[t], 0u) << t;
 }
 
 TEST(Machine, ConstMemoryReadOnly) {

@@ -5,6 +5,8 @@
 
 #include "arch/machine.hpp"
 #include "isa/builder.hpp"
+#include "perfi/campaign.hpp"
+#include "rtl/campaign.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpf::arch {
@@ -147,6 +149,55 @@ TEST(Config, SegmentsEnforceAllocationMap) {
   const LaunchResult res = gpu.launch(bad_prog, {1, 1, 1}, {1, 1, 1});
   EXPECT_FALSE(res.ok);
   EXPECT_EQ(res.trap, TrapKind::IllegalAddress);
+}
+
+// Global memory is stored only up to the highest registered word, so no Gpu
+// and no reset pays for all of global_words. This counts stored words, so a
+// later whole-memory touch on the production path fails here, not as a
+// slowdown. A bare-metal launch, where every address is valid, stores all.
+TEST(Config, ResidencyFollowsAllocationMap) {
+  const std::size_t all = GpuConfig{}.global_words;
+  EXPECT_EQ(Gpu{}.resident_global_words(), 0u);
+
+  std::size_t largest = 0;
+  for (const auto& set : {workloads::evaluation_set(), workloads::profiling_set()})
+    for (const workloads::Workload* w : set) {
+      Gpu gpu;
+      w->setup(gpu);
+      const std::size_t stored = gpu.resident_global_words();
+      ASSERT_TRUE(w->run(gpu).ok) << w->name();
+      EXPECT_EQ(gpu.resident_global_words(), stored) << w->name();
+      // The last stored word is registered: storage ends at the highest
+      // registered word.
+      ASSERT_GT(stored, 0u) << w->name();
+      EXPECT_TRUE(gpu.global_addr_valid(stored - 1)) << w->name();
+      largest = std::max(largest, stored);
+    }
+  EXPECT_LE(largest, 10'241u);  // bfs stores the most
+
+  // Golden capture, injection and output compare read only the output.
+  perfi::AppInjectionRunner app(*workloads::find("hotspot"));
+  EXPECT_LT(app.gpu().resident_global_words(), all);
+  Rng rng(11);
+  for (int i = 0; i < 4; ++i)
+    (void)app.inject(perfi::random_descriptor(errmodel::ErrorModel::IMS, rng));
+  EXPECT_LT(app.gpu().resident_global_words(), all);
+
+  const rtl::Injector injector(rtl::target_from_tmxm(workloads::TileType::Max, 3));
+  EXPECT_LT(injector.gpu().resident_global_words(), all);
+  rtl::TmxmUnitRunner tmxm(rtl::tmxm_campaign_meta(workloads::TileType::Max,
+                                                   rtl::Site::FuLane, 8, 3));
+  const std::vector<std::uint64_t> ids{0, 1, 2, 3, 4, 5, 6, 7};
+  tmxm.run(ids, [](std::uint64_t, const rtl::InjectionResult&) {});
+  EXPECT_LT(tmxm.resident_global_words(), all);
+
+  Gpu bare;
+  KernelBuilder kb("bare");
+  auto r = kb.reg();
+  kb.movi(r, 7);
+  kb.stg(KernelBuilder::RZ, 5, r);
+  ASSERT_TRUE(bare.launch(kb.build(), {1, 1, 1}, {1, 1, 1}).ok);
+  EXPECT_EQ(bare.resident_global_words(), all);
 }
 
 TEST(Config, AdjacentSegmentsMerge) {

@@ -4,7 +4,9 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <span>
 
 #include "arch/types.hpp"
 #include "isa/opcode.hpp"
@@ -12,12 +14,38 @@
 
 namespace gpf::arch {
 
+/// One warp register: lane i's value in element i.
+using LaneRow = std::array<std::uint32_t, kWarpSize>;
+/// A warp register seen in place: a row of a warp's register window, a
+/// broadcast immediate or the zero row.
+using RowIn = std::span<const std::uint32_t, kWarpSize>;
+using RowOut = std::span<std::uint32_t, kWarpSize>;
+
+/// Calls f(lane) for every lane set in `mask`, in lane order: one fixed
+/// 32-lane loop when every lane is set (which the compiler can vectorize),
+/// the set bits otherwise (cost follows the active lanes).
+template <class F>
+void for_each_lane(std::uint32_t mask, F&& f) {
+  if (mask == ~std::uint32_t{0}) {
+    for (unsigned lane = 0; lane < kWarpSize; ++lane) f(lane);
+    return;
+  }
+  for (std::uint32_t m = mask; m != 0; m &= m - 1)
+    f(static_cast<unsigned>(std::countr_zero(m)));
+}
+
 class ExecUnit {
  public:
   virtual ~ExecUnit() = default;
   /// Evaluate a (non-memory, non-control) operation for one lane.
   virtual std::uint32_t alu(isa::Op op, std::uint32_t a, std::uint32_t b,
                             std::uint32_t c, unsigned lane) = 0;
+  /// Evaluate `op` for a whole warp: out[l] = alu(op, a[l], b[l], c[l], l)
+  /// for every lane l in `mask`; the other lanes of `out` keep their value.
+  /// `out` may be the same row as a source. The default calls alu() for
+  /// each lane of `mask` in lane order.
+  virtual void alu_warp(isa::Op op, RowIn a, RowIn b, RowIn c, std::uint32_t mask,
+                        RowOut out);
 };
 
 /// Host-arithmetic backend (bitwise-compatible with SoftExec for normal-range
@@ -26,6 +54,9 @@ class FastExec final : public ExecUnit {
  public:
   std::uint32_t alu(isa::Op op, std::uint32_t a, std::uint32_t b, std::uint32_t c,
                     unsigned lane) override;
+  /// One switch on `op`, then one loop over the lanes.
+  void alu_warp(isa::Op op, RowIn a, RowIn b, RowIn c, std::uint32_t mask,
+                RowOut out) override;
 };
 
 /// Bit-accurate backend with stuck-at overlays. A fault set can be installed

@@ -55,7 +55,7 @@ int main() {
   const std::vector<std::uint32_t> golden = workloads::golden_output(app, gpu);
 
   gate::UnitReplayer replayer(gate::UnitKind::Decoder);
-  const auto golden_trace = replayer.compute_golden(traces);
+  const auto golden_trace = replayer.compute_goldens({&traces, 1})[0];
   std::vector<gate::StuckFault> faults = gate::full_fault_list(replayer.netlist());
   Rng rng(campaign_seed());
   for (std::size_t i = 0; i < n_faults && i < faults.size(); ++i)

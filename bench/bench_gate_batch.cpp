@@ -11,6 +11,11 @@
 // All rows produce identical classifications (checked here against the
 // brute row and asserted in test_batchsim); this bench measures throughput
 // in faults*cycles/sec, the figure of merit for exhaustive stuck-at sweeps.
+// The golden rows time each campaign's set-up instead: the golden oracle
+// (UnitReplayer::golden_oracle over every trace) against the production
+// word-wide pass (compute_goldens, checked bit for bit against the oracle
+// here), the whole GateUnitRunner constructor, and the resident size of the
+// golden rows in the old byte-per-net layout and the packed one.
 //
 //   bench_gate_batch [decoder|fetch|wsc]...   (no arguments: all three units)
 #include <algorithm>
@@ -121,6 +126,17 @@ std::size_t slice_representatives(const gate::Netlist& nl,
   return n;
 }
 
+/// Set-up of one unit's campaign: the golden oracle against the production
+/// golden pass, and the runner constructor that contains the pass.
+struct SetupRow {
+  std::string unit;
+  std::size_t traces = 0, cycles = 0, nets = 0;
+  double oracle_seconds = 1e300, pass_seconds = 1e300;
+  double runner_setup_seconds = 1e300;
+  std::size_t byte_layout_bytes = 0, packed_bytes = 0;
+  bool equal = true;  ///< pass rows and windows == oracle's
+};
+
 struct JsonRow {
   std::string unit, engine;
   std::size_t faults = 0, simulated = 0, cycles = 0, lanes = 0, unit_ids = 0;
@@ -134,6 +150,7 @@ struct JsonRow {
 // PRs instead of living only in stdout. Written next to the binary (or into
 // GPF_BENCH_JSON_DIR).
 void write_bench_json(const std::vector<JsonRow>& rows,
+                      const std::vector<SetupRow>& golden,
                       double metrics_overhead_pct) {
   const char* dir = std::getenv("GPF_BENCH_JSON_DIR");
   const std::string path =
@@ -181,6 +198,20 @@ void write_bench_json(const std::vector<JsonRow>& rows,
        << ", \"speedup_vs_64ids\": " << num(r.speedup_vs_64ids, "%.3f")
        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
+  os << "  ],\n  \"golden\": [\n";
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const SetupRow& g = golden[i];
+    os << "    {\"unit\": \"" << g.unit << "\", \"traces\": " << g.traces
+       << ", \"cycles\": " << g.cycles << ", \"nets\": " << g.nets
+       << ", \"oracle_seconds\": " << num(g.oracle_seconds, "%.6f")
+       << ", \"pass_seconds\": " << num(g.pass_seconds, "%.6f")
+       << ", \"speedup_vs_oracle\": "
+       << num(g.oracle_seconds / g.pass_seconds, "%.3f")
+       << ", \"runner_setup_seconds\": " << num(g.runner_setup_seconds, "%.6f")
+       << ", \"byte_layout_bytes\": " << g.byte_layout_bytes
+       << ", \"packed_bytes\": " << g.packed_bytes << "}"
+       << (i + 1 < golden.size() ? "," : "") << "\n";
+  }
   os << "  ]\n}\n";
   std::cout << "\nwrote " << path << "\n";
 }
@@ -196,6 +227,7 @@ int main(int argc, char** argv) {
   const std::size_t max_issues = scaled(400, 100);
   const auto traces = report::collect_profiling_traces(max_issues);
   std::vector<JsonRow> json_rows;
+  std::vector<SetupRow> golden_rows;
 
   std::vector<gate::UnitKind> units = {gate::UnitKind::Decoder,
                                        gate::UnitKind::Fetch,
@@ -301,9 +333,46 @@ int main(int argc, char** argv) {
     // their single measurement.
     std::vector<double> row_secs(rows.size(), 1e300);
     std::vector<gate::UnitCampaignResult> row_res(rows.size());
+    SetupRow golden;
+    golden.unit = gate::unit_name(unit);
+    golden.traces = traces.size();
+    golden.cycles = cycles;
+    golden.nets = replayer.netlist().num_nets();
+    const auto secs_since = [](Clock::time_point t0) {
+      return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
     constexpr int kRounds = 9;
     constexpr double kRepeatBudgetSecs = 1.0;
     for (int round = 0; round < kRounds; ++round) {
+      // Golden row: the oracle, the production pass and the runner
+      // constructor, once each per round like every engine row.
+      {
+        auto t0 = Clock::now();
+        std::vector<gate::UnitReplayer::GoldenTrace> oracle;
+        for (const gate::UnitTraces& tr : traces)
+          oracle.push_back(replayer.golden_oracle(tr));
+        golden.oracle_seconds = std::min(golden.oracle_seconds, secs_since(t0));
+        t0 = Clock::now();
+        const auto pass = replayer.compute_goldens(traces);
+        golden.pass_seconds = std::min(golden.pass_seconds, secs_since(t0));
+        t0 = Clock::now();
+        {
+          const report::GateUnitRunner setup(
+              traces, report::gate_campaign_meta(unit, max_faults, max_issues,
+                                                 7, EngineKind::Batch));
+        }
+        golden.runner_setup_seconds =
+            std::min(golden.runner_setup_seconds, secs_since(t0));
+        if (round == 0) {
+          for (std::size_t i = 0; i < pass.size(); ++i) {
+            golden.equal &= pass[i].bits == oracle[i].bits &&
+                            pass[i].windows == oracle[i].windows;
+            golden.byte_layout_bytes += pass[i].cycles * golden.nets;
+            golden.packed_bytes += pass[i].bits.size() * sizeof(std::uint64_t);
+          }
+          any_mismatch |= !golden.equal;
+        }
+      }
       for (std::size_t ri = 0; ri < rows.size(); ++ri) {
         const Row& row = rows[ri];
         if (round > 0 && row_secs[ri] > kRepeatBudgetSecs) continue;
@@ -355,6 +424,7 @@ int main(int argc, char** argv) {
     set_cone_override(-1);
     gate::set_batch_lanes_override(0);
     set_jit_override(-1);
+    golden_rows.push_back(golden);
 
     gate::UnitCampaignResult reference;
     for (std::size_t ri = 0; ri < rows.size(); ++ri) {
@@ -430,6 +500,23 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
+  Table gt("Campaign set-up: golden oracle vs word-wide golden pass");
+  gt.header({"unit", "nets", "cycles", "oracle", "pass", "vs oracle",
+             "runner setup", "byte layout", "packed"});
+  const auto mib = [](std::size_t b) {
+    return Table::num(static_cast<double>(b) / 1048576.0, 3) + " MiB";
+  };
+  for (const SetupRow& g : golden_rows)
+    gt.row({g.unit, std::to_string(g.nets), std::to_string(g.cycles),
+            Table::num(g.oracle_seconds * 1e3, 2) + " ms",
+            Table::num(g.pass_seconds * 1e3, 2) + " ms",
+            Table::num(g.oracle_seconds / g.pass_seconds, 1) + "x" +
+                (g.equal ? "" : " (MISMATCH)"),
+            Table::num(g.runner_setup_seconds * 1e3, 2) + " ms",
+            mib(g.byte_layout_bytes), mib(g.packed_bytes)});
+  std::cout << "\n";
+  gt.print(std::cout);
+
   // Instrumentation overhead: the tuned decoder row with the obs registry
   // recording vs every record call compiled down to one untaken branch
   // (set_metrics_override(0)). Min-of-two runs each way to damp scheduler
@@ -485,9 +572,10 @@ int main(int argc, char** argv) {
                "GPF_ENGINE=brute|batch, pin a lane width with\n"
                "GPF_LANES=64|256|512 (default: the widest the CPU runs), and\n"
                "size the pool with GPF_THREADS.\n";
-  write_bench_json(json_rows, metrics_overhead_pct);
+  write_bench_json(json_rows, golden_rows, metrics_overhead_pct);
   if (any_mismatch) {
-    std::cerr << "FAIL: engines disagree on at least one classification\n";
+    std::cerr << "FAIL: engines disagree on at least one classification, or "
+                 "the golden pass on at least one golden row\n";
     return 1;
   }
   return 0;

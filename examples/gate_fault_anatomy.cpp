@@ -78,7 +78,7 @@ int main() {
   const gate::UnitTraces traces = prof.take("p_tiled_mxm");
 
   gate::UnitReplayer replayer(gate::UnitKind::Decoder);
-  const auto golden_trace = replayer.compute_golden(traces);
+  const auto golden_trace = replayer.compute_goldens({&traces, 1})[0];
   gate::FaultCharacterization fc;
   fc.fault = fault;
   replayer.run_fault(fault, traces, golden_trace, fc);

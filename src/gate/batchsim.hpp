@@ -70,14 +70,16 @@ class BatchSim {
 
   /// Broadcast a full golden net-value snapshot into every lane (sequential
   /// replays start at the first activating cycle, like Simulator::load_values).
-  virtual void load_broadcast(const std::vector<std::uint8_t>& vals) = 0;
+  /// Every golden argument below is one packed row of the cycle's golden
+  /// trace (UnitReplayer::GoldenTrace::row).
+  virtual void load_broadcast(GoldenRow vals) = 0;
   /// Drive a whole input bus (LSB-first); each bit is broadcast to all lanes.
   virtual void set_bus(const PortBus& bus, std::uint64_t value) = 0;
   /// Settle combinational logic (applies every lane's fault overlay).
   virtual void eval() = 0;
   /// Cone-pruned eval: word-evaluate only gates in the union fanout cone of
   /// the batch's fault sites; frontier nets take this cycle's golden value.
-  virtual void eval_cone(const std::vector<std::uint8_t>& golden) = 0;
+  virtual void eval_cone(GoldenRow golden) = 0;
   /// Latch DFFs from current values (call after eval()/eval_cone()).
   virtual void clock() = 0;
 
@@ -95,27 +97,24 @@ class BatchSim {
   /// cost one word XOR shared by the whole batch and no per-lane work. This
   /// is what keeps wide-batch classification from degenerating into
   /// width-invariant per-lane bit gathering.
-  virtual LaneMask bus_values(const PortBus& bus,
-                              const std::vector<std::uint8_t>& golden,
+  virtual LaneMask bus_values(const PortBus& bus, GoldenRow golden,
                               const LaneMask& lanes, std::uint64_t golden_value,
                               std::span<std::uint64_t> out) const = 0;
 
   /// Lanes whose value on any of `nets` differs from the golden snapshot.
   virtual LaneMask diff_lanes(std::span<const Net> nets,
-                              const std::vector<std::uint8_t>& golden) const = 0;
+                              GoldenRow golden) const = 0;
   /// diff_lanes over the set_observed() nets — cone-restricted when live
   /// (out-of-cone observed nets carry the golden value by construction).
-  virtual LaneMask diff_observed(const std::vector<std::uint8_t>& golden) const = 0;
+  virtual LaneMask diff_observed(GoldenRow golden) const = 0;
   /// Lanes whose DFF state differs from the golden snapshot (used for the
   /// all-quiet early exit of sequential replays).
-  virtual LaneMask state_diff_lanes(
-      const std::vector<std::uint8_t>& golden) const = 0;
+  virtual LaneMask state_diff_lanes(GoldenRow golden) const = 0;
 
   /// Drop a lane's fault overlay and snap its values back to the golden
   /// snapshot: from here on the lane passively tracks the fault-free machine
   /// and never diverges again. Used to retire hung faults early.
-  virtual void retire_lane(unsigned lane,
-                           const std::vector<std::uint8_t>& golden) = 0;
+  virtual void retire_lane(unsigned lane, GoldenRow golden) = 0;
 
   /// Gates word-evaluated per cycle by eval_cone() for the current batch
   /// (builds the cone if needed). Benches report the in-cone fraction as

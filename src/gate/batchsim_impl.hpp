@@ -182,9 +182,8 @@ class BatchFaultSimT final : public BatchSim {
     return cone_enabled_ && lane_mask_.any() && !use_jit_ && !skip_cone_;
   }
 
-  void load_broadcast(const std::vector<std::uint8_t>& vals) override {
-    for (std::size_t i = 0; i < vals.size(); ++i)
-      val_[i] = W::broadcast(vals[i]);
+  void load_broadcast(GoldenRow vals) override {
+    for (std::size_t i = 0; i < num_nets_; ++i) val_[i] = W::broadcast(vals[i]);
   }
 
   void set_bus(const PortBus& bus, std::uint64_t value) override {
@@ -201,7 +200,7 @@ class BatchFaultSimT final : public BatchSim {
       jit_eval();
     } else {
       run_code(active_code_.data(), active_code_.size(),
-               std::span<const Fixup>(fixups_), nullptr);
+               std::span<const Fixup>(fixups_), GoldenRow{});
     }
   }
 
@@ -209,7 +208,7 @@ class BatchFaultSimT final : public BatchSim {
   /// never fault sites (every site seeds the cone BFS) and are only ever
   /// written by whole-word broadcasts, so their lanes stay uniform — one
   /// chunk identifies the current value and most cycles skip the store.
-  void refresh_frontier(const std::vector<std::uint8_t>& golden) {
+  void refresh_frontier(GoldenRow golden) {
     for (const Net n : frontier_) {
       const auto i = static_cast<std::size_t>(n);
       const std::uint64_t want = golden[i] ? ~std::uint64_t{0} : 0;
@@ -217,7 +216,7 @@ class BatchFaultSimT final : public BatchSim {
     }
   }
 
-  void eval_cone(const std::vector<std::uint8_t>& golden) override {
+  void eval_cone(GoldenRow golden) override {
     // Only here does cone-restricted EVAL go live: clock() may skip
     // out-of-cone DFFs solely because this path never recomputes their
     // inputs. A caller that sticks to plain eval() keeps full latching even
@@ -227,7 +226,7 @@ class BatchFaultSimT final : public BatchSim {
     refresh_frontier(golden);
     apply_source_overlays();
     run_code(cone_code_.data(), cone_code_.size(),
-             std::span<const Fixup>(cone_fixups_), golden.data());
+             std::span<const Fixup>(cone_fixups_), golden);
   }
 
   void clock() override {
@@ -260,8 +259,7 @@ class BatchFaultSimT final : public BatchSim {
     return v;
   }
 
-  LaneMask bus_values(const PortBus& bus,
-                      const std::vector<std::uint8_t>& golden,
+  LaneMask bus_values(const PortBus& bus, GoldenRow golden,
                       const LaneMask& lanes, std::uint64_t golden_value,
                       std::span<std::uint64_t> out) const override {
     const W sel = W::from_mask(lanes) & lane_mask_;
@@ -280,7 +278,7 @@ class BatchFaultSimT final : public BatchSim {
   }
 
   LaneMask diff_lanes(std::span<const Net> nets,
-                      const std::vector<std::uint8_t>& golden) const override {
+                      GoldenRow golden) const override {
     W m = W::zero();
     for (const Net n : nets) {
       const auto i = static_cast<std::size_t>(n);
@@ -289,7 +287,7 @@ class BatchFaultSimT final : public BatchSim {
     return (m & lane_mask_).to_mask();
   }
 
-  LaneMask diff_observed(const std::vector<std::uint8_t>& golden) const override {
+  LaneMask diff_observed(GoldenRow golden) const override {
     // Divergence is confined to the fan-out cone no matter how values are
     // computed (forces only exist at in-cone sites), so the read restriction
     // applies whenever the sets exist — even under full-stream JIT eval.
@@ -298,8 +296,7 @@ class BatchFaultSimT final : public BatchSim {
                       golden);
   }
 
-  LaneMask state_diff_lanes(
-      const std::vector<std::uint8_t>& golden) const override {
+  LaneMask state_diff_lanes(GoldenRow golden) const override {
     W m = W::zero();
     if (cone_built_) {
       for (const std::uint32_t di : cone_dffs_) {
@@ -315,8 +312,7 @@ class BatchFaultSimT final : public BatchSim {
     return (m & lane_mask_).to_mask();
   }
 
-  void retire_lane(unsigned lane,
-                   const std::vector<std::uint8_t>& golden) override {
+  void retire_lane(unsigned lane, GoldenRow golden) override {
     const auto site = static_cast<std::size_t>(sites_[lane]);
     force0_[site].clear(lane);
     force1_[site].clear(lane);
@@ -331,9 +327,9 @@ class BatchFaultSimT final : public BatchSim {
       }
       return;
     }
-    // vreg tail slots (beyond golden.size()) need no reset: every vreg is
+    // vreg tail slots (beyond num_nets_) need no reset: every vreg is
     // written before it is read within each eval pass.
-    for (std::size_t i = 0; i < golden.size(); ++i)
+    for (std::size_t i = 0; i < num_nets_; ++i)
       val_[i] = (val_[i] & keep) | (W::broadcast(golden[i]) & bit);
   }
 
@@ -500,8 +496,9 @@ class BatchFaultSimT final : public BatchSim {
 
   // ---- direct-threaded interpreter ---------------------------------------
 
+  /// `golden` feeds the cone program's Mat ops (eval_cone only).
   void run_code(const Instr* code, std::size_t n, std::span<const Fixup> fx,
-                const std::uint8_t* golden) {
+                GoldenRow golden) {
     std::size_t start = 0;
     for (const Fixup& f : fx) {
       exec_range(code, start, f.pos + 1, golden);
@@ -512,7 +509,7 @@ class BatchFaultSimT final : public BatchSim {
   }
 
   void exec_range(const Instr* code, std::size_t i, std::size_t end,
-                  const std::uint8_t* golden) {
+                  GoldenRow golden) {
     if (i >= end) return;
     W* const v = val_.data();
 #if defined(__GNUC__) || defined(__clang__)

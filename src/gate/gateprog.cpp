@@ -560,36 +560,6 @@ GateProgram::GateProgram(const Netlist& nl,
   struct_hash = h.h;
 }
 
-std::uint8_t GateProgram::eval_scalar(const Instr& in, const std::uint8_t* v) {
-  const std::uint8_t a = v[in.a], b = v[in.b];
-  switch (static_cast<Op>(in.op)) {
-    case Op::Const0: return 0;
-    case Op::Const1: return 1;
-    case Op::Copy: return a;
-    case Op::NCopy: return !a;
-    case Op::And: return a & b;
-    case Op::Or: return a | b;
-    case Op::Nand: return !(a & b);
-    case Op::Nor: return !(a | b);
-    case Op::Xor: return a ^ b;
-    case Op::Xnor: return !(a ^ b);
-    case Op::Mux: return a ? v[in.c] : b;
-    case Op::Xor3: return a ^ b ^ v[in.c];
-    case Op::Xnor3: return !(a ^ b ^ v[in.c]);
-    case Op::Mat:
-      throw std::logic_error("Mat is a cone-program pseudo-op");
-    default: {
-      const auto bits =
-          in.op - static_cast<std::uint32_t>(Op::Fuse2_0);
-      std::uint8_t mid = (bits & 1) ? (a | b) : (a & b);
-      if (bits & 4) mid = !mid;
-      const std::uint8_t cc = v[in.c];
-      std::uint8_t r = (bits & 2) ? (mid | cc) : (mid & cc);
-      return (bits & 8) ? !r : r;
-    }
-  }
-}
-
 void expand_op(const GateProgram& gp, const Stream& st, std::uint32_t op_index,
                std::vector<Instr>& out_code, std::vector<OpMeta>& out_meta) {
   const OpMeta& m = st.meta[op_index];

@@ -6,10 +6,11 @@
 // the inner loops of the simulators, in two variants:
 //
 //   full   one Instr per compiled slot, same order, same semantics — every
-//          net written, no folding. The golden Simulator (the scalar
-//          oracle) and the GPF_FUSE=0 batch path run this stream; it is the
-//          exact reference the optimized stream must match on every
-//          materialized net.
+//          net written, no folding. The scalar Simulator (the oracle), the
+//          golden pass (UnitReplayer::compute_goldens, which needs every
+//          net's value because every net is a fault site) and the
+//          GPF_FUSE=0 batch path run this stream; it is the exact reference
+//          the optimized stream must match on every materialized net.
 //
 //   fused  the optimizer pipeline's output:
 //            1. constant folding — operands driven by Const0/Const1 nets (and
@@ -54,6 +55,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "gate/compiled.hpp"
@@ -196,11 +199,50 @@ struct GateProgram {
             (kNetInterior | kNetDead | kNetVreg)) == 0;
   }
 
-  /// Scalar (uint8) evaluation of one instruction; the golden Simulator
-  /// routes its per-gate evaluation through this so the oracle and the batch
-  /// engine execute the same program.
-  static std::uint8_t eval_scalar(const Instr& in, const std::uint8_t* v);
+  /// Evaluation of one instruction over value type V: 0/1 bytes (the scalar
+  /// Simulator) or std::uint64_t words carrying one pattern per bit (the
+  /// golden pass, UnitReplayer::compute_goldens). Both run these opcode
+  /// semantics, so the oracle, the golden pass and the batch engine execute
+  /// the same program.
+  template <class V>
+  static V eval(const Instr& in, const V* v);
 };
+
+template <class V>
+V GateProgram::eval(const Instr& in, const V* v) {
+  static_assert(std::is_same_v<V, std::uint8_t> ||
+                    std::is_same_v<V, std::uint64_t>,
+                "0/1 bytes or 64-pattern words");
+  // All-true value: 1 for a 0/1 byte, every bit for a pattern word; x ^ one
+  // is NOT in both.
+  constexpr V one = std::is_same_v<V, std::uint8_t> ? V{1} : static_cast<V>(~V{0});
+  const V a = v[in.a], b = v[in.b];
+  switch (static_cast<Op>(in.op)) {
+    case Op::Const0: return 0;
+    case Op::Const1: return one;
+    case Op::Copy: return a;
+    case Op::NCopy: return a ^ one;
+    case Op::And: return a & b;
+    case Op::Or: return a | b;
+    case Op::Nand: return (a & b) ^ one;
+    case Op::Nor: return (a | b) ^ one;
+    case Op::Xor: return a ^ b;
+    case Op::Xnor: return a ^ b ^ one;
+    case Op::Mux: return (a & v[in.c]) | ((a ^ one) & b);
+    case Op::Xor3: return a ^ b ^ v[in.c];
+    case Op::Xnor3: return a ^ b ^ v[in.c] ^ one;
+    case Op::Mat:
+      throw std::logic_error("Mat is a cone-program pseudo-op");
+    default: {
+      const auto bits = in.op - static_cast<std::uint32_t>(Op::Fuse2_0);
+      V mid = (bits & 1) ? (a | b) : (a & b);
+      if (bits & 4) mid ^= one;
+      const V cc = v[in.c];
+      const V r = (bits & 2) ? (mid | cc) : (mid & cc);
+      return (bits & 8) ? r ^ one : r;
+    }
+  }
+}
 
 /// Appends `in` re-expanded into its covered original slots (operands
 /// remapped through `st.storage_of`) — the per-batch patch used when a fault

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -9,6 +10,7 @@
 #include "gate/batchsim.hpp"
 #include "gate/collapse.hpp"
 #include "gate/compiled.hpp"
+#include "gate/gateprog.hpp"
 #include "isa/encoding.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -370,38 +372,253 @@ void UnitReplayer::drive_inputs(Sim& sim, const UnitTraces& t,
   }
 }
 
-UnitReplayer::GoldenTrace UnitReplayer::compute_golden(const UnitTraces& t) const {
-  GoldenTrace g;
-  const std::size_t n = num_cycles(t);
-  g.vals.reserve(n);
-  Simulator sim(*nl_);
-  sim.reset();
-  for (std::size_t c = 0; c < n; ++c) {
-    drive_inputs(sim, t, c);
-    sim.eval();
-    g.vals.push_back(sim.values());
-    if (kind_ != UnitKind::Decoder) sim.clock();
-    if (kind_ == UnitKind::Decoder) sim.reset();
+namespace {
+
+/// Lane-to-row transpose of one 64-net block for lanes [0, P), P a power of
+/// two: a[j] holds net j of the block in every lane (bit k = lane k), and
+/// out[k] receives lane k's values of the 64 nets (bit j = net j). Bits
+/// [0, P) of the 64 words are packed into P words first (64 / P groups of P
+/// bits), then every P x P sub-block is transposed in place by log2(P)
+/// rounds of masked swaps (Hacker's Delight, sec. 7-3), so the cost follows
+/// the live lanes rather than the word width.
+template <unsigned P>
+void lanes_to_rows(const std::uint64_t* a, std::uint64_t* out) {
+  constexpr std::uint64_t low =
+      P == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << P) - 1;
+  std::uint64_t m[P];
+  for (unsigned r = 0; r < P; ++r) {
+    std::uint64_t w = 0;
+    for (unsigned g = 0; g < 64 / P; ++g) w |= (a[g * P + r] & low) << (g * P);
+    m[r] = w;  // bit g*P + k = lane k of net g*P + r
   }
-  g.windows.resize(nl_->num_nets());
-  for (std::uint32_t c = 0; c < n; ++c) {
-    const std::vector<std::uint8_t>& vals = g.vals[c];
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      GoldenTrace::Window& w = g.windows[i];
-      if (vals[i]) {
-        if (w.first1 == GoldenTrace::kNoCycle) w.first1 = c;
-        w.last1 = c;
-      } else {
-        if (w.first0 == GoldenTrace::kNoCycle) w.first0 = c;
-        w.last0 = c;
+  for (unsigned s = P / 2; s > 0; s /= 2) {
+    // Swap bit c + s of row r with bit c of row r + s, for every r and c
+    // with bit s clear: the off-diagonal s x s blocks of each 2s x 2s block.
+    const std::uint64_t mask = ~std::uint64_t{0} / ((std::uint64_t{1} << s) + 1);
+    for (unsigned r = 0; r < P; ++r) {
+      if (r & s) continue;
+      const std::uint64_t t = ((m[r] >> s) ^ m[r + s]) & mask;
+      m[r] ^= t << s;
+      m[r + s] ^= t;
+    }
+  }
+  for (unsigned k = 0; k < P; ++k) out[k] = m[k];  // bit j = lane k of net j
+}
+
+using RowPack = void (*)(const std::uint64_t*, std::uint64_t*);
+constexpr RowPack kRowPack[] = {lanes_to_rows<1>,  lanes_to_rows<2>,
+                                lanes_to_rows<4>,  lanes_to_rows<8>,
+                                lanes_to_rows<16>, lanes_to_rows<32>,
+                                lanes_to_rows<64>};
+
+/// Net values of the golden pass: one word per net whose bit k is the value
+/// under pattern k, padded to whole 64-net blocks so the row pack can read
+/// any block in full.
+class PatternWords {
+ public:
+  explicit PatternWords(const Netlist& nl)
+      : nl_(nl),
+        blocks_((nl.num_nets() + 63) / 64),
+        v_(blocks_ * 64, 0),
+        next_(nl.compiled().dff_out.size(), 0) {}
+
+  void reset() { std::fill(v_.begin(), v_.end(), 0); }
+
+  /// One lane of the words, driven by UnitReplayer::drive_inputs the way it
+  /// drives a Simulator.
+  struct Lane {
+    PatternWords& w;
+    unsigned k;
+    void set_bus(const PortBus& bus, std::uint64_t value) {
+      for (std::size_t i = 0; i < bus.nets.size(); ++i) {
+        std::uint64_t& x = w.v_[static_cast<std::size_t>(bus.nets[i])];
+        x = (x & ~(std::uint64_t{1} << k)) | (((value >> i) & 1) << k);
       }
     }
+  };
+  Lane lane(unsigned k) { return {*this, k}; }
+
+  /// Simulator::eval over 64 patterns: constants, then the full stream.
+  void eval() {
+    for (const auto& [n, c] : nl_.constants())
+      v_[static_cast<std::size_t>(n)] = c ? ~std::uint64_t{0} : 0;
+    std::uint64_t* const v = v_.data();
+    for (const Instr& in : nl_.program().full.code)
+      v[in.out] = GateProgram::eval(in, v);
+  }
+
+  /// Simulator::clock over 64 patterns: sample every D input, then commit.
+  void clock() {
+    const CompiledNetlist& cn = nl_.compiled();
+    for (std::size_t i = 0; i < cn.dff_out.size(); ++i) {
+      const std::uint64_t cur = v_[static_cast<std::size_t>(cn.dff_out[i])];
+      const std::uint64_t en =
+          cn.dff_en[i] == kNoNet ? ~std::uint64_t{0}
+                                 : v_[static_cast<std::size_t>(cn.dff_en[i])];
+      const std::uint64_t d =
+          cn.dff_d[i] == kNoNet ? cur : v_[static_cast<std::size_t>(cn.dff_d[i])];
+      next_[i] = (en & d) | (~en & cur);
+    }
+    for (std::size_t i = 0; i < cn.dff_out.size(); ++i)
+      v_[static_cast<std::size_t>(cn.dff_out[i])] = next_[i];
+  }
+
+  /// Writes lanes [0, rows.size()) as packed rows: rows[k] receives lane k.
+  void store(std::span<std::uint64_t* const> rows) const {
+    if (rows.empty()) return;
+    const RowPack pack = kRowPack[std::bit_width(std::bit_ceil(rows.size())) - 1];
+    std::uint64_t lane_words[64] = {};
+    for (std::size_t b = 0; b < blocks_; ++b) {
+      pack(v_.data() + 64 * b, lane_words);
+      for (std::size_t k = 0; k < rows.size(); ++k) rows[k][b] = lane_words[k];
+    }
+  }
+
+ private:
+  const Netlist& nl_;
+  std::size_t blocks_;
+  std::vector<std::uint64_t> v_;
+  std::vector<std::uint64_t> next_;
+};
+
+/// Activation windows from packed rows, 64 nets per word operation: the
+/// first cycle (forward pass) and the last cycle (backward pass) on which
+/// each net carries each value. Only the bits of newly seen nets are
+/// visited, so the scalar work is O(nets).
+void derive_windows(UnitReplayer::GoldenTrace& g, std::size_t nets) {
+  using Window = UnitReplayer::GoldenTrace::Window;
+  g.windows.assign(nets, Window{});
+  const std::size_t rw = g.row_words;
+  std::vector<std::uint64_t> valid(rw, ~std::uint64_t{0});
+  if (nets % 64) valid[rw - 1] = (std::uint64_t{1} << (nets % 64)) - 1;
+  std::vector<std::uint64_t> seen0(rw, 0), seen1(rw, 0);
+  const auto scan = [&](std::size_t c, std::uint32_t Window::*at0,
+                        std::uint32_t Window::*at1) {
+    const std::uint64_t* row = g.bits.data() + c * rw;
+    for (std::size_t b = 0; b < rw; ++b) {
+      const std::uint64_t w = row[b];
+      for (std::uint64_t f = w & ~seen1[b] & valid[b]; f; f &= f - 1)
+        g.windows[b * 64 + std::countr_zero(f)].*at1 = static_cast<std::uint32_t>(c);
+      for (std::uint64_t f = ~w & ~seen0[b] & valid[b]; f; f &= f - 1)
+        g.windows[b * 64 + std::countr_zero(f)].*at0 = static_cast<std::uint32_t>(c);
+      seen1[b] |= w;
+      seen0[b] |= ~w;
+    }
+  };
+  for (std::size_t c = 0; c < g.cycles; ++c)
+    scan(c, &Window::first0, &Window::first1);
+  std::fill(seen0.begin(), seen0.end(), 0);
+  std::fill(seen1.begin(), seen1.end(), 0);
+  for (std::size_t c = g.cycles; c-- > 0;)
+    scan(c, &Window::last0, &Window::last1);
+}
+
+}  // namespace
+
+std::vector<UnitReplayer::GoldenTrace> UnitReplayer::compute_goldens(
+    std::span<const UnitTraces> traces) const {
+  obs::TraceSpan span("gate", "golden");
+  static obs::Histogram& golden_us = obs::histogram("gate.golden_us");
+  obs::ScopedTimerUs timer(golden_us);
+
+  const std::size_t nets = nl_->num_nets();
+  std::vector<GoldenTrace> out(traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    GoldenTrace& g = out[i];
+    g.cycles = num_cycles(traces[i]);
+    g.row_words = (nets + 63) / 64;
+    g.bits.assign(g.cycles * g.row_words, 0);
+  }
+  const auto row = [&](std::size_t ti, std::size_t c) {
+    return out[ti].bits.data() + c * out[ti].row_words;
+  };
+
+  PatternWords words(*nl_);
+  std::array<std::uint64_t*, 64> rows{};
+  if (kind_ == UnitKind::Decoder) {
+    // Combinational, reset per pattern: any 64 (trace, pattern) pairs share
+    // one evaluation.
+    std::vector<std::pair<std::size_t, std::size_t>> pairs;
+    for (std::size_t ti = 0; ti < traces.size(); ++ti)
+      for (std::size_t c = 0; c < out[ti].cycles; ++c) pairs.emplace_back(ti, c);
+    for (std::size_t lo = 0; lo < pairs.size(); lo += 64) {
+      const std::size_t n = std::min<std::size_t>(64, pairs.size() - lo);
+      words.reset();
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto [ti, c] = pairs[lo + k];
+        auto lane = words.lane(static_cast<unsigned>(k));
+        drive_inputs(lane, traces[ti], c);
+        rows[k] = row(ti, c);
+      }
+      words.eval();
+      words.store(std::span(rows.data(), n));
+    }
+  } else {
+    // Sequential: trace k steps in lane k. Lanes are assigned longest trace
+    // first, so the lanes still recording on a cycle are always a prefix and
+    // the row pack transposes only those.
+    std::vector<std::size_t> order(traces.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+      return out[x].cycles > out[y].cycles;
+    });
+    for (std::size_t lo = 0; lo < order.size(); lo += 64) {
+      const std::size_t n = std::min<std::size_t>(64, order.size() - lo);
+      const std::span<const std::size_t> group(order.data() + lo, n);
+      words.reset();
+      std::size_t live = n;
+      for (std::size_t c = 0; c < out[group[0]].cycles; ++c) {
+        while (out[group[live - 1]].cycles <= c) --live;
+        for (std::size_t k = 0; k < live; ++k) {
+          auto lane = words.lane(static_cast<unsigned>(k));
+          drive_inputs(lane, traces[group[k]], c);
+          rows[k] = row(group[k], c);
+        }
+        words.eval();
+        words.store(std::span(rows.data(), live));
+        words.clock();
+      }
+    }
+  }
+  for (GoldenTrace& g : out) derive_windows(g, nets);
+  return out;
+}
+
+UnitReplayer::GoldenTrace UnitReplayer::golden_oracle(const UnitTraces& t) const {
+  const std::size_t nets = nl_->num_nets();
+  GoldenTrace g;
+  g.cycles = num_cycles(t);
+  g.row_words = (nets + 63) / 64;
+  g.bits.assign(g.cycles * g.row_words, 0);
+  g.windows.assign(nets, GoldenTrace::Window{});
+  Simulator sim(*nl_);
+  sim.reset();
+  for (std::size_t c = 0; c < g.cycles; ++c) {
+    drive_inputs(sim, t, c);
+    sim.eval();
+    const std::vector<std::uint8_t>& vals = sim.values();
+    std::uint64_t* row = g.bits.data() + c * g.row_words;
+    const auto cyc = static_cast<std::uint32_t>(c);
+    for (std::size_t i = 0; i < nets; ++i) {
+      GoldenTrace::Window& w = g.windows[i];
+      if (vals[i]) {
+        row[i >> 6] |= std::uint64_t{1} << (i & 63);
+        if (w.first1 == GoldenTrace::kNoCycle) w.first1 = cyc;
+        w.last1 = cyc;
+      } else {
+        if (w.first0 == GoldenTrace::kNoCycle) w.first0 = cyc;
+        w.last0 = cyc;
+      }
+    }
+    if (kind_ == UnitKind::Decoder)
+      sim.reset();
+    else
+      sim.clock();
   }
   return g;
 }
 
-std::uint64_t UnitReplayer::golden_bus(const std::vector<std::uint8_t>& vals,
-                                       const PortBus& bus) const {
+std::uint64_t UnitReplayer::golden_bus(GoldenRow vals, const PortBus& bus) const {
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < bus.nets.size(); ++i)
     if (vals[static_cast<std::size_t>(bus.nets[i])]) v |= std::uint64_t{1} << i;
@@ -437,8 +654,7 @@ std::uint64_t word_from_decoder_fields(std::uint64_t opcode, std::uint64_t guard
 }  // namespace
 
 void UnitReplayer::compare_outputs(const UnitTraces& t, std::size_t c,
-                                   const std::vector<std::uint8_t>& gv,
-                                   const BusReader& fbus,
+                                   GoldenRow gv, const BusReader& fbus,
                                    FaultCharacterization& out) const {
   const Ports& p = *ports_;
   switch (kind_) {
@@ -557,8 +773,7 @@ void UnitReplayer::compare_outputs(const UnitTraces& t, std::size_t c,
 }
 
 void UnitReplayer::classify_batch(BatchSim& sim, const UnitTraces& t,
-                                  std::size_t c,
-                                  const std::vector<std::uint8_t>& gv,
+                                  std::size_t c, GoldenRow gv,
                                   const LaneMask& diff, LaneMask& live,
                                   std::span<FaultCharacterization> out) const {
   const Ports& p = *ports_;
@@ -755,13 +970,13 @@ void UnitReplayer::run_fault(const StuckFault& fault, const UnitTraces& t,
     // Combinational: each pattern is independent; skip non-activating ones.
     Simulator sim(*nl_);
     for (std::size_t c = 0; c < n; ++c) {
-      if (g.vals[c][site] == stuck) continue;  // not activated by this pattern
+      if (g.row(c)[site] == stuck) continue;  // not activated by this pattern
       out.activated = true;
       sim.reset();
       sim.set_fault(fault);
       drive_inputs(sim, t, c);
       sim.eval();
-      compare_outputs(t, c, g.vals[c],
+      compare_outputs(t, c, g.row(c),
                       [&](const PortBus& b) { return sim.bus_value(b); }, out);
       if (out.hang) return;  // hang retire: no further patterns are decoded
     }
@@ -776,13 +991,13 @@ void UnitReplayer::run_fault(const StuckFault& fault, const UnitTraces& t,
   out.activated = true;
 
   Simulator sim(*nl_);
-  sim.load_values(g.vals[first]);
+  sim.load_values(g.row(first));
   sim.set_fault(fault);
   for (std::size_t c = first; c < n; ++c) {
     drive_inputs(sim, t, c);
     sim.eval();
     if (cycle_is_issue(t, c)) {
-      compare_outputs(t, c, g.vals[c],
+      compare_outputs(t, c, g.row(c),
                       [&](const PortBus& b) { return sim.bus_value(b); }, out);
       if (out.hang) return;  // hang retire
     }
@@ -812,7 +1027,7 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
   LaneMask live;
   for (std::size_t k = 0; k < lanes; ++k) {
     if (out[k].hang)
-      sim.retire_lane(static_cast<unsigned>(k), g.vals[0]);
+      sim.retire_lane(static_cast<unsigned>(k), g.row(0));
     else
       live.set(static_cast<unsigned>(k));
   }
@@ -837,7 +1052,7 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
   const auto classify_diverged = [&](const LaneMask& diff, std::size_t c) {
     if (!diff.any()) return;
     classify_lanes.add(diff.count());
-    classify_batch(sim, t, c, g.vals[c], diff, live, out);
+    classify_batch(sim, t, c, g.row(c), diff, live, out);
   };
 
   if (kind_ == UnitKind::Decoder) {
@@ -845,7 +1060,7 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
     for (std::size_t c = 0; c < n && live.any(); ++c) {
       LaneMask act;  // lanes activated by this pattern
       for_each_lane(live, [&](unsigned k) {
-        if (g.vals[c][site(k)] != stuck(k)) {
+        if (g.row(c)[site(k)] != stuck(k)) {
           act.set(k);
           out[k].activated = true;
         }
@@ -853,11 +1068,11 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
       if (!act.any()) continue;
       drive_inputs(sim, t, c);
       if (cone)
-        sim.eval_cone(g.vals[c]);
+        sim.eval_cone(g.row(c));
       else
         sim.eval();
       lane_cycles.add(lanes);
-      classify_diverged(sim.diff_observed(g.vals[c]) & act, c);
+      classify_diverged(sim.diff_observed(g.row(c)) & act, c);
     }
     return;
   }
@@ -877,22 +1092,22 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
   });
   if (first_any == n) return;  // no live lane ever activates
 
-  sim.load_broadcast(g.vals[first_any]);
+  sim.load_broadcast(g.row(first_any));
   for (std::size_t c = first_any; c < n; ++c) {
     drive_inputs(sim, t, c);
     if (cone)
-      sim.eval_cone(g.vals[c]);
+      sim.eval_cone(g.row(c));
     else
       sim.eval();
     lane_cycles.add(lanes);
     if (cycle_is_issue(t, c))
-      classify_diverged(sim.diff_observed(g.vals[c]), c);
+      classify_diverged(sim.diff_observed(g.row(c)), c);
     if (!live.any()) break;
     if (c + 1 < n) {
       sim.clock();
       // All-quiet early exit: past the last activating cycle, lanes whose
       // DFF state matches the golden machine can never diverge again.
-      if (c >= last_any && !sim.state_diff_lanes(g.vals[c + 1]).any()) break;
+      if (c >= last_any && !sim.state_diff_lanes(g.row(c + 1)).any()) break;
     }
   }
 }
@@ -965,13 +1180,10 @@ std::vector<StuckFault> sampled_fault_list(const Netlist& nl, UnitKind unit,
 }
 
 void ActivationSummary::add(const UnitReplayer::GoldenTrace& g) {
-  for (const std::vector<std::uint8_t>& vals : g.vals) {
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      if (vals[i])
-        ever1[i] = 1;
-      else
-        ever0[i] = 1;
-    }
+  using GT = UnitReplayer::GoldenTrace;
+  for (std::size_t i = 0; i < g.windows.size(); ++i) {
+    ever0[i] |= g.windows[i].first0 != GT::kNoCycle;
+    ever1[i] |= g.windows[i].first1 != GT::kNoCycle;
   }
 }
 
@@ -1029,10 +1241,8 @@ UnitCampaignResult run_unit_campaign(UnitKind unit, std::span<const UnitTraces> 
   std::vector<FaultCharacterization> sim_out(sim_faults.size());
   for (std::size_t j = 0; j < sim_faults.size(); ++j)
     sim_out[j].fault = sim_faults[j];
-  std::vector<UnitReplayer::GoldenTrace> goldens;
-  goldens.reserve(traces.size());
-  for (const UnitTraces& t : traces)
-    goldens.push_back(replayer.compute_golden(t));
+  const std::vector<UnitReplayer::GoldenTrace> goldens =
+      replayer.compute_goldens(traces);
   replay_faults(replayer, engine, sim_faults, traces, goldens, sim_out, pool);
 
   if (collapse) {

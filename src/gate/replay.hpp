@@ -91,8 +91,9 @@ class UnitReplayer {
   UnitKind kind() const { return kind_; }
   const Netlist& netlist() const { return *nl_; }
 
-  /// Per-trace golden precomputation: full net values for every cycle, plus
-  /// per-net activation windows shared by every fault on that net.
+  /// Per-trace golden precomputation: every net's fault-free value on every
+  /// cycle, bit-packed, plus per-net activation windows shared by every
+  /// fault on that net.
   struct GoldenTrace {
     static constexpr std::uint32_t kNoCycle = 0xffffffffu;
     /// First/last cycle a net carries each value (kNoCycle when it never
@@ -102,11 +103,33 @@ class UnitReplayer {
     struct Window {
       std::uint32_t first0 = kNoCycle, last0 = 0;
       std::uint32_t first1 = kNoCycle, last1 = 0;
+      friend bool operator==(const Window&, const Window&) = default;
     };
-    std::vector<std::vector<std::uint8_t>> vals;  ///< [cycle][net]
-    std::vector<Window> windows;                  ///< [net]
+    std::size_t cycles = 0;     ///< rows (decoder: patterns)
+    std::size_t row_words = 0;  ///< words per row: ceil(num_nets / 64)
+    /// One row per cycle, row_words words each: bit n % 64 of word
+    /// [cycle * row_words + n / 64] is net n's value on that cycle.
+    std::vector<std::uint64_t> bits;
+    std::vector<Window> windows;  ///< [net]
+
+    GoldenRow row(std::size_t cycle) const {
+      return {bits.data() + cycle * row_words};
+    }
   };
-  GoldenTrace compute_golden(const UnitTraces& t) const;
+  /// The production golden pass: every trace of `traces` in one run of the
+  /// full gate-program stream over 64-pattern words (one pattern per bit,
+  /// GateProgram::eval<std::uint64_t>). Sequential units put trace k in
+  /// lane k and step to the longest trace; the combinational decoder packs
+  /// (trace, pattern) pairs 64 to a word. More than 64 traces or patterns
+  /// take further passes. Result [i] belongs to traces[i] and equals
+  /// golden_oracle(traces[i]) bit for bit.
+  std::vector<GoldenTrace> compute_goldens(
+      std::span<const UnitTraces> traces) const;
+  /// The golden oracle: steps the scalar Simulator through one trace, cycle
+  /// by cycle, and derives the windows from a scalar scan. Tests and
+  /// bench_gate_batch check compute_goldens against it; campaign code never
+  /// calls it.
+  GoldenTrace golden_oracle(const UnitTraces& t) const;
 
   /// The oracle: evaluate one fault against one trace by resimulating the
   /// full netlist per (fault, cycle) with the scalar Simulator, accumulating
@@ -137,8 +160,8 @@ class UnitReplayer {
   bool cycle_is_issue(const UnitTraces& t, std::size_t cycle) const;
   using BusReader = std::function<std::uint64_t(const PortBus&)>;
   void compare_outputs(const UnitTraces& t, std::size_t cycle,
-                       const std::vector<std::uint8_t>& golden_vals,
-                       const BusReader& faulty, FaultCharacterization& out) const;
+                       GoldenRow golden_vals, const BusReader& faulty,
+                       FaultCharacterization& out) const;
   /// Bit-parallel counterpart of compare_outputs for run_fault_batch: the
   /// engine supplies per-output-bus diff masks word-wide (they scale with
   /// the SIMD width), simple bus diffs map one-to-one onto error-model
@@ -147,12 +170,11 @@ class UnitReplayer {
   /// compare_outputs' result for every lane of `diff`; lanes it hangs are
   /// retired in `sim` and cleared from `live`.
   void classify_batch(BatchSim& sim, const UnitTraces& t, std::size_t cycle,
-                      const std::vector<std::uint8_t>& golden_vals,
-                      const LaneMask& diff, LaneMask& live,
+                      GoldenRow golden_vals, const LaneMask& diff,
+                      LaneMask& live,
                       std::span<FaultCharacterization> out) const;
 
-  std::uint64_t golden_bus(const std::vector<std::uint8_t>& vals,
-                           const PortBus& bus) const;
+  std::uint64_t golden_bus(GoldenRow vals, const PortBus& bus) const;
 
   UnitKind kind_;
   std::unique_ptr<Netlist> nl_;
@@ -197,6 +219,7 @@ std::vector<StuckFault> sampled_fault_list(const Netlist& nl, UnitKind unit,
 struct ActivationSummary {
   explicit ActivationSummary(std::size_t num_nets)
       : ever0(num_nets, 0), ever1(num_nets, 0) {}
+  /// Reads the trace's windows: O(nets), independent of its length.
   void add(const UnitReplayer::GoldenTrace& g);
   bool activated(const StuckFault& f) const {
     const auto i = static_cast<std::size_t>(f.net);

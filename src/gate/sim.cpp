@@ -14,6 +14,10 @@ Simulator::Simulator(const Netlist& nl)
 
 void Simulator::reset() { std::fill(val_.begin(), val_.end(), 0); }
 
+void Simulator::load_values(GoldenRow row) {
+  for (std::size_t i = 0; i < val_.size(); ++i) val_[i] = row[i];
+}
+
 void Simulator::set_bus(const PortBus& bus, std::uint64_t value) {
   for (std::size_t i = 0; i < bus.nets.size(); ++i)
     val_[static_cast<std::size_t>(bus.nets[i])] = (value >> i) & 1;
@@ -41,12 +45,12 @@ void Simulator::eval() {
   apply_fault_at_sources();
 
   // Run the shared gate program's full (1:1) stream: every engine executes
-  // the same lowered instructions, so scalar, event and batch results agree
-  // by construction.
+  // the same lowered instructions, so scalar, golden-pass and batch results
+  // agree by construction.
   const Stream& st = nl_.program().full;
   for (std::size_t s = 0; s < st.code.size(); ++s) {
     const Instr& in = st.code[s];
-    std::uint8_t v = GateProgram::eval_scalar(in, val_.data());
+    std::uint8_t v = GateProgram::eval(in, val_.data());
     const Net n = st.meta[s].out_net;
     if (n == fault_.net) {
       golden_at_fault_ = v;

@@ -13,6 +13,13 @@ struct StuckFault {
   bool stuck_high = false;
 };
 
+/// One cycle of a bit-packed golden trace (UnitReplayer::GoldenTrace): the
+/// fault-free value of net n is bit n % 64 of words[n / 64].
+struct GoldenRow {
+  const std::uint64_t* words = nullptr;
+  bool operator[](std::size_t n) const { return (words[n >> 6] >> (n & 63)) & 1; }
+};
+
 class Simulator {
  public:
   explicit Simulator(const Netlist& nl);
@@ -39,7 +46,7 @@ class Simulator {
   /// Full net-value snapshot / restore (used by the replay campaign to start
   /// faulty simulation at the fault's first activation cycle).
   const std::vector<std::uint8_t>& values() const { return val_; }
-  void load_values(const std::vector<std::uint8_t>& v) { val_ = v; }
+  void load_values(GoldenRow row);
 
   /// Fault-free value the faulty net would carry — used for activation
   /// tracking (a fault is "activated" only when the golden value differs from

@@ -18,6 +18,7 @@ namespace gpf::net {
 UnitFn make_unit_fn(const store::CampaignMeta& meta) {
   switch (meta.kind) {
     case store::CampaignKind::Gate: {
+      report::gate_campaign_unit(meta);  // refuse a bad header before profiling
       auto traces = std::make_shared<std::vector<gate::UnitTraces>>(
           report::collect_profiling_traces(meta.param1));
       auto runner = std::make_shared<report::GateUnitRunner>(*traces, meta);

@@ -173,6 +173,13 @@ EprUnitRunner::EprUnitRunner(const workloads::Workload& w,
              0x9E3779B9u)) {
   if (meta.kind != store::CampaignKind::Perfi)
     throw std::runtime_error("epr campaign: meta is not a perfi campaign");
+  // The model byte comes from a .gpfs file or a LeaseGrant: check, not cast.
+  if (meta.model >= static_cast<std::uint8_t>(ErrorModel::COUNT))
+    throw std::runtime_error("epr campaign: unknown error-model byte " +
+                             std::to_string(meta.model) +
+                             " in campaign header (expected 0-" +
+                             std::to_string(errmodel::kNumErrorModels - 1) +
+                             ")");
   if (meta.app != w.name())
     throw std::runtime_error("epr campaign: store belongs to app '" + meta.app +
                              "', not '" + std::string(w.name()) + "'");

@@ -100,24 +100,34 @@ EngineKind gate_campaign_engine(const store::CampaignMeta& meta) {
                            "2 = batch or 255 = mixed)");
 }
 
+gate::UnitKind gate_campaign_unit(const store::CampaignMeta& meta) {
+  if (meta.kind != store::CampaignKind::Gate)
+    throw std::runtime_error("gate campaign: meta is not a gate campaign");
+  switch (meta.target) {
+    case static_cast<std::uint8_t>(gate::UnitKind::Decoder):
+    case static_cast<std::uint8_t>(gate::UnitKind::Fetch):
+    case static_cast<std::uint8_t>(gate::UnitKind::WSC):
+      return static_cast<gate::UnitKind>(meta.target);
+  }
+  throw std::runtime_error("gate campaign: unknown unit byte " +
+                           std::to_string(meta.target) +
+                           " in campaign header (expected 0 = decoder, "
+                           "1 = fetch or 2 = WSC)");
+}
+
 GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
                                const store::CampaignMeta& meta)
     : traces_(traces),
       engine_(gate_campaign_engine(meta)),
-      replayer_(static_cast<gate::UnitKind>(meta.target)) {
-  if (meta.kind != store::CampaignKind::Gate)
-    throw std::runtime_error("gate campaign: meta is not a gate campaign");
-  faults_ = gate::sampled_fault_list(replayer_.netlist(),
-                                     static_cast<gate::UnitKind>(meta.target),
+      replayer_(gate_campaign_unit(meta)) {
+  faults_ = gate::sampled_fault_list(replayer_.netlist(), replayer_.kind(),
                                      meta.param0, meta.seed);
   if (faults_.size() != meta.total)
     throw std::runtime_error(
         "gate campaign: store fault-id space does not match the netlist "
         "(store built against different code?)");
   full_fault_list_size_ = gate::full_fault_list(replayer_.netlist()).size();
-  goldens_.reserve(traces.size());
-  for (const gate::UnitTraces& t : traces)
-    goldens_.push_back(replayer_.compute_golden(t));
+  goldens_ = replayer_.compute_goldens(traces);
 
   collapse_ = collapse_enabled();
   rep_count_ = faults_.size();
@@ -138,13 +148,16 @@ GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
   static obs::Counter& reps = obs::counter("gate.collapse_reps");
   members.add(faults_.size());
   reps.add(rep_count_);
+  static obs::Histogram& setup_us = obs::histogram("gate.runner_setup_us");
+  setup_us.record(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - setup_start_)
+          .count()));
 }
 
 std::size_t gate_campaign_representatives(const store::CampaignMeta& meta) {
-  if (meta.kind != store::CampaignKind::Gate)
-    throw std::runtime_error("gate campaign: meta is not a gate campaign");
+  const gate::UnitKind unit = gate_campaign_unit(meta);
   if (!collapse_enabled()) return meta.total;
-  const auto unit = static_cast<gate::UnitKind>(meta.target);
   gate::UnitReplayer replayer(unit);
   const std::vector<gate::StuckFault> faults =
       gate::sampled_fault_list(replayer.netlist(), unit, meta.param0, meta.seed);
@@ -212,9 +225,8 @@ gate::UnitCampaignResult run_unit_campaign_store(
   const store::CampaignMeta& meta = ckpt.meta();
   if (meta.kind != store::CampaignKind::Gate)
     throw std::runtime_error("gate campaign: store is not a gate store");
-  obs::TraceSpan unit_span(
-      "gate", std::string("unit ") +
-                  gate::unit_name(static_cast<gate::UnitKind>(meta.target)));
+  const gate::UnitKind unit = gate_campaign_unit(meta);
+  obs::TraceSpan unit_span("gate", std::string("unit ") + gate::unit_name(unit));
   const GateUnitRunner runner(traces, meta);
 
   // This shard's slice of the fault-id space, in id order.
@@ -223,7 +235,7 @@ gate::UnitCampaignResult run_unit_campaign_store(
     if (meta.owns(id)) owned.push_back(id);
 
   gate::UnitCampaignResult result;
-  result.unit = static_cast<gate::UnitKind>(meta.target);
+  result.unit = unit;
   result.full_fault_list_size = runner.full_fault_list_size();
   result.faults.resize(owned.size());
   for (std::size_t k = 0; k < owned.size(); ++k)

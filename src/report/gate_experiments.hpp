@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -51,6 +52,13 @@ store::CampaignMeta gate_campaign_meta(gate::UnitKind unit,
 /// removed event engine — throws std::runtime_error naming the byte.
 EngineKind gate_campaign_engine(const store::CampaignMeta& meta);
 
+/// The unit a gate campaign with this header targets. The target byte comes
+/// from a .gpfs header or a LeaseGrant, so it is checked, not cast: any byte
+/// but 0 (decoder), 1 (fetch) or 2 (WSC) throws std::runtime_error naming
+/// the byte. Every gate entry point that reads a header decodes the unit
+/// through this.
+gate::UnitKind gate_campaign_unit(const store::CampaignMeta& meta);
+
 /// Durable variant of run_unit_campaign: every retired fault is appended to
 /// `ckpt` as it completes, faults already in the store are restored instead
 /// of re-simulated (resume), and only fault ids owned by the checkpoint's
@@ -81,7 +89,8 @@ std::size_t gate_campaign_representatives(const store::CampaignMeta& meta);
 /// invariant. With GPF_COLLAPSE on, each run() groups its ids by structural
 /// equivalence class, simulates one representative per class, and expands
 /// the record onto every member id — the emitted records are bit-identical
-/// to an uncollapsed run, so the invariant survives collapsing.
+/// to an uncollapsed run, so the invariant survives collapsing. Each
+/// construction records its duration in the gate.runner_setup_us histogram.
 class GateUnitRunner {
  public:
   using Emit =
@@ -108,6 +117,10 @@ class GateUnitRunner {
            const std::function<bool()>& stop = {}) const;
 
  private:
+  /// Construction start, declared first so the gate.runner_setup_us sample
+  /// covers every member initializer (the unit netlist build included).
+  std::chrono::steady_clock::time_point setup_start_ =
+      std::chrono::steady_clock::now();
   const std::vector<gate::UnitTraces>& traces_;
   EngineKind engine_;
   gate::UnitReplayer replayer_;

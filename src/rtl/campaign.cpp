@@ -399,6 +399,17 @@ TmxmUnitRunner::TmxmUnitRunner(const store::CampaignMeta& meta)
              << 16)) {
   if (meta.kind != store::CampaignKind::Rtl)
     throw std::runtime_error("tmxm campaign: meta is not an rtl campaign");
+  // Header bytes come from a .gpfs file or a LeaseGrant: check, not cast.
+  if (meta.target > static_cast<std::uint8_t>(workloads::TileType::Random))
+    throw std::runtime_error("tmxm campaign: unknown tile byte " +
+                             std::to_string(meta.target) +
+                             " in campaign header (expected 0 = max, "
+                             "1 = zero or 2 = random)");
+  if (meta.param0 > static_cast<std::uint64_t>(Site::Scheduler))
+    throw std::runtime_error("tmxm campaign: unknown site " +
+                             std::to_string(meta.param0) +
+                             " in campaign header (expected 0 = fu lane, "
+                             "1 = sfu, 2 = pipeline or 3 = scheduler)");
 }
 
 Injector& TmxmUnitRunner::injector_for(std::uint64_t draw) {

@@ -108,7 +108,7 @@ TEST_P(BatchSimEquivalence, CampaignMatchesBruteOracleAtEveryWidth) {
 TEST_P(BatchSimEquivalence, RaggedBatchMatchesRunFault) {
   const UnitTraces t = trace_of("p_tiled_mxm");
   UnitReplayer replayer(GetParam());
-  const auto golden = replayer.compute_golden(t);
+  const auto golden = replayer.compute_goldens({&t, 1})[0];
 
   std::vector<StuckFault> all = full_fault_list(replayer.netlist());
   Rng rng(99);

@@ -556,13 +556,13 @@ TEST(Replay, GoldenFetchMatchesFunctionalPcs) {
   const UnitTraces t = prof.take("tiny");
 
   UnitReplayer rep(UnitKind::Fetch);
-  const auto golden = rep.compute_golden(t);
+  const auto golden = rep.compute_goldens({&t, 1})[0];
   const PortBus* pc_out = rep.netlist().find_output("pc_out");
   for (std::size_t c = 0; c < t.fetch.size(); ++c) {
     if (!t.fetch[c].is_issue) continue;
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < pc_out->nets.size(); ++i)
-      if (golden.vals[c][static_cast<std::size_t>(pc_out->nets[i])])
+      if (golden.row(c)[static_cast<std::size_t>(pc_out->nets[i])])
         v |= std::uint64_t{1} << i;
     ASSERT_EQ(v, t.fetch[c].expected_pc) << "cycle " << c;
   }
@@ -577,16 +577,16 @@ TEST(Replay, GoldenWscMatchesFunctionalSelection) {
   const UnitTraces t = prof.take("tiny");
 
   UnitReplayer rep(UnitKind::WSC);
-  const auto golden = rep.compute_golden(t);
+  const auto golden = rep.compute_goldens({&t, 1})[0];
   const PortBus* sel = rep.netlist().find_output("sel_slot");
   const PortBus* sv = rep.netlist().find_output("sel_valid");
   for (std::size_t c = 0; c < t.wsc.size(); ++c) {
     if (!t.wsc[c].is_issue) continue;
     std::uint64_t slot = 0, valid = 0;
     for (std::size_t i = 0; i < sel->nets.size(); ++i)
-      if (golden.vals[c][static_cast<std::size_t>(sel->nets[i])])
+      if (golden.row(c)[static_cast<std::size_t>(sel->nets[i])])
         slot |= std::uint64_t{1} << i;
-    valid = golden.vals[c][static_cast<std::size_t>(sv->nets[0])];
+    valid = golden.row(c)[static_cast<std::size_t>(sv->nets[0])];
     ASSERT_EQ(valid, 1u) << "cycle " << c;
     ASSERT_EQ(slot, t.wsc[c].expected_slot) << "cycle " << c;
   }

@@ -329,6 +329,52 @@ TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossEngineKnobs) {
   }
 }
 
+// The unit (target) byte is checked the same way: a byte naming no unit
+// used to reach build_unit's null netlist and crash. Every entry point that
+// reads a gate header refuses it with an error naming the byte.
+TEST_F(GateExperimentsTest, UnitByteIsValidated) {
+  auto meta = report::gate_campaign_meta(gate::UnitKind::WSC, kFaults,
+                                         kMaxIssues, kSeed, EngineKind::Batch);
+  EXPECT_EQ(report::gate_campaign_unit(meta), gate::UnitKind::WSC);
+  for (const std::uint8_t bad : {std::uint8_t{3}, std::uint8_t{255}}) {
+    SCOPED_TRACE(static_cast<int>(bad));
+    meta.target = bad;
+    const std::string what = "unit byte " + std::to_string(bad);
+    const auto expect_refused = [&](const char* entry, const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << entry << " accepted " << what;
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << entry << ": " << e.what();
+      }
+    };
+    expect_refused("GateUnitRunner",
+                   [&] { const report::GateUnitRunner runner(traces(), meta); });
+    expect_refused("gate_campaign_representatives",
+                   [&] { report::gate_campaign_representatives(meta); });
+    expect_refused("run_unit_campaign_store", [&] {
+      const std::string p = path("bad_unit" + std::to_string(bad) + ".gpfs");
+      store::CampaignCheckpoint ckpt(p, meta);
+      report::run_unit_campaign_store(traces(), ckpt);
+    });
+  }
+}
+
+// Gate set-up has its own histograms: one gate.runner_setup_us sample per
+// runner and one gate.golden_us sample per golden pass, which a runner runs
+// once.
+TEST_F(GateExperimentsTest, RunnerSetupRecordsOneSampleEach) {
+  const auto meta = report::gate_campaign_meta(
+      gate::UnitKind::Fetch, kFaults, kMaxIssues, kSeed, EngineKind::Batch);
+  obs::Histogram& setup = obs::histogram("gate.runner_setup_us");
+  obs::Histogram& golden = obs::histogram("gate.golden_us");
+  const std::uint64_t setup0 = setup.count(), golden0 = golden.count();
+  const report::GateUnitRunner runner(traces(), meta);
+  EXPECT_EQ(setup.count(), setup0 + 1);
+  EXPECT_EQ(golden.count(), golden0 + 1);
+}
+
 // The engine byte of a campaign header is checked, never cast: Brute and
 // Batch run their engines, 0xFF (a merge of mixed-engine shards) runs the
 // batch engine, and any other byte — 1 was the removed event engine — is

@@ -1540,6 +1540,47 @@ TEST(NetE2E, WorkerStopsOnCampaignItCannotBuild) {
   std::remove(path.c_str());
 }
 
+// A gate header whose unit byte names no unit: make_unit_fn refuses it
+// (it used to dereference a null netlist), so a worker leased the campaign
+// stops with "cannot serve campaign" instead of dying.
+TEST(NetE2E, WorkerStopsOnGateCampaignWithUnknownUnit) {
+  store::CampaignMeta meta = report::gate_campaign_meta(
+      gate::UnitKind::Decoder, /*faults_per_unit=*/16, /*max_issues=*/30,
+      /*seed=*/5, EngineKind::Batch);
+  for (const std::uint8_t bad : {std::uint8_t{3}, std::uint8_t{255}}) {
+    meta.target = bad;
+    EXPECT_THROW(make_unit_fn(meta), std::runtime_error) << static_cast<int>(bad);
+  }
+  meta.target = 3;
+  const std::string path = temp_store_path("bad_unit");
+  store::CampaignCheckpoint ckpt(path, meta);
+
+  CoordinatorConfig ccfg;
+  ccfg.port = 0;
+  ccfg.lease_ms = 5000;
+  ccfg.unit_size = 8;
+  ccfg.status_interval_ms = 0;
+  Coordinator coord(ckpt, ccfg);
+  std::thread serve([&] { coord.serve(); });
+
+  WorkerConfig wcfg;
+  wcfg.port = coord.port();
+  wcfg.backoff_ms = 20;
+  try {
+    run_worker(wcfg, make_unit_fn);
+    ADD_FAILURE() << "worker served a gate campaign with unit byte 3";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cannot serve campaign"), std::string::npos) << what;
+    EXPECT_NE(what.find("unit byte 3"), std::string::npos) << what;
+  }
+
+  coord.request_drain();
+  serve.join();
+  EXPECT_EQ(ckpt.done_count(), 0u);
+  std::remove(path.c_str());
+}
+
 TEST(NetE2E, WorkerGivesUpWhenNoCoordinator) {
   WorkerConfig cfg;
   cfg.port = 1;  // nothing listens on port 1

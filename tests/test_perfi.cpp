@@ -2,6 +2,9 @@
 // integration: each model must produce its architecturally-specified effect.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "perfi/campaign.hpp"
 #include "perfi/injector.hpp"
 #include "workloads/workload.hpp"
@@ -157,6 +160,25 @@ TEST(Campaign, SoftwareModelListMatchesPaper) {
   for (auto m : models) {
     EXPECT_NE(m, ErrorModel::IPP);
     EXPECT_NE(m, ErrorModel::IVOC);
+  }
+}
+
+// The model byte of a perfi header comes from a .gpfs file or a LeaseGrant:
+// a byte naming no error model is refused with an error that names it.
+TEST(Campaign, EprRunnerRefusesUnknownModel) {
+  const workloads::Workload& w = *workloads::find("hotspot");
+  store::CampaignMeta meta = epr_campaign_meta(w, ErrorModel::IMS, 4, 1);
+  for (const std::uint8_t bad : {std::uint8_t{13}, std::uint8_t{255}}) {
+    meta.model = bad;
+    try {
+      EprUnitRunner runner(w, meta);
+      ADD_FAILURE() << "runner accepted model byte " << static_cast<int>(bad);
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("error-model byte " +
+                                           std::to_string(bad)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "rtl/campaign.hpp"
 #include "rtl/microbench.hpp"
 #include "syndrome/pattern.hpp"
@@ -140,6 +143,32 @@ TEST(Campaign, TmxmCampaignRuns) {
                                          Site::Scheduler, 40, 31, &details);
   EXPECT_EQ(s.injections, 40u);
   EXPECT_EQ(details.size(), 40u);
+}
+
+// The tile (target) and site (param0) bytes of an rtl header come from a
+// .gpfs file or a LeaseGrant: a byte naming no tile or site is refused with
+// an error that names it, instead of running an undefined campaign.
+TEST(Campaign, TmxmRunnerRefusesUnknownTileAndSite) {
+  const auto expect_refused = [](const store::CampaignMeta& meta,
+                                 const std::string& what) {
+    try {
+      TmxmUnitRunner runner(meta);
+      ADD_FAILURE() << "runner accepted " << what;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  };
+  store::CampaignMeta meta =
+      tmxm_campaign_meta(workloads::TileType::Random, Site::FuLane, 4, 1);
+  meta.target = 3;
+  expect_refused(meta, "tile byte 3");
+  meta.target = 255;
+  expect_refused(meta, "tile byte 255");
+  meta = tmxm_campaign_meta(workloads::TileType::Max, Site::Scheduler, 4, 1);
+  meta.param0 = 4;
+  expect_refused(meta, "site 4");
+  meta.param0 = 255;
+  expect_refused(meta, "site 255");
 }
 
 TEST(RandomFault, CoversSites) {

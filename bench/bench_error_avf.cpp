@@ -13,7 +13,7 @@ using errmodel::ErrorModel;
 int main() {
   const std::size_t issues = scaled(400, 100);
   const std::size_t faults = scaled(4000, 150);  // >= full collapsed lists at scale 1
-  const auto traces = report::collect_profiling_traces(issues);
+  const auto& traces = report::collect_profiling_traces(issues);
   const report::GateCampaigns gc =
       report::run_gate_campaigns(traces, faults, campaign_seed());
 

@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
   // under-states both the class sizes and the batch cone overlap).
   const std::size_t max_faults = 0;
   const std::size_t max_issues = scaled(400, 100);
-  const auto traces = report::collect_profiling_traces(max_issues);
+  const auto& traces = report::collect_profiling_traces(max_issues);
   std::vector<JsonRow> json_rows;
   std::vector<SetupRow> golden_rows;
 

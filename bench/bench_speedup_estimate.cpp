@@ -23,7 +23,7 @@ double seconds_since(Clock::time_point t0) {
 int main() {
   // (a) Gate-level: profile + replay a sample, measure per-fault-cost.
   auto t0 = Clock::now();
-  const auto traces = report::collect_profiling_traces(scaled(300, 100));
+  const auto& traces = report::collect_profiling_traces(scaled(300, 100));
   const double profiling_s = seconds_since(t0);
 
   t0 = Clock::now();

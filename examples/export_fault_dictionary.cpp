@@ -15,7 +15,7 @@ using namespace gpf;
 
 int main(int argc, char** argv) {
   const std::filesystem::path dir = argc > 1 ? argv[1] : ".";
-  const auto traces = report::collect_profiling_traces(scaled(400, 100));
+  const auto& traces = report::collect_profiling_traces(scaled(400, 100));
   // Full collapsed fault lists at default scale (GPF_ENGINE, default batch).
   const report::GateCampaigns gc =
       report::run_gate_campaigns(traces, scaled(4000, 150), campaign_seed());

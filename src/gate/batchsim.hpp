@@ -3,11 +3,13 @@
 // for lane. Every net carries an
 // N-bit SIMD word whose lane k is the net's value under fault k, so one
 // levelized pass over the netlist advances N fault machines at once using
-// plain bitwise ops. Stuck-at overlays are per-lane force masks applied at
-// each fault site; DFF clocking mirrors Simulator::clock() with a word-wide
-// enable mux. Lanes with no fault installed (ragged final batch) and retired
-// lanes simply track the fault-free machine, so they never show up in
-// divergence masks.
+// plain bitwise ops. Stuck-at overlays are per-lane force masks applied by
+// force ops placed in the batch's own copy of the stream; DFF clocking
+// mirrors Simulator::clock() with a word-wide enable mux, one enable read per
+// group of DFFs sharing an enable net, skipping a group no lane enables
+// (batchsim_impl.hpp). Lanes with no fault installed (ragged final batch)
+// and retired lanes simply track the fault-free machine, so they never show
+// up in divergence masks.
 //
 // The engine is templated over LaneWord<N> (laneword.hpp) and built three
 // times: N = 64 (scalar uint64_t baseline), N = 256 (AVX2 ymm) and N = 512
@@ -100,6 +102,24 @@ class BatchSim {
   virtual LaneMask bus_values(const PortBus& bus, GoldenRow golden,
                               const LaneMask& lanes, std::uint64_t golden_value,
                               std::span<std::uint64_t> out) const = 0;
+
+  /// Lanes of `lanes` whose `bus` value differs from `golden_value`, split
+  /// by how many bits differ. Bit i of `single_bits` says single[i] holds
+  /// the lanes whose only differing bit is bus bit i (other entries of
+  /// `single` are left as they were); `multi` holds the lanes differing in
+  /// two or more bits, and out[k] receives each such lane's value. The
+  /// split is word-wide, so single-bit lanes cost no per-lane work here.
+  /// The bus has at most 64 nets and `single` one entry per net, else
+  /// std::invalid_argument.
+  struct BusDiffSplit {
+    LaneMask multi;
+    std::uint64_t single_bits = 0;
+  };
+  virtual BusDiffSplit bus_diff_split(const PortBus& bus, GoldenRow golden,
+                                      const LaneMask& lanes,
+                                      std::uint64_t golden_value,
+                                      std::span<LaneMask> single,
+                                      std::span<std::uint64_t> out) const = 0;
 
   /// Lanes whose value on any of `nets` differs from the golden snapshot.
   virtual LaneMask diff_lanes(std::span<const Net> nets,

@@ -10,15 +10,31 @@
 // two modes:
 //
 //   full    GPF_FUSE=0: the 1:1 instruction stream, direct-threaded
-//           (computed goto), stuck-at forces applied as sparse fixups
-//           between instructions instead of per store.
+//           (computed goto).
 //   fused   GPF_FUSE=1 (default): the folded/fused/DCE'd/vreg-renamed
 //           stream, optionally JIT-compiled to native code (GPF_JIT).
 //
+// Per-cycle work outside the gate ops is kept off the hot path three ways,
+// each exact by construction:
+//   - force ops: a batch's stuck-at overlays are ops of its own copy of the
+//     stream (and of its cone program), placed after the op writing each
+//     forced net, at the end of that op's level, so one interpreter call
+//     evaluates a whole cycle. The op is the And-Or superop
+//     (v & keep) | set over two per-site mask words stored past the vreg
+//     slots. Exact because the stream is levelized: every consumer of the
+//     forced net sits at a higher level. The JIT applies the same overlays
+//     between its per-level calls;
+//   - enable groups: DFFs sharing an enable net are latched together, the
+//     enable word read once per group, and a group whose enable is 0 in
+//     every lane is skipped — (en & d) | (~en & q) is q there;
+//   - single-bit bus diffs: bus_diff_split() hands classification the lanes
+//     whose bus value differs from golden in exactly one bit, grouped by
+//     that bit, so a lookup table can classify them without a per-lane
+//     decode (gate/replay.cpp).
+//
 // Exactness of the fused mode under arbitrary fault sites, per batch:
-//   - a forced net the stream writes (own index or vreg slot) gets a fixup
-//     right after the writing instruction — exact because the stream is
-//     levelized (all consumers run later);
+//   - a forced net the stream writes (own index or vreg slot) gets a force
+//     op after the writing instruction, before any higher-level op;
 //   - a forced interior of a fused superop re-expands that superop to its
 //     original slots for the batch (patch), materializing the site;
 //   - a forced net whose constant value folding consumed re-expands every
@@ -34,6 +50,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -67,36 +85,17 @@ class BatchFaultSimT final : public BatchSim {
         mode_(gpf::fuse_enabled() ? Mode::Fused : Mode::Full),
         base_(mode_ == Mode::Fused ? &gp_.fused : &gp_.full),
         num_nets_(nl.num_nets()),
-        val_(gp_.storage_size, W::zero()),
-        force0_(num_nets_, W::zero()),
-        force1_(num_nets_, W::zero()),
-        forced_flag_(num_nets_, 0),
+        mask_base_(gp_.storage_size),
+        val_(mask_base_ + 2 * kLanes, W::zero()),
+        force_slot_(num_nets_, kNoForce),
         dff_next_(nl.dffs().size(), W::zero()),
         cone_enabled_(gpf::cone_enabled()) {
     if (!nl.finalized()) throw std::logic_error("netlist not finalized");
     jit_ = jit_module(gp_, *base_, N);
-    // Latch-order partition: only a DFF whose out net feeds another DFF's
-    // D/EN pin needs the two-phase (compute-all-then-store) latch; the rest
-    // can compute and store in one pass, saving a word load+store per DFF
-    // per clock. Reading any dff out during phase A still sees the
-    // pre-clock value, because direct stores touch only nets no DFF reads.
-    dff_deferred_flag_.assign(cn_.dff_out.size(), 0);
-    {
-      std::vector<std::uint8_t> is_pin(num_nets_, 0);
-      for (std::size_t i = 0; i < cn_.dff_out.size(); ++i) {
-        if (cn_.dff_d[i] != kNoNet)
-          is_pin[static_cast<std::size_t>(cn_.dff_d[i])] = 1;
-        if (cn_.dff_en[i] != kNoNet)
-          is_pin[static_cast<std::size_t>(cn_.dff_en[i])] = 1;
-      }
-      for (std::size_t i = 0; i < cn_.dff_out.size(); ++i) {
-        dff_deferred_flag_[i] =
-            is_pin[static_cast<std::size_t>(cn_.dff_out[i])];
-        (dff_deferred_flag_[i] ? dff_deferred_ : dff_direct_)
-            .push_back(static_cast<std::uint32_t>(i));
-      }
-    }
+    build_latch_groups();
   }
+
+  ~BatchFaultSimT() override { flush_latch_counters(); }
 
   std::size_t width() const override { return kLanes; }
   const char* path_name() const override { return batch_simd_path(kLanes); }
@@ -113,6 +112,7 @@ class BatchFaultSimT final : public BatchSim {
     static obs::Counter& lanes = obs::counter("gate.batch_lanes");
     batches.add(1);
     lanes.add(faults.size());
+    flush_latch_counters();
     // Plan reuse: the campaign driver replays the same fault batch against
     // every trace through one engine. The per-batch plan — fixups, patched
     // stream, cone program — depends only on the fault set, so an unchanged
@@ -124,11 +124,8 @@ class BatchFaultSimT final : public BatchSim {
                      return x.net == y.net && x.stuck_high == y.stuck_high;
                    });
     if (!same_faults) prev_faults_.assign(faults.begin(), faults.end());
-    for (const Net n : forced_nets_) {
-      force0_[static_cast<std::size_t>(n)] = W::zero();
-      force1_[static_cast<std::size_t>(n)] = W::zero();
-      forced_flag_[static_cast<std::size_t>(n)] = 0;
-    }
+    for (const Net n : forced_nets_)
+      force_slot_[static_cast<std::size_t>(n)] = kNoForce;
     forced_nets_.clear();
     source_sites_.clear();
     sites_.clear();
@@ -141,20 +138,27 @@ class BatchFaultSimT final : public BatchSim {
     }
     std::fill(val_.begin(), val_.end(), W::zero());
 
+    // Sites get mask slots in first-occurrence order, so an unchanged fault
+    // set reuses the slot numbers its kept plan's force ops name.
     for (std::size_t k = 0; k < faults.size(); ++k) {
       const StuckFault& f = faults[k];
       const auto site = static_cast<std::size_t>(f.net);
       sites_.push_back(f.net);
       lane_mask_.set(static_cast<unsigned>(k));
-      if (!force0_[site].any() && !force1_[site].any()) {
+      std::uint32_t& j = force_slot_[site];
+      if (j == kNoForce) {
+        j = static_cast<std::uint32_t>(forced_nets_.size());
         forced_nets_.push_back(f.net);
-        forced_flag_[site] = 1;
+        keep_mask(j) = W::ones();
+        const GateKind kind = nl_.gate(f.net).kind;
+        if (kind == GateKind::Input || kind == GateKind::Const0 ||
+            kind == GateKind::Const1 || kind == GateKind::Dff)
+          source_sites_.push_back(f.net);
       }
-      (f.stuck_high ? force1_ : force0_)[site].set(static_cast<unsigned>(k));
-      const GateKind kind = nl_.gate(f.net).kind;
-      if (kind == GateKind::Input || kind == GateKind::Const0 ||
-          kind == GateKind::Const1 || kind == GateKind::Dff)
-        source_sites_.push_back(f.net);
+      if (f.stuck_high)
+        set_mask(j).set(static_cast<unsigned>(k));
+      else
+        keep_mask(j).clear(static_cast<unsigned>(k));
     }
     if (!same_faults) {
       plan_batch();
@@ -199,8 +203,8 @@ class BatchFaultSimT final : public BatchSim {
     if (use_jit_) {
       jit_eval();
     } else {
-      run_code(active_code_.data(), active_code_.size(),
-               std::span<const Fixup>(fixups_), GoldenRow{});
+      ensure_eval_code();
+      exec_range(eval_code_.data(), 0, eval_code_.size(), GoldenRow{});
     }
   }
 
@@ -225,26 +229,17 @@ class BatchFaultSimT final : public BatchSim {
     ensure_cone_program();
     refresh_frontier(golden);
     apply_source_overlays();
-    run_code(cone_code_.data(), cone_code_.size(),
-             std::span<const Fixup>(cone_fixups_), golden);
+    exec_range(cone_code_.data(), 0, cone_code_.size(), golden);
   }
 
   void clock() override {
-    if (cone_eval_live_) {
-      // Out-of-cone DFFs cannot diverge (all their pins carry golden values),
-      // and their words are refreshed through the frontier when read — so only
-      // in-cone registers need latching at all.
-      for (const std::uint32_t i : cone_dffs_def_) latch(i);
-      for (const std::uint32_t i : cone_dffs_dir_) latch_direct(i);
-      for (const std::uint32_t i : cone_dffs_def_)
-        val_[static_cast<std::size_t>(cn_.dff_out[i])] = dff_next_[i];
-      apply_source_overlays();
-      return;
-    }
-    for (const std::uint32_t i : dff_deferred_) latch(i);
-    for (const std::uint32_t i : dff_direct_) latch_direct(i);
-    for (const std::uint32_t i : dff_deferred_)
-      val_[static_cast<std::size_t>(cn_.dff_out[i])] = dff_next_[i];
+    // Out-of-cone DFFs cannot diverge (all their pins carry golden values),
+    // and their words are refreshed through the frontier when read — so once
+    // cone eval is live only in-cone registers need latching at all.
+    if (cone_eval_live_)
+      latch(cone_groups_, cone_members_);
+    else
+      latch(latch_groups_, latch_members_);
     apply_source_overlays();
   }
 
@@ -277,6 +272,48 @@ class BatchFaultSimT final : public BatchSim {
     return diff.to_mask();
   }
 
+  BusDiffSplit bus_diff_split(const PortBus& bus, GoldenRow golden,
+                              const LaneMask& lanes,
+                              std::uint64_t golden_value,
+                              std::span<LaneMask> single,
+                              std::span<std::uint64_t> out) const override {
+    if (bus.nets.size() > 64 || single.size() < bus.nets.size())
+      throw std::invalid_argument("bus_diff_split: bus wider than its groups");
+    const W sel = W::from_mask(lanes) & lane_mask_;
+    BusDiffSplit r;
+    if (!sel.any()) return r;
+    // Per-bit diff words, then two word-wide accumulators: `once` holds the
+    // lanes with at least one differing bit, `twice` those with two or more.
+    W d[64];
+    std::uint64_t bits = 0;
+    W once = W::zero(), twice = W::zero();
+    for (std::size_t i = 0; i < bus.nets.size(); ++i) {
+      const auto n = static_cast<std::size_t>(bus.nets[i]);
+      d[i] = (val_[n] ^ W::broadcast(golden[n])) & sel;
+      if (!d[i].any()) continue;
+      bits |= std::uint64_t{1} << i;
+      twice |= once & d[i];
+      once |= d[i];
+    }
+    if (!bits) return r;
+    const W one_bit = once & ~twice;
+    r.multi = twice.to_mask();
+    for_each_lane(r.multi, [&](unsigned k) { out[k] = golden_value; });
+    for (std::uint64_t rest = bits; rest; rest &= rest - 1) {
+      const unsigned i = static_cast<unsigned>(std::countr_zero(rest));
+      const W s = d[i] & one_bit;
+      if (s.any()) {
+        single[i] = s.to_mask();
+        r.single_bits |= std::uint64_t{1} << i;
+      }
+      const W m = d[i] & twice;
+      if (m.any())
+        for_each_lane(m.to_mask(),
+                      [&](unsigned k) { out[k] ^= std::uint64_t{1} << i; });
+    }
+    return r;
+  }
+
   LaneMask diff_lanes(std::span<const Net> nets,
                       GoldenRow golden) const override {
     W m = W::zero();
@@ -299,7 +336,7 @@ class BatchFaultSimT final : public BatchSim {
   LaneMask state_diff_lanes(GoldenRow golden) const override {
     W m = W::zero();
     if (cone_built_) {
-      for (const std::uint32_t di : cone_dffs_) {
+      for (const std::uint32_t di : cone_members_) {
         const auto i = static_cast<std::size_t>(cn_.dff_out[di]);
         m |= val_[i] ^ W::broadcast(golden[i]);
       }
@@ -313,9 +350,9 @@ class BatchFaultSimT final : public BatchSim {
   }
 
   void retire_lane(unsigned lane, GoldenRow golden) override {
-    const auto site = static_cast<std::size_t>(sites_[lane]);
-    force0_[site].clear(lane);
-    force1_[site].clear(lane);
+    const std::uint32_t j = force_slot_[static_cast<std::size_t>(sites_[lane])];
+    keep_mask(j).set(lane);
+    set_mask(j).clear(lane);
     lane_mask_.clear(lane);
     const W bit = W::bit(lane);
     const W keep = ~bit;
@@ -345,47 +382,143 @@ class BatchFaultSimT final : public BatchSim {
  private:
   enum class Mode : std::uint8_t { Full, Fused };
 
-  /// A pending stuck-at overlay: applied to storage index `storage` right
-  /// after instruction `pos` of the active code, using net `net`'s force
-  /// masks. Forces stay indexed by NET (not storage) so a reused vreg slot
-  /// shared by two forced nets cannot cross-contaminate.
+  static constexpr std::uint32_t kNoForce = 0xFFFFFFFFu;
+
+  /// A stuck-at overlay of the active code: storage index `storage`, which
+  /// instruction `pos` writes, takes mask slot `slot`'s force before any
+  /// higher-level op reads it. Masks stay per forced NET (not storage) so a
+  /// reused vreg slot shared by two forced nets cannot cross-contaminate.
   struct Fixup {
     std::uint32_t pos;
     std::uint32_t storage;
-    Net net;
+    std::uint32_t slot;
   };
 
-  void latch(std::uint32_t i) {
-    const Net en_n = cn_.dff_en[i];
-    const W en =
-        en_n == kNoNet ? W::ones() : val_[static_cast<std::size_t>(en_n)];
-    const W cur = val_[static_cast<std::size_t>(cn_.dff_out[i])];
-    const Net d_n = cn_.dff_d[i];
-    const W d = d_n == kNoNet ? cur : val_[static_cast<std::size_t>(d_n)];
-    dff_next_[i] = (en & d) | (~en & cur);
+  /// DFFs sharing one enable net (kNoNet: always enabled). members
+  /// [begin, mid) take the two-phase latch, [mid, end) the direct one.
+  struct LatchGroup {
+    Net en;
+    std::uint32_t begin, mid, end;
+  };
+
+  /// A forced site's masks, stored past the vreg slots: lanes stuck at 0
+  /// are clear in keep, lanes stuck at 1 are set in set.
+  W& keep_mask(std::uint32_t slot) { return val_[mask_base_ + 2 * slot]; }
+  W& set_mask(std::uint32_t slot) { return val_[mask_base_ + 2 * slot + 1]; }
+
+  /// The force op for a fixup: (v & keep) | set is the And-Or superop, so
+  /// the interpreter needs no extra opcode.
+  Instr force_instr(const Fixup& f) const {
+    Instr in;
+    in.op = static_cast<std::uint32_t>(Op::Fuse2_2);
+    in.a = f.storage;
+    in.b = static_cast<std::uint32_t>(mask_base_ + 2 * f.slot);
+    in.c = in.b + 1;
+    in.out = f.storage;
+    return in;
   }
 
-  /// Single-pass latch for DFFs no other DFF reads: compute and store.
-  void latch_direct(std::uint32_t i) {
-    const Net en_n = cn_.dff_en[i];
-    const W en =
-        en_n == kNoNet ? W::ones() : val_[static_cast<std::size_t>(en_n)];
-    W& out = val_[static_cast<std::size_t>(cn_.dff_out[i])];
-    const Net d_n = cn_.dff_d[i];
-    const W d = d_n == kNoNet ? out : val_[static_cast<std::size_t>(d_n)];
-    out = (en & d) | (~en & out);
-  }
-
-  void overlay(std::uint32_t storage, Net net) {
-    const auto f = static_cast<std::size_t>(net);
-    val_[storage] = (val_[storage] & ~force0_[f]) | force1_[f];
+  void overlay(std::uint32_t storage, std::uint32_t slot) {
+    val_[storage] = (val_[storage] & keep_mask(slot)) | set_mask(slot);
   }
 
   void apply_source_overlays() {
     for (const Net n : source_sites_) {
-      const auto i = static_cast<std::size_t>(n);
-      val_[i] = (val_[i] & ~force0_[i]) | force1_[i];
+      const auto i = static_cast<std::uint32_t>(n);
+      overlay(i, force_slot_[i]);
     }
+  }
+
+  // ---- latching -----------------------------------------------------------
+
+  /// Groups the DFFs by enable net, in order of first appearance. Only a
+  /// DFF whose out net feeds another DFF's D/EN pin needs the two-phase
+  /// (compute-all-then-store) latch; the rest compute and store in one
+  /// pass. Reading any DFF out or enable net in phase A still sees the
+  /// pre-clock value, because direct stores touch only nets no DFF reads.
+  void build_latch_groups() {
+    const std::size_t n = cn_.dff_out.size();
+    std::vector<std::uint8_t> is_pin(num_nets_, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (cn_.dff_d[i] != kNoNet)
+        is_pin[static_cast<std::size_t>(cn_.dff_d[i])] = 1;
+      if (cn_.dff_en[i] != kNoNet)
+        is_pin[static_cast<std::size_t>(cn_.dff_en[i])] = 1;
+    }
+    // group_of[en + 1]: the group of enable net en (slot 0: kNoNet).
+    constexpr std::uint32_t kNoGroup = 0xFFFFFFFFu;
+    std::vector<std::uint32_t> group_of(num_nets_ + 1, kNoGroup);
+    std::vector<std::uint32_t> gid(n);
+    std::uint32_t groups = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint32_t& g = group_of[static_cast<std::size_t>(cn_.dff_en[i] + 1)];
+      if (g == kNoGroup) g = groups++;
+      gid[i] = g;
+    }
+    const auto deferred = [&](std::uint32_t i) {
+      return is_pin[static_cast<std::size_t>(cn_.dff_out[i])] != 0;
+    };
+    latch_members_.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) latch_members_[i] = i;
+    std::stable_sort(latch_members_.begin(), latch_members_.end(),
+                     [&](std::uint32_t x, std::uint32_t y) {
+                       if (gid[x] != gid[y]) return gid[x] < gid[y];
+                       return deferred(x) && !deferred(y);
+                     });
+    for (std::uint32_t m = 0; m < n;) {
+      const std::uint32_t first = latch_members_[m];
+      LatchGroup g{cn_.dff_en[first], m, m, m};
+      for (; g.end < n && gid[latch_members_[g.end]] == gid[first]; ++g.end)
+        if (deferred(latch_members_[g.end])) g.mid = g.end + 1;
+      latch_groups_.push_back(g);
+      m = g.end;
+    }
+  }
+
+  W next_state(std::uint32_t i, const W& en) const {
+    const W cur = val_[static_cast<std::size_t>(cn_.dff_out[i])];
+    const Net d_n = cn_.dff_d[i];
+    const W d = d_n == kNoNet ? cur : val_[static_cast<std::size_t>(d_n)];
+    return (en & d) | (~en & cur);
+  }
+
+  /// Latches `groups` (indices into `members`): one enable-word read per
+  /// group, and a group whose enable is 0 in every lane holds every one of
+  /// its registers, so it is skipped. Deferred registers of the groups that
+  /// did latch are stored last, after every read.
+  void latch(const std::vector<LatchGroup>& groups,
+             const std::vector<std::uint32_t>& members) {
+    latched_groups_.clear();
+    for (const LatchGroup& g : groups) {
+      const W en =
+          g.en == kNoNet ? W::ones() : val_[static_cast<std::size_t>(g.en)];
+      if (!en.any()) {
+        ++latch_skipped_;
+        continue;
+      }
+      for (std::uint32_t m = g.begin; m < g.mid; ++m)
+        dff_next_[members[m]] = next_state(members[m], en);
+      for (std::uint32_t m = g.mid; m < g.end; ++m)
+        val_[static_cast<std::size_t>(cn_.dff_out[members[m]])] =
+            next_state(members[m], en);
+      if (g.mid > g.begin) latched_groups_.push_back(&g);
+    }
+    latch_seen_ += groups.size();
+    for (const LatchGroup* g : latched_groups_)
+      for (std::uint32_t m = g->begin; m < g->mid; ++m)
+        val_[static_cast<std::size_t>(cn_.dff_out[members[m]])] =
+            dff_next_[members[m]];
+  }
+
+  /// Latch-group counts go to the registry once per batch and trace, not
+  /// once per clock.
+  void flush_latch_counters() {
+    static obs::Counter& seen = obs::counter("gate.latch_groups");
+    static obs::Counter& skipped = obs::counter("gate.latch_groups_skipped");
+    seen.add(latch_seen_);
+    skipped.add(latch_skipped_);
+    latch_seen_ = 0;
+    latch_skipped_ = 0;
   }
 
   // ---- per-batch execution plan ------------------------------------------
@@ -420,11 +553,14 @@ class BatchFaultSimT final : public BatchSim {
       fixups_.clear();
       for (const Net n : forced_nets_) {
         const std::uint32_t w = S->write_op[static_cast<std::size_t>(n)];
-        if (w != kNoOp) fixups_.push_back(Fixup{w, S->code[w].out, n});
+        if (w != kNoOp)
+          fixups_.push_back(Fixup{w, S->code[w].out,
+                                  force_slot_[static_cast<std::size_t>(n)]});
       }
       std::sort(fixups_.begin(), fixups_.end(),
                 [](const Fixup& x, const Fixup& y) { return x.pos < y.pos; });
     }
+    eval_code_ready_ = false;
     // JIT'd full evaluation versus interpreted cone program: only the
     // unpatched base stream has compiled code, and it only wins when the
     // union cone is a large fraction of the netlist.
@@ -472,10 +608,49 @@ class BatchFaultSimT final : public BatchSim {
     active_code_ = patch_code_;
     active_meta_ = patch_meta_;
     fixups_.clear();
-    for (std::size_t i = 0; i < patch_meta_.size(); ++i)
-      if (forced_flag_[static_cast<std::size_t>(patch_meta_[i].out_net)])
-        fixups_.push_back(Fixup{static_cast<std::uint32_t>(i),
-                                patch_code_[i].out, patch_meta_[i].out_net});
+    for (std::size_t i = 0; i < patch_meta_.size(); ++i) {
+      const std::uint32_t j =
+          force_slot_[static_cast<std::size_t>(patch_meta_[i].out_net)];
+      if (j != kNoForce)
+        fixups_.push_back(
+            Fixup{static_cast<std::uint32_t>(i), patch_code_[i].out, j});
+    }
+  }
+
+  /// Appends the held force ops of writers below `level` to `code`. Every
+  /// consumer of a net sits at a higher level than its writer, so a force op
+  /// is exact anywhere from its writer to the first higher-level op; holding
+  /// it until then turns each level's force ops into one run instead of
+  /// breaking the level's same-opcode runs, which the interpreter's dispatch
+  /// branch predicts. (The JIT overlays at the same points.)
+  void release_forces(std::vector<Instr>& code, std::int32_t level) {
+    std::size_t kept = 0;
+    for (std::size_t h = 0; h < held_.size(); ++h) {
+      if (held_[h].level < level)
+        code.push_back(held_[h].op);
+      else
+        held_[kept++] = held_[h];
+    }
+    held_.resize(kept);
+  }
+
+  /// The stream eval() runs: the active code with each fixup's force op
+  /// after its writer (see release_forces). Built on first use, since a
+  /// batch that runs its cone program never needs it.
+  void ensure_eval_code() {
+    if (eval_code_ready_) return;
+    eval_code_ready_ = true;
+    eval_code_.clear();
+    eval_code_.reserve(active_code_.size() + fixups_.size());
+    std::size_t f = 0;
+    for (std::size_t i = 0; i < active_code_.size(); ++i) {
+      const std::int32_t level = active_meta_[i].level;
+      release_forces(eval_code_, level);
+      eval_code_.push_back(active_code_[i]);
+      for (; f < fixups_.size() && fixups_[f].pos == i; ++f)
+        held_.push_back({level, force_instr(fixups_[f])});
+    }
+    release_forces(eval_code_, std::numeric_limits<std::int32_t>::max());
   }
 
   void jit_eval() {
@@ -488,7 +663,7 @@ class BatchFaultSimT final : public BatchSim {
       while (fi < nfix &&
              static_cast<std::size_t>(
                  active_meta_[fixups_[fi].pos].level) == l) {
-        overlay(fixups_[fi].storage, fixups_[fi].net);
+        overlay(fixups_[fi].storage, fixups_[fi].slot);
         ++fi;
       }
     }
@@ -497,17 +672,6 @@ class BatchFaultSimT final : public BatchSim {
   // ---- direct-threaded interpreter ---------------------------------------
 
   /// `golden` feeds the cone program's Mat ops (eval_cone only).
-  void run_code(const Instr* code, std::size_t n, std::span<const Fixup> fx,
-                GoldenRow golden) {
-    std::size_t start = 0;
-    for (const Fixup& f : fx) {
-      exec_range(code, start, f.pos + 1, golden);
-      overlay(f.storage, f.net);
-      start = f.pos + 1;
-    }
-    exec_range(code, start, n, golden);
-  }
-
   void exec_range(const Instr* code, std::size_t i, std::size_t end,
                   GoldenRow golden) {
     if (i >= end) return;
@@ -599,14 +763,14 @@ class BatchFaultSimT final : public BatchSim {
   // ---- fanout cone --------------------------------------------------------
 
   /// BFS over the fan-out CSR from the fault sites: fills cone_nets_ (the
-  /// worklist doubles as the result), cone_dffs_ and the in-cone stamps.
+  /// worklist doubles as the result), the in-cone stamps, and the in-cone
+  /// DFFs as enable groups (the latch groups restricted to the cone).
   void build_cone_sets() {
     if (cone_stamp_.empty()) {
       cone_stamp_.assign(cn_.num_nets(), 0);
       frontier_stamp_.assign(cn_.num_nets(), 0);
     }
     ++cone_epoch_;
-    cone_dffs_.clear();
     cone_nets_.clear();
     frontier_.clear();
     observed_cone_.clear();
@@ -622,15 +786,23 @@ class BatchFaultSimT final : public BatchSim {
         cone_stamp_[static_cast<std::size_t>(t)] = cone_epoch_;
         cone_nets_.push_back(t);
       }
-    for (const Net n : cone_nets_)
-      if (cn_.dff_index[static_cast<std::size_t>(n)] >= 0)
-        cone_dffs_.push_back(
-            static_cast<std::uint32_t>(cn_.dff_index[static_cast<std::size_t>(n)]));
-    std::sort(cone_dffs_.begin(), cone_dffs_.end());
-    cone_dffs_dir_.clear();
-    cone_dffs_def_.clear();
-    for (const std::uint32_t i : cone_dffs_)
-      (dff_deferred_flag_[i] ? cone_dffs_def_ : cone_dffs_dir_).push_back(i);
+    cone_groups_.clear();
+    cone_members_.clear();
+    const auto take = [&](std::uint32_t m) {
+      const std::uint32_t i = latch_members_[m];
+      if (in_cone(cn_.dff_out[i])) cone_members_.push_back(i);
+    };
+    for (const LatchGroup& g : latch_groups_) {
+      const auto at = [&] {
+        return static_cast<std::uint32_t>(cone_members_.size());
+      };
+      LatchGroup cg{g.en, at(), 0, 0};
+      for (std::uint32_t m = g.begin; m < g.mid; ++m) take(m);
+      cg.mid = at();
+      for (std::uint32_t m = g.mid; m < g.end; ++m) take(m);
+      cg.end = at();
+      if (cg.end > cg.begin) cone_groups_.push_back(cg);
+    }
   }
 
   bool in_cone(Net n) const {
@@ -646,7 +818,7 @@ class BatchFaultSimT final : public BatchSim {
   }
 
   void finish_cone(std::size_t covered) {
-    for (const std::uint32_t i : cone_dffs_) {
+    for (const std::uint32_t i : cone_members_) {
       add_frontier(cn_.dff_d[i]);
       add_frontier(cn_.dff_en[i]);
     }
@@ -667,14 +839,13 @@ class BatchFaultSimT final : public BatchSim {
 
   /// Builds the per-batch cone PROGRAM: the in-cone subsequence of the
   /// active code, with Mat pseudo-ops materializing out-of-cone values that
-  /// live in vreg slots (a frontier broadcast cannot reach those), and the
-  /// batch's force fixups re-positioned for the compacted code.
+  /// live in vreg slots (a frontier broadcast cannot reach those), and a
+  /// force op right after each op writing a forced net.
   void ensure_cone_program() {
     if (cone_built_) return;
     cone_built_ = true;
     build_cone_sets();
     cone_code_.clear();
-    cone_fixups_.clear();
     cone_covered_ = 0;
     // Collect the in-cone op indices. With an unpatched stream this is
     // O(|cone|) through write_op (index order == levelized order after the
@@ -695,6 +866,7 @@ class BatchFaultSimT final : public BatchSim {
     for (const std::uint32_t i : cone_ops_) {
       const OpMeta& m = active_meta_[i];
       const Instr& q = active_code_[i];
+      release_forces(cone_code_, m.level);
       const Net srcs[3] = {m.src_a, m.src_b, m.src_c};
       const std::uint32_t stor[3] = {q.a, q.b, q.c};
       for (int k = 0; k < 3; ++k) {
@@ -712,13 +884,13 @@ class BatchFaultSimT final : public BatchSim {
           add_frontier(s);
         }
       }
-      if (forced_flag_[static_cast<std::size_t>(m.out_net)])
-        cone_fixups_.push_back(
-            Fixup{static_cast<std::uint32_t>(cone_code_.size()), q.out,
-                  m.out_net});
       cone_code_.push_back(q);
+      const std::uint32_t j = force_slot_[static_cast<std::size_t>(m.out_net)];
+      if (j != kNoForce)
+        held_.push_back({m.level, force_instr(Fixup{i, q.out, j})});
       cone_covered_ += m.cover_count;
     }
+    release_forces(cone_code_, std::numeric_limits<std::int32_t>::max());
     finish_cone(cone_covered_);
   }
 
@@ -728,11 +900,12 @@ class BatchFaultSimT final : public BatchSim {
   const Mode mode_;          ///< full / fused, latched at ctor
   const Stream* base_;       ///< the mode's default stream
   const std::size_t num_nets_;
+  const std::size_t mask_base_;  ///< storage index of mask slot 0
   std::shared_ptr<const JitModule> jit_;  ///< nullptr = interpret
-  std::vector<W> val_;       ///< [storage] -> N fault lanes (nets then vregs)
-  std::vector<W> force0_;    ///< per-net stuck-at-0 lane masks
-  std::vector<W> force1_;    ///< per-net stuck-at-1 lane masks
-  std::vector<std::uint8_t> forced_flag_;  ///< per-net: forced in this batch
+  std::vector<W> val_;  ///< [storage] -> N fault lanes (nets, vregs, then
+                        ///<   two force-mask words per possible site, sized
+                        ///<   once so begin() never reallocates)
+  std::vector<std::uint32_t> force_slot_;  ///< per-net mask slot, or kNoForce
   std::vector<W> dff_next_;  ///< reusable clock() sample buffer
   std::vector<Net> forced_nets_;  ///< fault sites (dedup'd)
   std::vector<Net> source_sites_; ///< Input/Const/Dff fault sites
@@ -744,6 +917,13 @@ class BatchFaultSimT final : public BatchSim {
   std::span<const OpMeta> active_meta_;
   const Stream* active_stream_ = nullptr;  ///< null when patched
   std::vector<Fixup> fixups_;  ///< sorted by pos; level order too
+  std::vector<Instr> eval_code_;  ///< active code + force ops (eval())
+  bool eval_code_ready_ = false;
+  struct HeldForce {
+    std::int32_t level;  ///< the writer's level
+    Instr op;
+  };
+  std::vector<HeldForce> held_;  ///< release_forces scratch
   bool use_jit_ = false;
   bool skip_cone_ = false;  ///< cone covers too much; run the full stream
   bool patched_ = false;
@@ -767,18 +947,20 @@ class BatchFaultSimT final : public BatchSim {
   std::vector<std::uint32_t> cone_stamp_;      ///< per-net in-cone epoch
   std::vector<std::uint32_t> frontier_stamp_;  ///< per-net frontier epoch
   std::vector<std::uint32_t> cone_ops_;        ///< in-cone active-code indices
-  std::vector<Instr> cone_code_;               ///< in-cone program + Mat ops
-  std::vector<Fixup> cone_fixups_;
+  std::vector<Instr> cone_code_;  ///< in-cone program + Mat and force ops
   std::size_t cone_covered_ = 0;  ///< compiled slots covered by cone_code_
-  std::vector<std::uint32_t> cone_dffs_;       ///< in-cone DFF indices
-  std::vector<std::uint32_t> cone_dffs_dir_;   ///< in-cone, single-pass latch
-  std::vector<std::uint32_t> cone_dffs_def_;   ///< in-cone, two-phase latch
-  std::vector<std::uint32_t> dff_direct_;      ///< single-pass latch set
-  std::vector<std::uint32_t> dff_deferred_;    ///< two-phase latch set
-  std::vector<std::uint8_t> dff_deferred_flag_;  ///< per-DFF partition bit
+  std::vector<LatchGroup> cone_groups_;        ///< latch groups ∩ cone
+  std::vector<std::uint32_t> cone_members_;    ///< their DFF indices
   std::vector<Net> cone_nets_;                 ///< all in-cone nets
   std::vector<Net> frontier_;                  ///< golden-refreshed nets
   std::vector<Net> observed_cone_;             ///< observed_ ∩ cone
+
+  // Latching.
+  std::vector<LatchGroup> latch_groups_;       ///< every DFF, by enable net
+  std::vector<std::uint32_t> latch_members_;   ///< their DFF indices
+  std::vector<const LatchGroup*> latched_groups_;  ///< clock() scratch
+  std::uint64_t latch_seen_ = 0;     ///< groups visited since the last flush
+  std::uint64_t latch_skipped_ = 0;  ///< of which all-lanes-disabled
 };
 
 }  // namespace gpf::gate

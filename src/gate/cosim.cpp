@@ -330,7 +330,7 @@ void WscCosim::pre_cycle(arch::Gpu& gpu, unsigned sm, unsigned ppb) {
   sync_state(gpu, sm, ppb);
 }
 
-int WscCosim::post_select(arch::Gpu& gpu, unsigned sm, unsigned ppb, int slot) {
+int WscCosim::post_select(arch::Gpu&, unsigned sm, unsigned ppb, int slot) {
   if (sm != sm_ || ppb != ppb_) return slot;
   issued_ = false;
   issue_slot_ = -1;

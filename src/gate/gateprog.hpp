@@ -45,12 +45,14 @@
 // pin — are *protected*: never fused through, never dead, never renamed, so
 // diff/observe/clock paths need no awareness of the optimizer.
 //
-// Forces are applied as SPARSE FIXUPS between instructions rather than a
-// per-store overlay: the stream is levelized, so every consumer of a slot's
-// output executes strictly later, and applying the overlay right after the
-// writing instruction is exact. That removes two mask loads and three bitwise
-// ops from every gate of every eval — most of the interpreter's win over the
-// earlier per-slot engine.
+// Forces are applied as SPARSE FIXUPS rather than a per-store overlay: the
+// stream is levelized, so every consumer of a slot's output executes strictly
+// later, and applying the overlay right after the writing instruction is
+// exact. That removes two mask loads and three bitwise ops from every gate of
+// every eval — most of the interpreter's win over the earlier per-slot
+// engine. The batch engine places each fixup in its per-batch copy of the
+// stream as an ordinary And-Or op over two mask words, so a cycle is still
+// one interpreter run.
 #pragma once
 
 #include <cstdint>

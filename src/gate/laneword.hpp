@@ -19,6 +19,10 @@
 #include <bit>
 #include <cstdint>
 
+#if defined(__AVX__) || defined(__AVX512F__)
+#include <immintrin.h>
+#endif
+
 namespace gpf::gate {
 
 /// One bit per batch lane, sized for the widest engine this build can
@@ -106,8 +110,11 @@ struct LaneWord {
 
   static LaneWord zero() { return LaneWord{Vec{}}; }
   static LaneWord ones() { return ~zero(); }
-  /// All-lanes broadcast of one golden bit.
-  static LaneWord broadcast(std::uint8_t bit) { return bit ? ones() : zero(); }
+  /// All-lanes broadcast of one golden bit, without a branch: golden bits
+  /// are data, so a branch here mispredicts at their rate.
+  static LaneWord broadcast(std::uint8_t bit) {
+    return LaneWord{Vec{} - static_cast<std::uint64_t>(bit != 0)};
+  }
   /// Word with exactly lane `lane` set.
   static LaneWord bit(unsigned lane) {
     LaneWord b = zero();
@@ -139,7 +146,19 @@ struct LaneWord {
     return *this;
   }
 
+  /// One vector test on the AVX paths (their TUs define the macros) rather
+  /// than extracting and OR-ing every 64-bit chunk.
   bool any() const {
+#if defined(__AVX512F__)
+    if constexpr (N == 512)
+      return _mm512_test_epi64_mask(reinterpret_cast<__m512i>(v),
+                                    reinterpret_cast<__m512i>(v)) != 0;
+#endif
+#if defined(__AVX__)
+    if constexpr (N == 256)
+      return !_mm256_testz_si256(reinterpret_cast<__m256i>(v),
+                                 reinterpret_cast<__m256i>(v));
+#endif
     std::uint64_t m = 0;
     for (unsigned i = 0; i < kChunks; ++i) m |= v[i];
     return m != 0;

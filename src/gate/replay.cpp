@@ -212,7 +212,7 @@ struct UnitReplayer::Ports {
 };
 
 UnitReplayer::UnitReplayer(UnitKind kind)
-    : kind_(kind), nl_(build_unit(kind)), ports_(std::make_unique<Ports>()) {
+    : kind_(kind), nl_(unit_netlist(kind)), ports_(std::make_unique<Ports>()) {
   Ports& p = *ports_;
   const Netlist& nl = *nl_;
   switch (kind) {
@@ -619,10 +619,75 @@ UnitReplayer::GoldenTrace UnitReplayer::golden_oracle(const UnitTraces& t) const
 }
 
 std::uint64_t UnitReplayer::golden_bus(GoldenRow vals, const PortBus& bus) const {
+  // Branch-free: golden bits are data, and a data-dependent branch per bit
+  // mispredicts about half the time.
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < bus.nets.size(); ++i)
-    if (vals[static_cast<std::size_t>(bus.nets[i])]) v |= std::uint64_t{1} << i;
+    v |= std::uint64_t{vals[static_cast<std::size_t>(bus.nets[i])]} << i;
   return v;
+}
+
+const std::uint32_t* WordDiffTable::find(std::uint64_t word,
+                                         std::uint32_t regs) const {
+  const std::pair<std::uint64_t, std::uint32_t> key{word, regs};
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) return nullptr;
+  return entries_.data() + 64 * static_cast<std::size_t>(it - keys_.begin());
+}
+
+WordDiffTable UnitReplayer::word_diff_table(
+    std::span<const UnitTraces> traces,
+    std::span<const GoldenTrace> goldens) const {
+  WordDiffTable tab;
+  const PortBus* bus = kind_ == UnitKind::Fetch ? ports_->f_instr_out
+                       : kind_ == UnitKind::WSC ? ports_->w_dispatch
+                                                : nullptr;
+  if (!bus) return tab;
+  for (std::size_t ti = 0; ti < traces.size(); ++ti) {
+    const UnitTraces& t = traces[ti];
+    for (std::size_t c = 0; c < goldens[ti].cycles; ++c) {
+      if (!cycle_is_issue(t, c)) continue;
+      const std::uint32_t regs = kind_ == UnitKind::Fetch
+                                     ? t.fetch[c].regs_per_thread
+                                     : t.wsc[c].regs_per_thread;
+      tab.keys_.emplace_back(golden_bus(goldens[ti].row(c), *bus), regs);
+    }
+  }
+  std::sort(tab.keys_.begin(), tab.keys_.end());
+  tab.keys_.erase(std::unique(tab.keys_.begin(), tab.keys_.end()),
+                  tab.keys_.end());
+  // Each entry is what classify_batch's per-lane path would add for that
+  // one-bit word: nothing when the golden word does not decode, else
+  // classify_instr_diff of the two decodes.
+  tab.entries_.assign(64 * tab.keys_.size(), WordDiffTable::kPerLane);
+  for (std::size_t k = 0; k < tab.keys_.size(); ++k) {
+    const auto [word, regs] = tab.keys_[k];
+    const isa::DecodeResult gd = isa::decode(word);
+    for (std::size_t b = 0; b < bus->nets.size(); ++b) {
+      std::uint32_t& e = tab.entries_[64 * k + b];
+      if (!gd.ok) {
+        e = 0;
+        continue;
+      }
+      const isa::DecodeResult fd = isa::decode(word ^ (std::uint64_t{1} << b));
+      if (fd.ok && fd.instr == gd.instr) {  // a bit no field decodes
+        e = 0;
+        continue;
+      }
+      std::array<std::uint32_t, errmodel::kNumErrorModels> counts{};
+      bool hang = false;
+      classify_instr_diff(gd.instr, fd.instr, fd.ok, regs, counts, hang);
+      e = hang ? WordDiffTable::kPerLane : 0;
+      for (unsigned m = 0; m < errmodel::kNumErrorModels && !hang; ++m) {
+        if (counts[m] > 3) {
+          e = WordDiffTable::kPerLane;
+          break;
+        }
+        e |= counts[m] << (2 * m);
+      }
+    }
+  }
+  return tab;
 }
 
 namespace {
@@ -772,11 +837,23 @@ void UnitReplayer::compare_outputs(const UnitTraces& t, std::size_t c,
   }
 }
 
+/// What classify_batch keeps across the cycles of one replay: the
+/// single-bit lane groups (reused, never cleared: bus_diff_split reports
+/// which entries are valid) and the lane tallies run_fault_batch publishes.
+struct UnitReplayer::ClassifyScratch {
+  std::array<LaneMask, 64> single;
+  std::uint64_t lanes = 0;        ///< diverged lanes classified
+  std::uint64_t table_lanes = 0;  ///< of which by table lookup
+};
+
 void UnitReplayer::classify_batch(BatchSim& sim, const UnitTraces& t,
                                   std::size_t c, GoldenRow gv,
                                   const LaneMask& diff, LaneMask& live,
-                                  std::span<FaultCharacterization> out) const {
+                                  std::span<FaultCharacterization> out,
+                                  const WordDiffTable* table,
+                                  ClassifyScratch& scratch) const {
   const Ports& p = *ports_;
+  scratch.lanes += diff.count();
   // A diverged lane is retired the moment it hangs: the unit makes no further
   // progress there, so later trace cycles are unreachable (same contract as
   // the brute oracle). Lanes entering here always have hang == false.
@@ -787,17 +864,45 @@ void UnitReplayer::classify_batch(BatchSim& sim, const UnitTraces& t,
   // Per-lane faulty bus words, indexed by lane (bus_values fills only the
   // requested lanes).
   std::array<std::uint64_t, LaneMask::kMaxLanes> words;
-  // Instruction-word bus: the golden word decodes once per cycle, the faulty
-  // words come word-wide from the engine, and only lanes whose word actually
-  // differs pay the faulty decode + field comparison.
+  // Instruction-word bus: the engine splits the lanes whose word differs by
+  // how many bits differ. A one-bit lane adds its bit's table entry; the
+  // others (and any the table cannot answer) decode their faulty word
+  // against the golden decode, once per cycle.
   const auto classify_word_bus = [&](const PortBus& bus, std::uint32_t regs,
                                      const LaneMask& alive) {
     const std::uint64_t gw = golden_bus(gv, bus);
-    const LaneMask d = sim.bus_values(bus, gv, alive, gw, words);
-    if (!d.any()) return;
+    const BatchSim::BusDiffSplit split =
+        sim.bus_diff_split(bus, gv, alive, gw, scratch.single, words);
+    LaneMask decode = split.multi;
+    const std::uint32_t* entries =
+        split.single_bits && table ? table->find(gw, regs) : nullptr;
+    for (std::uint64_t rest = split.single_bits; rest; rest &= rest - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(rest));
+      const LaneMask& lanes = scratch.single[b];
+      const std::uint32_t e = entries ? entries[b] : WordDiffTable::kPerLane;
+      if (e != WordDiffTable::kPerLane) {
+        // Nearly every entry names one model: one add per lane then.
+        const unsigned m =
+            e ? static_cast<unsigned>(std::countr_zero(e)) / 2 : 0;
+        const std::uint32_t n = e >> (2 * m);
+        for_each_lane(lanes, [&](unsigned k) {
+          if (n <= 3)
+            out[k].error_counts[m] += n;
+          else
+            WordDiffTable::add(e, out[k].error_counts);
+          ++scratch.table_lanes;
+        });
+        continue;
+      }
+      for_each_lane(lanes, [&](unsigned k) {
+        words[k] = gw ^ (std::uint64_t{1} << b);
+      });
+      decode |= lanes;
+    }
+    if (!decode.any()) return;
     const isa::DecodeResult gd = isa::decode(gw);
     if (!gd.ok) return;  // traces never carry invalid golden words
-    for_each_lane(d, [&](unsigned k) {
+    for_each_lane(decode, [&](unsigned k) {
       const isa::DecodeResult fd = isa::decode(words[k]);
       classify_instr_diff(gd.instr, fd.instr, fd.ok, regs,
                           out[k].error_counts, out[k].hang);
@@ -1008,7 +1113,8 @@ void UnitReplayer::run_fault(const StuckFault& fault, const UnitTraces& t,
 void UnitReplayer::run_fault_batch(BatchSim& sim,
                                    std::span<const StuckFault> faults,
                                    const UnitTraces& t, const GoldenTrace& g,
-                                   std::span<FaultCharacterization> out) const {
+                                   std::span<FaultCharacterization> out,
+                                   const WordDiffTable* words) const {
   const std::size_t n = num_cycles(t);
   const std::size_t lanes = faults.size();
   if (n == 0 || lanes == 0) return;
@@ -1047,12 +1153,19 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
   // Diverged lanes are classified by classify_batch: per-bus diff masks come
   // word-wide from the engine (they scale with the SIMD width), and only
   // instruction-word decodes remain scalar per lane. gate.classify_lanes
-  // counts that residual scalar work.
+  // counts the diverged lanes, gate.classify_table_lanes those whose
+  // one-bit word diff came from the table instead of a decode; both are
+  // published once per replay.
   static obs::Counter& classify_lanes = obs::counter("gate.classify_lanes");
+  static obs::Counter& table_lanes = obs::counter("gate.classify_table_lanes");
+  ClassifyScratch scratch;
   const auto classify_diverged = [&](const LaneMask& diff, std::size_t c) {
     if (!diff.any()) return;
-    classify_lanes.add(diff.count());
-    classify_batch(sim, t, c, g.row(c), diff, live, out);
+    classify_batch(sim, t, c, g.row(c), diff, live, out, words, scratch);
+  };
+  const auto publish = [&] {
+    classify_lanes.add(scratch.lanes);
+    table_lanes.add(scratch.table_lanes);
   };
 
   if (kind_ == UnitKind::Decoder) {
@@ -1074,6 +1187,7 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
       lane_cycles.add(lanes);
       classify_diverged(sim.diff_observed(g.row(c)) & act, c);
     }
+    publish();
     return;
   }
 
@@ -1110,6 +1224,7 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
       if (c >= last_any && !sim.state_diff_lanes(g.row(c + 1)).any()) break;
     }
   }
+  publish();
 }
 
 // ---------------------------------------------------------------------------
@@ -1120,6 +1235,7 @@ void replay_faults(const UnitReplayer& replayer, EngineKind engine,
                    std::span<const StuckFault> faults,
                    std::span<const UnitTraces> traces,
                    std::span<const UnitReplayer::GoldenTrace> goldens,
+                   const WordDiffTable* words,
                    std::span<FaultCharacterization> out, ThreadPool* pool,
                    const std::function<bool()>& stop,
                    const std::function<void(std::size_t, std::size_t)>& done) {
@@ -1138,7 +1254,7 @@ void replay_faults(const UnitReplayer& replayer, EngineKind engine,
       const std::unique_ptr<BatchSim> sim =
           make_batch_sim(replayer.netlist(), width);
       for (std::size_t ti = 0; ti < traces.size(); ++ti)
-        replayer.run_fault_batch(*sim, f, traces[ti], goldens[ti], o);
+        replayer.run_fault_batch(*sim, f, traces[ti], goldens[ti], o, words);
       if (done) done(lo, len);
       return;
     }
@@ -1243,7 +1359,9 @@ UnitCampaignResult run_unit_campaign(UnitKind unit, std::span<const UnitTraces> 
     sim_out[j].fault = sim_faults[j];
   const std::vector<UnitReplayer::GoldenTrace> goldens =
       replayer.compute_goldens(traces);
-  replay_faults(replayer, engine, sim_faults, traces, goldens, sim_out, pool);
+  const WordDiffTable words = replayer.word_diff_table(traces, goldens);
+  replay_faults(replayer, engine, sim_faults, traces, goldens, &words, sim_out,
+                pool);
 
   if (collapse) {
     ActivationSummary act(replayer.netlist().num_nets());

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <span>
@@ -82,9 +83,48 @@ bool classify_word_diff(std::uint64_t golden_word, std::uint64_t faulty_word,
                         std::array<std::uint32_t, errmodel::kNumErrorModels>& counts,
                         bool& hang);
 
+/// The classification of every single-bit flip of the instruction words a
+/// unit's traces issue: entry b of key (golden word, regs_per_thread) is
+/// what classify_word_diff(golden, golden ^ (1 << b), regs) adds. A diverged
+/// lane's word usually differs from golden in one bit, so the batch
+/// classifier adds a lane's entry instead of decoding its word. Built once
+/// per campaign from the goldens' issue cycles (UnitReplayer::
+/// word_diff_table) and read-only afterwards, so replay threads share it
+/// without locking.
+class WordDiffTable {
+ public:
+  /// An entry packs a 2-bit count per error model (model m at bits 2m and
+  /// 2m + 1). kPerLane marks a flip an entry cannot express (a count above
+  /// 3 or a hang); such lanes take the per-lane decode.
+  static constexpr std::uint32_t kPerLane = 1u << 31;
+  static_assert(2 * errmodel::kNumErrorModels < 31,
+                "counts fit below kPerLane");
+
+  /// The 64 entries of (word, regs) in bit order, or nullptr when the key
+  /// is not in the table.
+  const std::uint32_t* find(std::uint64_t word, std::uint32_t regs) const;
+  std::size_t keys() const { return keys_.size(); }
+
+  /// Adds entry `e` (not kPerLane) to `counts`.
+  static void add(
+      std::uint32_t e,
+      std::array<std::uint32_t, errmodel::kNumErrorModels>& counts) {
+    for (; e; e &= e - 1) {
+      const int b = std::countr_zero(e);
+      counts[static_cast<unsigned>(b / 2)] += std::uint32_t{1} << (b % 2);
+    }
+  }
+
+ private:
+  friend class UnitReplayer;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keys_;  ///< sorted
+  std::vector<std::uint32_t> entries_;  ///< 64 per key, in key order
+};
+
 /// Replays one unit's traces for a set of faults. Thread-safe across faults.
 class UnitReplayer {
  public:
+  /// Replays on the process-wide netlist of `kind` (unit_netlist()).
   explicit UnitReplayer(UnitKind kind);
   ~UnitReplayer();
 
@@ -131,6 +171,13 @@ class UnitReplayer {
   /// calls it.
   GoldenTrace golden_oracle(const UnitTraces& t) const;
 
+  /// The single-bit word-diff table of `traces` (goldens[i] computed from
+  /// traces[i]): one key per distinct (golden instruction word, regs) on an
+  /// issue cycle of the fetch unit's instr_out or the WSC's dispatch bus.
+  /// Empty for the decoder, whose classifier reassembles words from fields.
+  WordDiffTable word_diff_table(std::span<const UnitTraces> traces,
+                                std::span<const GoldenTrace> goldens) const;
+
   /// The oracle: evaluate one fault against one trace by resimulating the
   /// full netlist per (fault, cycle) with the scalar Simulator, accumulating
   /// into `out`. Both engines stop replaying a fault once it is flagged as a
@@ -146,12 +193,15 @@ class UnitReplayer {
   /// would produce. Hung lanes are retired early and stop paying
   /// classification cost. Replaying the same fault batch against many
   /// traces through one engine lets it keep its per-batch execution plan
-  /// (fixups, patched stream, fanout-cone program) across traces — begin()
-  /// detects the unchanged fault set and skips the rebuild — which is how
-  /// replay_faults() drives it.
+  /// (force ops, patched stream, fanout-cone program) across traces —
+  /// begin() detects the unchanged fault set and skips the rebuild — which
+  /// is how replay_faults() drives it. `words`, when given, classifies
+  /// single-bit instruction-word diffs by lookup; its absent keys and a
+  /// null table fall back to the per-lane decode, with identical results.
   void run_fault_batch(BatchSim& sim, std::span<const StuckFault> faults,
                        const UnitTraces& t, const GoldenTrace& g,
-                       std::span<FaultCharacterization> out) const;
+                       std::span<FaultCharacterization> out,
+                       const WordDiffTable* words = nullptr) const;
 
  private:
   std::size_t num_cycles(const UnitTraces& t) const;
@@ -166,18 +216,21 @@ class UnitReplayer {
   /// engine supplies per-output-bus diff masks word-wide (they scale with
   /// the SIMD width), simple bus diffs map one-to-one onto error-model
   /// increments, and only instruction-word diffs — plus the decoder's
-  /// field-crossing verdict — pay a scalar per-lane decode. Produces exactly
+  /// field-crossing verdict — pay a scalar per-lane decode, except
+  /// single-bit word diffs found in `words`. Produces exactly
   /// compare_outputs' result for every lane of `diff`; lanes it hangs are
   /// retired in `sim` and cleared from `live`.
+  struct ClassifyScratch;
   void classify_batch(BatchSim& sim, const UnitTraces& t, std::size_t cycle,
                       GoldenRow golden_vals, const LaneMask& diff,
-                      LaneMask& live,
-                      std::span<FaultCharacterization> out) const;
+                      LaneMask& live, std::span<FaultCharacterization> out,
+                      const WordDiffTable* words,
+                      ClassifyScratch& scratch) const;
 
   std::uint64_t golden_bus(GoldenRow vals, const PortBus& bus) const;
 
   UnitKind kind_;
-  std::unique_ptr<Netlist> nl_;
+  std::shared_ptr<const Netlist> nl_;
   // Cached port handles.
   struct Ports;
   std::unique_ptr<Ports> ports_;
@@ -185,8 +238,9 @@ class UnitReplayer {
 
 /// The fault loop behind every campaign driver (run_unit_campaign and
 /// report::GateUnitRunner): replays `faults` against every trace, with
-/// goldens[i] precomputed from traces[i], filling out[k], whose .fault must
-/// be faults[k]. The batch engine runs batch-major: the faults are cut into
+/// goldens[i] precomputed from traces[i] and `words` (may be null) the
+/// word-diff table built from both, filling out[k], whose .fault must be
+/// faults[k]. The batch engine runs batch-major: the faults are cut into
 /// batch_lane_width() batches, and each batch replays every trace through
 /// one engine, so its per-batch plan is built once (gate.cone_builds counts
 /// one per batch). The brute oracle runs one fault at a time. With a pool,
@@ -197,7 +251,8 @@ void replay_faults(
     const UnitReplayer& replayer, EngineKind engine,
     std::span<const StuckFault> faults, std::span<const UnitTraces> traces,
     std::span<const UnitReplayer::GoldenTrace> goldens,
-    std::span<FaultCharacterization> out, ThreadPool* pool = nullptr,
+    const WordDiffTable* words, std::span<FaultCharacterization> out,
+    ThreadPool* pool = nullptr,
     const std::function<bool()>& stop = {},
     const std::function<void(std::size_t, std::size_t)>& done = {});
 

@@ -1,5 +1,8 @@
 #include "gate/units.hpp"
 
+#include <mutex>
+#include <stdexcept>
+
 #include "gate/wordops.hpp"
 #include "isa/encoding.hpp"
 
@@ -376,6 +379,15 @@ std::unique_ptr<Netlist> build_unit(UnitKind u) {
     case UnitKind::WSC: return build_wsc_unit();
   }
   return nullptr;
+}
+
+std::shared_ptr<const Netlist> unit_netlist(UnitKind u) {
+  static std::once_flag once[3];
+  static std::shared_ptr<const Netlist> nl[3];
+  const auto i = static_cast<std::size_t>(u);
+  if (i >= 3) throw std::invalid_argument("unit_netlist: unknown unit");
+  std::call_once(once[i], [&] { nl[i] = build_unit(u); });
+  return nl[i];
 }
 
 }  // namespace gpf::gate

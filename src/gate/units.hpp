@@ -48,4 +48,8 @@ std::unique_ptr<Netlist> build_fp32_core();
 
 std::unique_ptr<Netlist> build_unit(UnitKind u);
 
+/// The unit's netlist, built once per process and shared read-only by every
+/// campaign (replayers, fault-list sizing, collapse maps). Thread-safe.
+std::shared_ptr<const Netlist> unit_netlist(UnitKind u);
+
 }  // namespace gpf::gate

@@ -19,9 +19,10 @@ UnitFn make_unit_fn(const store::CampaignMeta& meta) {
   switch (meta.kind) {
     case store::CampaignKind::Gate: {
       report::gate_campaign_unit(meta);  // refuse a bad header before profiling
-      auto traces = std::make_shared<std::vector<gate::UnitTraces>>(
-          report::collect_profiling_traces(meta.param1));
-      auto runner = std::make_shared<report::GateUnitRunner>(*traces, meta);
+      // The profiling memo keeps the traces alive for the process, which
+      // outlives the runner that refers to them.
+      auto runner = std::make_shared<report::GateUnitRunner>(
+          report::collect_profiling_traces(meta.param1), meta);
       if (runner->collapsed())
         std::fprintf(stderr, "[worker] gate campaign: %zu faults collapse to %zu representatives\n",
                      runner->faults().size(), runner->representative_count());
@@ -30,9 +31,9 @@ UnitFn make_unit_fn(const store::CampaignMeta& meta) {
                    lanes, gate::batch_simd_path(lanes),
                    gate::batch_engine_tag());
       auto pool = std::make_shared<ThreadPool>();
-      return [traces, runner, pool](std::span<const std::uint64_t> ids,
-                                    const EmitBytes& emit,
-                                    const std::function<bool()>& stop) {
+      return [runner, pool](std::span<const std::uint64_t> ids,
+                            const EmitBytes& emit,
+                            const std::function<bool()>& stop) {
         runner->run(
             ids,
             [&](std::uint64_t id, const gate::FaultCharacterization& fc) {

@@ -1,6 +1,9 @@
 #include "report/gate_experiments.hpp"
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,7 +17,9 @@
 
 namespace gpf::report {
 
-std::vector<gate::UnitTraces> collect_profiling_traces(std::size_t max_issues) {
+namespace {
+
+std::vector<gate::UnitTraces> profile(std::size_t max_issues) {
   std::vector<gate::UnitTraces> traces;
   for (const workloads::Workload* w : workloads::profiling_set()) {
     arch::Gpu gpu;
@@ -28,6 +33,31 @@ std::vector<gate::UnitTraces> collect_profiling_traces(std::size_t max_issues) {
     traces.push_back(profiler.take(std::string(w->name())));
   }
   return traces;
+}
+
+}  // namespace
+
+const std::vector<gate::UnitTraces>& collect_profiling_traces(
+    std::size_t max_issues) {
+  // One entry per max_issues, never evicted, so returned references stay
+  // valid for the process. The map lock only finds the entry; call_once
+  // makes concurrent first callers of one key wait for a single profiling
+  // run (and lets a later caller retry if that run threw).
+  struct Entry {
+    std::once_flag once;
+    std::vector<gate::UnitTraces> traces;
+  };
+  static std::mutex mu;
+  static std::map<std::size_t, std::unique_ptr<Entry>> memo;
+  Entry* e = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    std::unique_ptr<Entry>& slot = memo[max_issues];
+    if (!slot) slot = std::make_unique<Entry>();
+    e = slot.get();
+  }
+  std::call_once(e->once, [&] { e->traces = profile(max_issues); });
+  return e->traces;
 }
 
 GateCampaigns run_gate_campaigns(const std::vector<gate::UnitTraces>& traces,
@@ -71,8 +101,8 @@ store::CampaignMeta gate_campaign_meta(gate::UnitKind unit,
                                        EngineKind engine,
                                        std::uint32_t shard_index,
                                        std::uint32_t shard_count) {
-  gate::UnitReplayer replayer(unit);
-  const std::size_t full = gate::full_fault_list(replayer.netlist()).size();
+  const std::size_t full =
+      gate::full_fault_list(*gate::unit_netlist(unit)).size();
   store::CampaignMeta meta;
   meta.kind = store::CampaignKind::Gate;
   meta.target = static_cast<std::uint8_t>(unit);
@@ -128,6 +158,7 @@ GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
         "(store built against different code?)");
   full_fault_list_size_ = gate::full_fault_list(replayer_.netlist()).size();
   goldens_ = replayer_.compute_goldens(traces);
+  words_ = replayer_.word_diff_table(traces, goldens_);
 
   collapse_ = collapse_enabled();
   rep_count_ = faults_.size();
@@ -158,11 +189,11 @@ GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
 std::size_t gate_campaign_representatives(const store::CampaignMeta& meta) {
   const gate::UnitKind unit = gate_campaign_unit(meta);
   if (!collapse_enabled()) return meta.total;
-  gate::UnitReplayer replayer(unit);
+  const std::shared_ptr<const gate::Netlist> nl = gate::unit_netlist(unit);
   const std::vector<gate::StuckFault> faults =
-      gate::sampled_fault_list(replayer.netlist(), unit, meta.param0, meta.seed);
+      gate::sampled_fault_list(*nl, unit, meta.param0, meta.seed);
   if (faults.size() != meta.total) return meta.total;  // stale store: no map
-  const gate::FaultCollapse col(replayer.netlist());
+  const gate::FaultCollapse col(*nl);
   std::unordered_map<std::uint32_t, std::uint32_t> seen;
   for (const gate::StuckFault& f : faults)
     seen.try_emplace(gate::FaultCollapse::node(col.representative(f)), 0u);
@@ -207,7 +238,7 @@ void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
   for (std::size_t j = 0; j < jobs.size(); ++j) out[j].fault = jobs[j];
   static obs::Counter& retired = obs::counter("gate.faults_retired");
   gate::replay_faults(
-      replayer_, engine_, jobs, traces_, goldens_, out, pool, stop,
+      replayer_, engine_, jobs, traces_, goldens_, &words_, out, pool, stop,
       [&](std::size_t lo, std::size_t len) {
         for (std::size_t j = lo; j < lo + len; ++j)
           for (std::size_t m = first[j]; m < first[j + 1]; ++m) {

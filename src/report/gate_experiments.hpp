@@ -20,7 +20,12 @@ namespace gpf::report {
 
 /// Run all 14 profiling workloads under the unit profiler (fault-free) and
 /// harvest per-unit stimulus traces. `max_issues` caps issues per workload.
-std::vector<gate::UnitTraces> collect_profiling_traces(std::size_t max_issues);
+/// The runs are deterministic, so they happen once per process per
+/// `max_issues`: every call returns the same shared, immutable traces, which
+/// live until the process exits. Thread-safe; concurrent first callers wait
+/// for one profiling run.
+const std::vector<gate::UnitTraces>& collect_profiling_traces(
+    std::size_t max_issues);
 
 struct GateCampaigns {
   std::array<gate::UnitCampaignResult, 3> units;  // Decoder, Fetch, WSC order
@@ -77,8 +82,9 @@ void apply_gate_record(const store::GateRecord& r,
 
 /// Number of equivalence-class representatives actually simulated for a gate
 /// campaign's fault-id space: the unique structural-collapse representatives
-/// of the sampled fault list (= meta.total when GPF_COLLAPSE is off). Builds
-/// the unit netlist but needs no traces, so status tooling can call it.
+/// of the sampled fault list (= meta.total when GPF_COLLAPSE is off). Reads
+/// the shared unit netlist but needs no traces, so status tooling can call
+/// it.
 std::size_t gate_campaign_representatives(const store::CampaignMeta& meta);
 
 /// Work-unit adapter for lease-based dispatch: resolves a gate campaign's
@@ -126,6 +132,7 @@ class GateUnitRunner {
   gate::UnitReplayer replayer_;
   std::vector<gate::StuckFault> faults_;
   std::vector<gate::UnitReplayer::GoldenTrace> goldens_;
+  gate::WordDiffTable words_;  ///< single-bit word diffs of goldens_
   std::size_t full_fault_list_size_ = 0;
   bool collapse_ = false;
   std::vector<gate::StuckFault> rep_of_id_;  ///< class rep per campaign id

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <filesystem>
 #include <memory>
 #include <stdexcept>
@@ -17,6 +19,8 @@
 #include "gate/jit.hpp"
 #include "gate/profiler.hpp"
 #include "gate/replay.hpp"
+#include "isa/encoding.hpp"
+#include "obs/metrics.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpf::gate {
@@ -151,6 +155,318 @@ struct KnobGuard {
   }
 };
 
+// The classifier adds a WordDiffTable entry for a lane whose instruction
+// word differs from golden in exactly one bit, and decodes every other
+// lane's word. A WSC batch takes both paths: faults on single dispatch bits
+// (use_imm among them) give one-bit diffs, and the instruction buffer's
+// enable stuck at 0 freezes the buffered word, which the dispatch mux then
+// sends in place of each new one. Every lane must equal the brute oracle,
+// with the table and without it, at every width.
+TEST(BatchSimWordDiff, SingleAndMultiBitWordDiffsMatchBruteOracle) {
+  const UnitTraces t = trace_of("p_tiled_mxm");
+  const UnitReplayer replayer(UnitKind::WSC);
+  const Netlist& nl = replayer.netlist();
+  const auto goldens = replayer.compute_goldens({&t, 1});
+  const UnitReplayer::GoldenTrace& g = goldens[0];
+  const WordDiffTable table = replayer.word_diff_table({&t, 1}, goldens);
+  ASSERT_GT(table.keys(), 0u);
+
+  const PortBus& dispatch = *nl.find_output("dispatch");
+  const Net ibuf_en = nl.find_input("ibuf_en")->nets[0];
+  const unsigned use_imm = isa::field::kFlagImm;
+  // dispatch[b] = bufs(mux(ibuf_en, ibuf_q[b], ibuf_in[b])).
+  std::vector<Net> ibuf_q;
+  for (const Net out : dispatch.nets) {
+    Net n = out;
+    while (nl.gate(n).kind == GateKind::Buf) n = nl.gate(n).a;
+    ASSERT_EQ(nl.gate(n).kind, GateKind::Mux);
+    ibuf_q.push_back(nl.gate(n).b);
+  }
+  const auto word = [&](std::span<const Net> nets, std::size_t c) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < nets.size(); ++i)
+      v |= std::uint64_t{g.row(c)[static_cast<std::size_t>(nets[i])]} << i;
+    return v;
+  };
+  // The shapes this batch must produce, read off the golden trace. ibuf_en
+  // stuck at 0 activates on its first cycle at 1 and keeps ibuf_q at that
+  // cycle's value, which differs from a later dispatched word in two or
+  // more bits. use_imm is issued both set and clear, so each polarity of a
+  // stuck use_imm bit flips it.
+  std::size_t first = g.cycles;
+  for (std::size_t c = 0; c < g.cycles && first == g.cycles; ++c)
+    if (g.row(c)[static_cast<std::size_t>(ibuf_en)]) first = c;
+  ASSERT_LT(first, g.cycles);
+  const std::uint64_t frozen = word(ibuf_q, first);
+  bool multi = false, imm_set = false, imm_clear = false;
+  for (std::size_t c = first; c < g.cycles; ++c) {
+    if (!t.wsc[c].is_issue) continue;
+    const std::uint64_t d = word(dispatch.nets, c);
+    multi |= std::popcount(d ^ frozen) >= 2;
+    ((d >> use_imm) & 1 ? imm_set : imm_clear) = true;
+  }
+  ASSERT_TRUE(multi && imm_set && imm_clear);
+
+  std::vector<StuckFault> faults;
+  for (const bool high : {false, true}) {
+    faults.push_back({ibuf_en, high});
+    for (const unsigned bit : {use_imm, 60u, 42u, 35u, 27u, 18u, 3u})
+      faults.push_back({dispatch.nets[bit], high});
+  }
+  std::vector<FaultCharacterization> brute(faults.size());
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    brute[k].fault = faults[k];
+    replayer.run_fault(faults[k], t, g, brute[k]);
+  }
+  // A flipped use_imm bit is an immediate-operand error.
+  const auto iio = static_cast<unsigned>(errmodel::ErrorModel::IIO);
+  EXPECT_GT(brute[1].error_counts[iio], 0u);
+  EXPECT_GT(brute[faults.size() / 2 + 1].error_counts[iio], 0u);
+
+  LaneGuard guard;
+  obs::Counter& table_lanes = obs::counter("gate.classify_table_lanes");
+  for (const std::size_t width : supported_widths()) {
+    set_batch_lanes_override(width);
+    for (const WordDiffTable* words :
+         {&table, static_cast<const WordDiffTable*>(nullptr)}) {
+      std::vector<FaultCharacterization> batch(faults.size());
+      for (std::size_t k = 0; k < faults.size(); ++k)
+        batch[k].fault = faults[k];
+      const std::uint64_t before = table_lanes.value();
+      const std::unique_ptr<BatchSim> sim = make_batch_sim(nl);
+      replayer.run_fault_batch(*sim, faults, t, g, batch, words);
+      if (obs::enabled()) {
+        if (words)
+          EXPECT_GT(table_lanes.value(), before);
+        else
+          EXPECT_EQ(table_lanes.value(), before);
+      }
+      const std::string label = "width " + std::to_string(width) +
+                                (words ? " table" : " decode");
+      for (std::size_t k = 0; k < faults.size(); ++k)
+        expect_same(brute[k], batch[k], label.c_str());
+    }
+  }
+}
+
+// bus_diff_split's contract, lane by lane against the scalar Simulator: a
+// lane whose bus value differs from golden in exactly one bit is in that
+// bit's single-bit group and nowhere else; a lane differing in two or more
+// is in `multi` with its value in out[k]. Stuck-ats on s and t flip two and
+// three bus bits at once; one on an xor or buffer flips one.
+TEST(BatchSimWordDiff, BusDiffSplitSeparatesOneBitLanes) {
+  Netlist nl;
+  std::vector<Net> a;
+  for (int i = 0; i < 6; ++i) a.push_back(nl.input());
+  const Net s = nl.input(), t = nl.input();
+  const std::vector<Net> o = {nl.xor_(a[0], s), nl.xor_(a[1], s),
+                              nl.xor_(a[2], t), nl.xor_(a[3], t),
+                              nl.xnor_(a[4], t), nl.buf(a[5])};
+  nl.add_output_bus("o", o);
+  nl.finalize();
+  const PortBus& bus = nl.outputs()[0];
+  std::vector<Net> inputs = a;
+  inputs.push_back(s);
+  inputs.push_back(t);
+  std::vector<StuckFault> faults;
+  for (Net n = 0; n < static_cast<Net>(nl.num_nets()); ++n)
+    for (const bool high : {false, true}) faults.push_back({n, high});
+
+  Rng rng(0xB175);
+  for (const std::size_t width : supported_widths()) {
+    for (int pattern = 0; pattern < 8; ++pattern) {
+      std::vector<std::uint8_t> drive;
+      for (std::size_t i = 0; i < inputs.size(); ++i)
+        drive.push_back(static_cast<std::uint8_t>(rng.below(2)));
+      const auto run = [&](Simulator& sim) {
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+          sim.set_input(inputs[i], drive[i] != 0);
+        sim.eval();
+        return sim.bus_value(bus);
+      };
+      Simulator golden(nl);
+      const std::uint64_t gv = run(golden);
+      std::vector<std::uint64_t> row((nl.num_nets() + 63) / 64, 0);
+      for (std::size_t n = 0; n < nl.num_nets(); ++n)
+        row[n / 64] |= std::uint64_t{golden.values()[n]} << (n % 64);
+
+      const std::unique_ptr<BatchSim> sim = make_batch_sim(nl, width);
+      sim->set_observed(bus.nets);
+      sim->begin(faults);
+      for (std::size_t i = 0; i < inputs.size(); ++i)
+        sim->set_bus(PortBus{"i", {inputs[i]}}, drive[i]);
+      sim->eval();
+      std::array<LaneMask, 64> single;
+      std::array<std::uint64_t, LaneMask::kMaxLanes> out{};
+      const BatchSim::BusDiffSplit split = sim->bus_diff_split(
+          bus, GoldenRow{row.data()}, sim->lane_mask(), gv, single, out);
+
+      bool saw[4] = {};  // lanes differing in 0, 1, 2, 3+ bits
+      for (std::size_t k = 0; k < faults.size(); ++k) {
+        Simulator one(nl);
+        one.set_fault(faults[k]);
+        const std::uint64_t fv = run(one);
+        const int bits = std::popcount(fv ^ gv);
+        saw[std::min(bits, 3)] = true;
+        const auto lane = static_cast<unsigned>(k);
+        const std::string at = "width " + std::to_string(width) + " net " +
+                               std::to_string(faults[k].net) + " stuck " +
+                               std::to_string(faults[k].stuck_high);
+        EXPECT_EQ(split.multi.test(lane), bits >= 2) << at;
+        if (bits >= 2) {
+          EXPECT_EQ(out[k], fv) << at;
+        }
+        for (unsigned b = 0; b < bus.nets.size(); ++b) {
+          const bool in_group =
+              ((split.single_bits >> b) & 1) && single[b].test(lane);
+          EXPECT_EQ(in_group, bits == 1 && fv == (gv ^ (std::uint64_t{1} << b)))
+              << at << " bit " << b;
+        }
+      }
+      EXPECT_TRUE(saw[1] && saw[2] && saw[3]) << "pattern " << pattern;
+      // Fewer groups than bus bits is refused, not overrun.
+      EXPECT_THROW(sim->bus_diff_split(bus, GoldenRow{row.data()},
+                                       sim->lane_mask(), gv,
+                                       std::span(single).first(2), out),
+                   std::invalid_argument);
+    }
+  }
+}
+
+/// A gate soup whose DFFs share a few enable nets (one of them always
+/// enabled): enables drawn from inputs, gates and DFF outputs, DFFs fed by
+/// other DFFs directly, and at least one enable group of two or more DFFs.
+Netlist enable_group_netlist(Rng& rng) {
+  Netlist nl;
+  std::vector<Net> nets;
+  const std::size_t ni = 2 + rng.below(4);
+  for (std::size_t i = 0; i < ni; ++i) nets.push_back(nl.input());
+  std::vector<Net> dffs;
+  const std::size_t nd = 4 + rng.below(9);
+  for (std::size_t i = 0; i < nd; ++i) {
+    dffs.push_back(nl.dff());
+    nets.push_back(dffs.back());
+  }
+  const std::size_t ng = 8 + rng.below(30);
+  for (std::size_t i = 0; i < ng; ++i) {
+    const auto pick = [&] { return nets[rng.below(nets.size())]; };
+    switch (rng.below(5)) {
+      case 0: nets.push_back(nl.and_(pick(), pick())); break;
+      case 1: nets.push_back(nl.or_(pick(), pick())); break;
+      case 2: nets.push_back(nl.xor_(pick(), pick())); break;
+      case 3: nets.push_back(nl.not_(pick())); break;
+      default: nets.push_back(nl.mux(pick(), pick(), pick())); break;
+    }
+  }
+  std::vector<Net> enables = {kNoNet};
+  const std::size_t ne = 1 + rng.below(3);
+  for (std::size_t i = 0; i < ne; ++i)
+    enables.push_back(nets[rng.below(nets.size())]);
+  for (std::size_t i = 0; i < nd; ++i) {
+    // DFF 1 always reads DFF 0, then a third of the rest read some DFF.
+    const Net d = i == 1 || rng.below(3) == 0 ? dffs[i == 1 ? 0 : rng.below(nd)]
+                                              : nets[rng.below(nets.size())];
+    // DFFs 0 and 1 share an enable net, so some group has two members.
+    const Net en = i == 1 ? nl.gate(dffs[0]).b
+                          : enables[1 + rng.below(enables.size() - 1)];
+    nl.set_dff_input(dffs[i], d, rng.below(4) == 0 && i > 1 ? kNoNet : en);
+  }
+  std::vector<Net> out;
+  for (int i = 0; i < 4; ++i) out.push_back(nets[rng.below(nets.size())]);
+  nl.add_output_bus("o", out);
+  nl.finalize();
+  return nl;
+}
+
+// Enable-grouped latching is exact: a group is skipped only when its enable
+// is 0 in every lane, and a faulted enable (or D, or DFF output) in one lane
+// must still latch that lane. Every fault of random shared-enable netlists,
+// lane for lane against the scalar Simulator on every cycle, at every width,
+// with plain eval (full latching) and with eval_cone (cone-restricted
+// latching, golden values from a fault-free Simulator).
+TEST(BatchSimLatch, SharedEnableNetlistsMatchSimulatorWithConeOnAndOff) {
+  KnobGuard knobs;
+  obs::Counter& groups = obs::counter("gate.latch_groups");
+  obs::Counter& skipped = obs::counter("gate.latch_groups_skipped");
+  const std::uint64_t groups0 = groups.value(), skipped0 = skipped.value();
+  Rng rng(0xE7AB1E);
+  constexpr int kCycles = 6;
+  for (int iter = 0; iter < 40; ++iter) {
+    const Netlist nl = enable_group_netlist(rng);
+    std::vector<Net> inputs, probe = nl.outputs()[0].nets;
+    for (Net n = 0; n < static_cast<Net>(nl.num_nets()); ++n)
+      if (nl.gate(n).kind == GateKind::Input) inputs.push_back(n);
+    for (const Net d : nl.dffs()) probe.push_back(d);
+    std::vector<StuckFault> all;
+    for (Net n = 0; n < static_cast<Net>(nl.num_nets()); ++n)
+      for (const bool high : {false, true}) all.push_back({n, high});
+
+    // One input drive per cycle, and the fault-free rows eval_cone reads.
+    std::vector<std::vector<std::uint8_t>> drive(kCycles);
+    std::vector<std::vector<std::uint64_t>> rows(kCycles);
+    Simulator golden(nl);
+    for (int c = 0; c < kCycles; ++c) {
+      for (const Net n : inputs) {
+        drive[c].push_back(static_cast<std::uint8_t>(rng.below(2)));
+        golden.set_input(n, drive[c].back() != 0);
+      }
+      golden.eval();
+      rows[c].assign((nl.num_nets() + 63) / 64, 0);
+      for (std::size_t n = 0; n < nl.num_nets(); ++n)
+        rows[c][n / 64] |= std::uint64_t{golden.values()[n]} << (n % 64);
+      golden.clock();
+    }
+    std::vector<std::uint8_t> want;  // [cycle][probe net][fault]
+    for (const StuckFault& f : all) {
+      Simulator sim(nl);
+      sim.set_fault(f);
+      for (int c = 0; c < kCycles; ++c) {
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+          sim.set_input(inputs[i], drive[c][i] != 0);
+        sim.eval();
+        for (const Net n : probe) want.push_back(sim.value(n) ? 1 : 0);
+        sim.clock();
+      }
+    }
+    const std::size_t per_fault = kCycles * probe.size();
+
+    for (const std::size_t width : supported_widths()) {
+      for (const int cone : {0, 1}) {
+        set_cone_override(cone);
+        for (std::size_t base = 0; base < all.size(); base += width) {
+          const std::size_t count = std::min(width, all.size() - base);
+          const std::unique_ptr<BatchSim> sim = make_batch_sim(nl, width);
+          sim->set_observed(probe);
+          sim->begin(std::span(all).subspan(base, count));
+          for (int c = 0; c < kCycles; ++c) {
+            for (std::size_t i = 0; i < inputs.size(); ++i)
+              sim->set_bus(PortBus{"i", {inputs[i]}}, drive[c][i]);
+            if (cone)
+              sim->eval_cone(GoldenRow{rows[c].data()});
+            else
+              sim->eval();
+            for (std::size_t k = 0; k < count; ++k)
+              for (std::size_t p = 0; p < probe.size(); ++p)
+                ASSERT_EQ(
+                    sim->value(probe[p], static_cast<unsigned>(k)),
+                    want[(base + k) * per_fault + c * probe.size() + p] != 0)
+                    << "iter " << iter << " width " << width << " cone "
+                    << cone << " cycle " << c << " net " << probe[p]
+                    << " fault net " << all[base + k].net << " stuck "
+                    << all[base + k].stuck_high;
+            sim->clock();
+          }
+        }
+      }
+    }
+  }
+  // Both latch paths ran: some groups latched, some were skipped.
+  if (obs::enabled()) {
+    EXPECT_GT(skipped.value(), skipped0);
+    EXPECT_GT(groups.value() - groups0, skipped.value() - skipped0);
+  }
+}
+
 // Fault collapsing and cone pruning are pure optimizations: every
 // (GPF_COLLAPSE, GPF_CONE, engine) combination must produce the identical
 // characterization for every fault as the knobs-off brute-force reference.
@@ -258,8 +574,9 @@ TEST(BatchSimDispatch, WidthDispatchIsSaneAndPinnable) {
     set_batch_lanes_override(w);
     EXPECT_EQ(batch_lane_width(), w);
   }
-  if (!batch_width_supported(512))
+  if (!batch_width_supported(512)) {
     EXPECT_THROW(set_batch_lanes_override(512), std::invalid_argument);
+  }
   EXPECT_THROW(set_batch_lanes_override(128), std::invalid_argument);
 }
 

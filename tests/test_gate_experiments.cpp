@@ -9,6 +9,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "gate/batchsim.hpp"
 #include "gate/jit.hpp"
@@ -29,14 +30,6 @@ constexpr std::uint64_t kSeed = 7;
 
 class GateExperimentsTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    traces_ = new std::vector<gate::UnitTraces>(
-        report::collect_profiling_traces(kMaxIssues));
-  }
-  static void TearDownTestSuite() {
-    delete traces_;
-    traces_ = nullptr;
-  }
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("gpf-gatexp-" + std::to_string(::getpid()) + "-" +
@@ -69,16 +62,13 @@ class GateExperimentsTest : public ::testing::Test {
     return store::load_store(store_path).records;
   }
 
-  static const std::vector<gate::UnitTraces>& traces() { return *traces_; }
+  static const std::vector<gate::UnitTraces>& traces() {
+    return report::collect_profiling_traces(kMaxIssues);
+  }
 
  protected:
   std::filesystem::path dir_;
-
- private:
-  static std::vector<gate::UnitTraces>* traces_;
 };
-
-std::vector<gate::UnitTraces>* GateExperimentsTest::traces_ = nullptr;
 
 TEST_F(GateExperimentsTest, ProfilingTracesCoverAllWorkloads) {
   ASSERT_EQ(traces().size(), 14u);
@@ -358,6 +348,48 @@ TEST_F(GateExperimentsTest, UnitByteIsValidated) {
       store::CampaignCheckpoint ckpt(p, meta);
       report::run_unit_campaign_store(traces(), ckpt);
     });
+  }
+}
+
+// Profiling is memoized per max_issues: concurrent first callers wait for
+// one profiling run and get the same immutable traces, and later callers
+// run nothing. arch.launches counts the launches each run makes; a run's
+// count does not depend on max_issues, which only caps what is recorded.
+TEST_F(GateExperimentsTest, ProfilingMemoRunsOncePerMaxIssues) {
+  if (!obs::enabled()) GTEST_SKIP() << "metrics registry disabled";
+  obs::Counter& launches = obs::counter("arch.launches");
+  std::uint64_t before = launches.value();
+  const std::vector<gate::UnitTraces>& serial =
+      report::collect_profiling_traces(kMaxIssues + 1);
+  const std::uint64_t one_run = launches.value() - before;
+  ASSERT_GT(one_run, 0u);
+  EXPECT_EQ(&report::collect_profiling_traces(kMaxIssues + 1), &serial);
+
+  constexpr int kCallers = 4;
+  std::array<const std::vector<gate::UnitTraces>*, kCallers> got{};
+  before = launches.value();
+  {
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCallers; ++i)
+      callers.emplace_back([&got, i] {
+        got[i] = &report::collect_profiling_traces(kMaxIssues + 2);
+      });
+    for (std::thread& c : callers) c.join();
+  }
+  EXPECT_EQ(launches.value() - before, one_run);
+  for (const auto* g : got) EXPECT_EQ(g, got[0]);
+  ASSERT_EQ(got[0]->size(), 14u);
+  EXPECT_EQ(&report::collect_profiling_traces(kMaxIssues + 2), got[0]);
+  EXPECT_EQ(launches.value() - before, one_run) << "repeat call profiled";
+}
+
+// Every gate entry point shares one netlist per unit per process.
+TEST_F(GateExperimentsTest, UnitNetlistIsBuiltOncePerProcess) {
+  for (const gate::UnitKind u :
+       {gate::UnitKind::Decoder, gate::UnitKind::Fetch, gate::UnitKind::WSC}) {
+    const std::shared_ptr<const gate::Netlist> nl = gate::unit_netlist(u);
+    EXPECT_EQ(gate::unit_netlist(u), nl);
+    EXPECT_EQ(&gate::UnitReplayer(u).netlist(), nl.get());
   }
 }
 

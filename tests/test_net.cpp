@@ -752,7 +752,7 @@ TEST(NetE2E, GateFleetJitExportMatchesInterpreterSingleProcess) {
                                       /*seed=*/5, engine);
   };
   const store::CampaignMeta meta = meta_for(EngineKind::Batch);
-  const auto traces = report::collect_profiling_traces(kMaxIssues);
+  const auto& traces = report::collect_profiling_traces(kMaxIssues);
   struct EngineGuard {
     ~EngineGuard() {
       set_jit_override(-1);

@@ -203,7 +203,7 @@ void drive_campaign(store::CampaignCheckpoint& ckpt, std::size_t limit) {
       case store::CampaignKind::Gate: {
         std::cout << "[gpfctl] collecting profiling traces (max_issues="
                   << meta.param1 << ")...\n";
-        const auto traces = report::collect_profiling_traces(meta.param1);
+        const auto& traces = report::collect_profiling_traces(meta.param1);
         ThreadPool pool;
         report::run_unit_campaign_store(traces, ckpt, &pool);
         break;

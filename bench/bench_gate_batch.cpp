@@ -44,6 +44,14 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
+// Row timing: every row is timed in each of the first kMinRounds rounds,
+// and a row faster than kRepeatBudgetSecs in every later round too, up to
+// kRounds; a row reports its minimum. So every figure, the slow brute rows
+// included, is a min of at least kMinRounds samples.
+constexpr int kRounds = 9;
+constexpr int kMinRounds = 3;
+constexpr double kRepeatBudgetSecs = 1.0;
+
 std::size_t unit_cycles(gate::UnitKind unit,
                         const std::vector<gate::UnitTraces>& traces) {
   std::size_t n = 0;
@@ -178,6 +186,8 @@ void write_bench_json(const std::vector<JsonRow>& rows,
      << ", \"fuse\": " << (fuse_enabled() ? "true" : "false")
      << ", \"collapse\": " << (collapse_enabled() ? "true" : "false")
      << ", \"cone\": " << (cone_enabled() ? "true" : "false")
+     << ", \"min_rounds\": " << kMinRounds << ", \"max_rounds\": " << kRounds
+     << ", \"repeat_budget_s\": " << num(kRepeatBudgetSecs, "%.1f")
      << "},\n  \"metrics_overhead_pct\": "
      << num(metrics_overhead_pct, "%.2f") << ",\n  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -329,8 +339,8 @@ int main(int argc, char** argv) {
     // host's slow phases (seconds-scale frequency / steal-time drift) hit
     // all rows roughly equally instead of poisoning whichever row owned that
     // slice of wall clock; the per-row minimum across rounds then yields
-    // stable vs-* ratios. Rows slower than the repeat budget (brute) keep
-    // their single measurement.
+    // stable vs-* ratios. Rows slower than the repeat budget (brute) stop
+    // after kMinRounds rounds.
     std::vector<double> row_secs(rows.size(), 1e300);
     std::vector<gate::UnitCampaignResult> row_res(rows.size());
     SetupRow golden;
@@ -341,8 +351,6 @@ int main(int argc, char** argv) {
     const auto secs_since = [](Clock::time_point t0) {
       return std::chrono::duration<double>(Clock::now() - t0).count();
     };
-    constexpr int kRounds = 9;
-    constexpr double kRepeatBudgetSecs = 1.0;
     for (int round = 0; round < kRounds; ++round) {
       // Golden row: the oracle, the production pass and the runner
       // constructor, once each per round like every engine row.
@@ -375,7 +383,7 @@ int main(int argc, char** argv) {
       }
       for (std::size_t ri = 0; ri < rows.size(); ++ri) {
         const Row& row = rows[ri];
-        if (round > 0 && row_secs[ri] > kRepeatBudgetSecs) continue;
+        if (round >= kMinRounds && row_secs[ri] > kRepeatBudgetSecs) continue;
         set_collapse_override(row.collapse);
         set_cone_override(row.cone);
         gate::set_batch_lanes_override(row.lanes);

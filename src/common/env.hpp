@@ -114,7 +114,7 @@ void set_fuse_override(int v);
 
 /// GPF_JIT environment variable: whether the batch engine compiles the gate
 /// program to native code with the system C++ compiler (see gate/jit.hpp).
-///   off   never JIT; always use the direct-threaded interpreter
+///   off   never JIT; always use the interpreter
 ///   on    JIT every netlist (even tiny ones; tests use this)
 ///   auto  JIT netlists large enough to amortize the compile (the default);
 ///         silently falls back to the interpreter when no compiler exists

@@ -3,13 +3,18 @@
 // for lane. Every net carries an
 // N-bit SIMD word whose lane k is the net's value under fault k, so one
 // levelized pass over the netlist advances N fault machines at once using
-// plain bitwise ops. Stuck-at overlays are per-lane force masks applied by
-// force ops placed in the batch's own copy of the stream; DFF clocking
-// mirrors Simulator::clock() with a word-wide enable mux, one enable read per
-// group of DFFs sharing an enable net, skipping a group no lane enables
-// (batchsim_impl.hpp). Lanes with no fault installed (ragged final batch)
-// and retired lanes simply track the fault-free machine, so they never show
-// up in divergence masks.
+// plain bitwise ops. Stuck-at overlays are per-lane force masks: a forced
+// gate output takes its force from a force op placed in the batch's own copy
+// of the stream, and a forced source net (input, constant, DFF output) takes
+// it from the code that writes that net — an input when its value changes, a
+// constant once per begin(), a DFF output in the store of a latching enable
+// group — so nothing re-forces a source net on a cycle that did not write it
+// (batchsim_impl.hpp). DFF clocking mirrors Simulator::clock() with a
+// word-wide enable mux, one enable read per group of DFFs sharing an enable
+// net, skipping a group no live lane enables. Lanes outside lane_mask() —
+// the unfilled lanes of a ragged final batch and retired lanes — hold
+// unspecified values, and every lane read that reports a mask (diffs, bus
+// values, activation) leaves them out.
 //
 // The engine is templated over LaneWord<N> (laneword.hpp) and built three
 // times: N = 64 (scalar uint64_t baseline), N = 256 (AVX2 ymm) and N = 512
@@ -23,8 +28,8 @@
 // perturb nets in the union fanout cone of their sites, so eval_cone() word-
 // evaluates just the in-cone gates and refreshes the "frontier" — out-of-cone
 // nets read by in-cone gates/DFFs plus the observed outputs — by broadcasting
-// the golden snapshot of the cycle. clock(), state_diff_lanes() and
-// retire_lane() restrict themselves to the cone once it is live, which is
+// the golden snapshot of the cycle. clock() and state_diff_lanes() restrict
+// themselves to the cone once it is live, which is
 // exact: an out-of-cone net equals the golden machine in every lane by
 // construction. The replay loop opts in per batch via cone_active().
 #pragma once
@@ -52,14 +57,14 @@ class BatchSim {
   /// Human-readable SIMD path for logs: "scalar64" | "avx2x256" | "avx512x512".
   virtual const char* path_name() const = 0;
   /// Resolved execution strategy of this instance: "full"/"fused"
-  /// (direct-threaded gate program), with "+jit" appended when a native
+  /// (interpreted gate program), with "+jit" appended when a native
   /// module is loaded for the stream.
   virtual const char* engine_desc() const = 0;
 
   /// Install up to width() faults (lane k carries faults[k]) and reset state.
   virtual void begin(std::span<const StuckFault> faults) = 0;
   virtual std::size_t num_lanes() const = 0;
-  /// Mask with one bit set per installed lane.
+  /// Mask with one bit set per installed lane that is not retired.
   virtual LaneMask lane_mask() const = 0;
 
   /// Nets the caller will read through diff_observed()/bus_value() for
@@ -71,13 +76,20 @@ class BatchSim {
   virtual bool cone_active() const = 0;
 
   /// Broadcast a full golden net-value snapshot into every lane (sequential
-  /// replays start at the first activating cycle, like Simulator::load_values).
+  /// replays start at the first activating cycle, like Simulator::load_values);
+  /// forced source nets take their force again.
   /// Every golden argument below is one packed row of the cycle's golden
   /// trace (UnitReplayer::GoldenTrace::row).
   virtual void load_broadcast(GoldenRow vals) = 0;
-  /// Drive a whole input bus (LSB-first); each bit is broadcast to all lanes.
-  virtual void set_bus(const PortBus& bus, std::uint64_t value) = 0;
-  /// Settle combinational logic (applies every lane's fault overlay).
+  /// Drive every input net to its value in `golden`, broadcast to all lanes.
+  /// Only inputs whose value differs from the one last written (by this
+  /// call, load_broadcast() or begin()'s zero) are rewritten, and a
+  /// rewritten forced input takes its force. A replay passes the cycle's
+  /// golden row: its input nets hold exactly what the trace drives. Bits of
+  /// other nets are not read.
+  virtual void set_inputs(GoldenRow golden) = 0;
+  /// Settle combinational logic. Source nets already carry their forces;
+  /// forced gate outputs take theirs from the batch's force ops.
   virtual void eval() = 0;
   /// Cone-pruned eval: word-evaluate only gates in the union fanout cone of
   /// the batch's fault sites; frontier nets take this cycle's golden value.
@@ -88,6 +100,7 @@ class BatchSim {
   /// Value of net `n` in one lane. Exact for output-bus nets, DFF pins and
   /// nets declared via set_observed(); the optimized engine may rename or
   /// skip other interior nets, so probe sets must be declared up front.
+  /// Unspecified for a lane outside lane_mask().
   virtual bool value(Net n, unsigned lane) const = 0;
   /// Bus value seen by one lane.
   virtual std::uint64_t bus_value(const PortBus& bus, unsigned lane) const = 0;
@@ -131,10 +144,16 @@ class BatchSim {
   /// all-quiet early exit of sequential replays).
   virtual LaneMask state_diff_lanes(GoldenRow golden) const = 0;
 
-  /// Drop a lane's fault overlay and snap its values back to the golden
-  /// snapshot: from here on the lane passively tracks the fault-free machine
-  /// and never diverges again. Used to retire hung faults early.
-  virtual void retire_lane(unsigned lane, GoldenRow golden) = 0;
+  /// Lanes whose fault the golden row activates: the fault site's golden
+  /// value differs from its stuck value. One word-wide pass over the batch's
+  /// force masks; unfilled and retired lanes are never in it.
+  virtual LaneMask activated_lanes(GoldenRow golden) const = 0;
+
+  /// Retire a lane: it leaves lane_mask(), and with it every mask the reads
+  /// above report. Nothing else changes — the lane keeps its fault and goes
+  /// on computing, so its values are unspecified from here on. Used to stop
+  /// classifying hung faults early.
+  virtual void retire_lane(unsigned lane) = 0;
 
   /// Gates word-evaluated per cycle by eval_cone() for the current batch
   /// (builds the cone if needed). Benches report the in-cone fraction as

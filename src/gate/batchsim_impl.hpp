@@ -9,24 +9,40 @@
 // The engine runs the optimized gate program (gate/gateprog.hpp) in one of
 // two modes:
 //
-//   full    GPF_FUSE=0: the 1:1 instruction stream, direct-threaded
-//           (computed goto).
+//   full    GPF_FUSE=0: the 1:1 instruction stream, interpreted.
 //   fused   GPF_FUSE=1 (default): the folded/fused/DCE'd/vreg-renamed
-//           stream, optionally JIT-compiled to native code (GPF_JIT).
+//           stream, interpreted or JIT-compiled to native code (GPF_JIT).
 //
-// Per-cycle work outside the gate ops is kept off the hot path three ways,
+// The interpreter (gate/interp.hpp) walks a batch's code as runs of
+// same-opcode ops, cut once when the batch plans the code: one switch per
+// run, one loop per opcode.
+//
+// Per-cycle work outside the gate ops is kept off the hot path five ways,
 // each exact by construction:
-//   - force ops: a batch's stuck-at overlays are ops of its own copy of the
-//     stream (and of its cone program), placed after the op writing each
-//     forced net, at the end of that op's level, so one interpreter call
-//     evaluates a whole cycle. The op is the And-Or superop
+//   - force ops: a batch's stuck-at overlays on gate outputs are ops of its
+//     own copy of the stream (and of its cone program), placed after the op
+//     writing each forced net, at the end of that op's level, so one
+//     interpreter call evaluates a whole cycle. The op is the And-Or superop
 //     (v & keep) | set over two per-site mask words stored past the vreg
 //     slots. Exact because the stream is levelized: every consumer of the
 //     forced net sits at a higher level. The JIT applies the same overlays
 //     between its per-level calls;
+//   - source writers: a source net (input, constant, DFF output) is written
+//     only by the code that changes it, and that code applies the force: an
+//     input when set_inputs() rewrites it, a constant once per
+//     begin(), a DFF output in the store of a group that latches, and every
+//     source in load_broadcast(). Exact because nothing else writes a source
+//     net: gate ops, force ops and Mat ops write gate nets and vreg slots,
+//     and the frontier refresh writes only nets that no fault forces. So a
+//     forced source keeps its forced value until its writer runs again;
 //   - enable groups: DFFs sharing an enable net are latched together, the
 //     enable word read once per group, and a group whose enable is 0 in
-//     every lane is skipped — (en & d) | (~en & q) is q there;
+//     every live lane is skipped — (en & d) | (~en & q) is q there;
+//   - retired lanes: retire_lane() only clears the lane's bit in
+//     lane_mask_, and every read that reports lanes ANDs with lane_mask_, so
+//     a retired lane's values are never snapped back. Unfilled and retired
+//     lanes need no particular values at all, which is also what lets the
+//     latch skip a group no live lane enables;
 //   - single-bit bus diffs: bus_diff_split() hands classification the lanes
 //     whose bus value differs from golden in exactly one bit, grouped by
 //     that bit, so a lookup table can classify them without a per-lane
@@ -59,6 +75,7 @@
 #include "gate/batchsim.hpp"
 #include "gate/compiled.hpp"
 #include "gate/gateprog.hpp"
+#include "gate/interp.hpp"
 #include "gate/jit.hpp"
 #include "obs/metrics.hpp"
 
@@ -89,13 +106,21 @@ class BatchFaultSimT final : public BatchSim {
         val_(mask_base_ + 2 * kLanes, W::zero()),
         force_slot_(num_nets_, kNoForce),
         dff_next_(nl.dffs().size(), W::zero()),
+        in_last_((num_nets_ + 63) / 64, 0),
         cone_enabled_(gpf::cone_enabled()) {
     if (!nl.finalized()) throw std::logic_error("netlist not finalized");
     jit_ = jit_module(gp_, *base_, N);
     build_latch_groups();
+    for (std::size_t n = 0; n < num_nets_; ++n) {
+      if (nl.gate(static_cast<Net>(n)).kind != GateKind::Input) continue;
+      const auto w = static_cast<std::uint32_t>(n / 64);
+      if (input_words_.empty() || input_words_.back().word != w)
+        input_words_.push_back({w, 0});
+      input_words_.back().mask |= std::uint64_t{1} << (n % 64);
+    }
   }
 
-  ~BatchFaultSimT() override { flush_latch_counters(); }
+  ~BatchFaultSimT() override { flush_counters(); }
 
   std::size_t width() const override { return kLanes; }
   const char* path_name() const override { return batch_simd_path(kLanes); }
@@ -112,7 +137,7 @@ class BatchFaultSimT final : public BatchSim {
     static obs::Counter& lanes = obs::counter("gate.batch_lanes");
     batches.add(1);
     lanes.add(faults.size());
-    flush_latch_counters();
+    flush_counters();
     // Plan reuse: the campaign driver replays the same fault batch against
     // every trace through one engine. The per-batch plan — fixups, patched
     // stream, cone program — depends only on the fault set, so an unchanged
@@ -128,8 +153,8 @@ class BatchFaultSimT final : public BatchSim {
       force_slot_[static_cast<std::size_t>(n)] = kNoForce;
     forced_nets_.clear();
     source_sites_.clear();
-    sites_.clear();
     lane_mask_ = W::zero();
+    num_lanes_ = faults.size();
     // The cone is per-batch: invalidated on a fault-set change, kept (with
     // the rest of the plan) when the same batch replays another trace.
     if (!same_faults) {
@@ -143,7 +168,6 @@ class BatchFaultSimT final : public BatchSim {
     for (std::size_t k = 0; k < faults.size(); ++k) {
       const StuckFault& f = faults[k];
       const auto site = static_cast<std::size_t>(f.net);
-      sites_.push_back(f.net);
       lane_mask_.set(static_cast<unsigned>(k));
       std::uint32_t& j = force_slot_[site];
       if (j == kNoForce) {
@@ -164,13 +188,18 @@ class BatchFaultSimT final : public BatchSim {
       plan_batch();
       plan_ready_ = true;
     }
+    // Source nets start at 0 (inputs, DFFs) or their constant, forced.
+    for (const auto& [n, v] : nl_.constants())
+      val_[static_cast<std::size_t>(n)] = W::broadcast(v);
+    std::fill(in_last_.begin(), in_last_.end(), 0);
+    apply_source_overlays();
     static obs::Counter& jit_batches = obs::counter("gate.jit.batches");
     static obs::Counter& patch_batches = obs::counter("gate.patched_batches");
     if (use_jit_) jit_batches.add(1);
     if (patched_) patch_batches.add(1);
   }
 
-  std::size_t num_lanes() const override { return sites_.size(); }
+  std::size_t num_lanes() const override { return num_lanes_; }
   LaneMask lane_mask() const override { return lane_mask_.to_mask(); }
 
   void set_observed(std::span<const Net> nets) override {
@@ -188,23 +217,33 @@ class BatchFaultSimT final : public BatchSim {
 
   void load_broadcast(GoldenRow vals) override {
     for (std::size_t i = 0; i < num_nets_; ++i) val_[i] = W::broadcast(vals[i]);
+    std::copy_n(vals.words, in_last_.size(), in_last_.begin());
+    apply_source_overlays();
   }
 
-  void set_bus(const PortBus& bus, std::uint64_t value) override {
-    for (std::size_t i = 0; i < bus.nets.size(); ++i)
-      val_[static_cast<std::size_t>(bus.nets[i])] =
-          W::broadcast((value >> i) & 1);
+  void set_inputs(GoldenRow golden) override {
+    for (const InputWord& w : input_words_) {
+      const std::uint64_t g = golden.words[w.word];
+      std::uint64_t d = (g ^ in_last_[w.word]) & w.mask;
+      in_last_[w.word] ^= d;
+      for (; d; d &= d - 1) {
+        const auto b = static_cast<unsigned>(std::countr_zero(d));
+        const std::size_t n = std::size_t{w.word} * 64 + b;
+        val_[n] = W::broadcast(static_cast<std::uint8_t>((g >> b) & 1));
+        if (const std::uint32_t j = force_slot_[n]; j != kNoForce) {
+          overlay(static_cast<std::uint32_t>(n), j);
+          ++source_forces_;
+        }
+      }
+    }
   }
 
   void eval() override {
-    for (const auto& [n, v] : nl_.constants())
-      val_[static_cast<std::size_t>(n)] = W::broadcast(v);
-    apply_source_overlays();
     if (use_jit_) {
       jit_eval();
     } else {
       ensure_eval_code();
-      exec_range(eval_code_.data(), 0, eval_code_.size(), GoldenRow{});
+      exec(eval_code_, eval_runs_, GoldenRow{});
     }
   }
 
@@ -224,12 +263,11 @@ class BatchFaultSimT final : public BatchSim {
     // Only here does cone-restricted EVAL go live: clock() may skip
     // out-of-cone DFFs solely because this path never recomputes their
     // inputs. A caller that sticks to plain eval() keeps full latching even
-    // though the cone sets exist for the diff/retire read restrictions.
+    // though the cone sets exist for the diff read restrictions.
     cone_eval_live_ = true;
     ensure_cone_program();
     refresh_frontier(golden);
-    apply_source_overlays();
-    exec_range(cone_code_.data(), 0, cone_code_.size(), golden);
+    exec(cone_code_, cone_runs_, golden);
   }
 
   void clock() override {
@@ -237,10 +275,9 @@ class BatchFaultSimT final : public BatchSim {
     // and their words are refreshed through the frontier when read — so once
     // cone eval is live only in-cone registers need latching at all.
     if (cone_eval_live_)
-      latch(cone_groups_, cone_members_);
+      latch(cone_groups_, cone_members_, cone_dff_forces_);
     else
-      latch(latch_groups_, latch_members_);
-    apply_source_overlays();
+      latch(latch_groups_, latch_members_, dff_forces_);
   }
 
   bool value(Net n, unsigned lane) const override {
@@ -349,26 +386,18 @@ class BatchFaultSimT final : public BatchSim {
     return (m & lane_mask_).to_mask();
   }
 
-  void retire_lane(unsigned lane, GoldenRow golden) override {
-    const std::uint32_t j = force_slot_[static_cast<std::size_t>(sites_[lane])];
-    keep_mask(j).set(lane);
-    set_mask(j).clear(lane);
-    lane_mask_.clear(lane);
-    const W bit = W::bit(lane);
-    const W keep = ~bit;
-    if (cone_built_) {
-      // Out-of-cone nets already track the golden machine in every lane.
-      for (const Net n : cone_nets_) {
-        const auto i = static_cast<std::size_t>(n);
-        val_[i] = (val_[i] & keep) | (W::broadcast(golden[i]) & bit);
-      }
-      return;
+  LaneMask activated_lanes(GoldenRow golden) const override {
+    // Slot j belongs to forced_nets_[j]: its stuck-at-0 lanes are the clear
+    // bits of keep, its stuck-at-1 lanes the set bits of set.
+    W m = W::zero();
+    for (std::uint32_t j = 0; j < forced_nets_.size(); ++j) {
+      const W g = W::broadcast(golden[static_cast<std::size_t>(forced_nets_[j])]);
+      m |= (g & ~keep_mask(j)) | (~g & set_mask(j));
     }
-    // vreg tail slots (beyond num_nets_) need no reset: every vreg is
-    // written before it is read within each eval pass.
-    for (std::size_t i = 0; i < num_nets_; ++i)
-      val_[i] = (val_[i] & keep) | (W::broadcast(golden[i]) & bit);
+    return (m & lane_mask_).to_mask();
   }
+
+  void retire_lane(unsigned lane) override { lane_mask_.clear(lane); }
 
   std::size_t cone_gate_count() override {
     if (!cone_enabled_ || !lane_mask_.any() || use_jit_ || skip_cone_)
@@ -401,10 +430,35 @@ class BatchFaultSimT final : public BatchSim {
     std::uint32_t begin, mid, end;
   };
 
+  /// The forced DFF outputs of a group list: group g's registers are
+  /// list[at[g], at[g + 1]), each taking mask slot `slot`'s force at its
+  /// storage index whenever the group latches.
+  struct DffForces {
+    struct Force {
+      std::uint32_t storage;
+      std::uint32_t slot;
+    };
+    std::vector<Force> list;
+    std::vector<std::uint32_t> at;
+  };
+
+  /// Row word `word` of the golden trace holds input nets at the set bits
+  /// of `mask`.
+  struct InputWord {
+    std::uint32_t word;
+    std::uint64_t mask;
+  };
+
   /// A forced site's masks, stored past the vreg slots: lanes stuck at 0
   /// are clear in keep, lanes stuck at 1 are set in set.
   W& keep_mask(std::uint32_t slot) { return val_[mask_base_ + 2 * slot]; }
   W& set_mask(std::uint32_t slot) { return val_[mask_base_ + 2 * slot + 1]; }
+  const W& keep_mask(std::uint32_t slot) const {
+    return val_[mask_base_ + 2 * slot];
+  }
+  const W& set_mask(std::uint32_t slot) const {
+    return val_[mask_base_ + 2 * slot + 1];
+  }
 
   /// The force op for a fixup: (v & keep) | set is the And-Or superop, so
   /// the interpreter needs no extra opcode.
@@ -422,11 +476,17 @@ class BatchFaultSimT final : public BatchSim {
     val_[storage] = (val_[storage] & keep_mask(slot)) | set_mask(slot);
   }
 
+  /// Forces every source site; only for writers that rewrite all sources
+  /// (begin(), load_broadcast()). Source forces are tallied once per loop
+  /// here and in latch(), not per overlay: a lane-word store may alias a
+  /// std::uint64_t member, so a per-overlay increment is reloaded and
+  /// stored around every overlay.
   void apply_source_overlays() {
     for (const Net n : source_sites_) {
       const auto i = static_cast<std::uint32_t>(n);
       overlay(i, force_slot_[i]);
     }
+    source_forces_ += source_sites_.size();
   }
 
   // ---- latching -----------------------------------------------------------
@@ -483,17 +543,24 @@ class BatchFaultSimT final : public BatchSim {
   }
 
   /// Latches `groups` (indices into `members`): one enable-word read per
-  /// group, and a group whose enable is 0 in every lane holds every one of
-  /// its registers, so it is skipped. Deferred registers of the groups that
-  /// did latch are stored last, after every read.
+  /// group, and a group whose enable is 0 in every live lane is skipped —
+  /// its live registers all hold, and lanes outside lane_mask_ are never
+  /// read. Deferred registers of the groups that did latch are stored last,
+  /// after every read, and then the forced registers of the groups that
+  /// latched take their force. A skipped group's forced registers still
+  /// hold their forced values.
   void latch(const std::vector<LatchGroup>& groups,
-             const std::vector<std::uint32_t>& members) {
+             const std::vector<std::uint32_t>& members,
+             const DffForces& forces) {
     latched_groups_.clear();
-    for (const LatchGroup& g : groups) {
+    latched_forces_.clear();
+    std::uint64_t skipped = 0;
+    for (std::uint32_t gi = 0; gi < groups.size(); ++gi) {
+      const LatchGroup& g = groups[gi];
       const W en =
           g.en == kNoNet ? W::ones() : val_[static_cast<std::size_t>(g.en)];
-      if (!en.any()) {
-        ++latch_skipped_;
+      if (!(en & lane_mask_).any()) {
+        ++skipped;
         continue;
       }
       for (std::uint32_t m = g.begin; m < g.mid; ++m)
@@ -502,23 +569,55 @@ class BatchFaultSimT final : public BatchSim {
         val_[static_cast<std::size_t>(cn_.dff_out[members[m]])] =
             next_state(members[m], en);
       if (g.mid > g.begin) latched_groups_.push_back(&g);
+      if (forces.at[gi + 1] > forces.at[gi]) latched_forces_.push_back(gi);
     }
     latch_seen_ += groups.size();
+    latch_skipped_ += skipped;
     for (const LatchGroup* g : latched_groups_)
       for (std::uint32_t m = g->begin; m < g->mid; ++m)
         val_[static_cast<std::size_t>(cn_.dff_out[members[m]])] =
             dff_next_[members[m]];
+    for (const std::uint32_t gi : latched_forces_) {
+      const std::uint32_t begin = forces.at[gi], end = forces.at[gi + 1];
+      const typename DffForces::Force* const f = forces.list.data();
+      for (std::uint32_t i = begin; i < end; ++i)
+        overlay(f[i].storage, f[i].slot);
+      source_forces_ += end - begin;
+    }
   }
 
-  /// Latch-group counts go to the registry once per batch and trace, not
-  /// once per clock.
-  void flush_latch_counters() {
+  /// The forced registers of `groups` (indices into `members`).
+  void collect_dff_forces(const std::vector<LatchGroup>& groups,
+                          const std::vector<std::uint32_t>& members,
+                          DffForces& out) const {
+    out.list.clear();
+    out.at.clear();
+    for (const LatchGroup& g : groups) {
+      out.at.push_back(static_cast<std::uint32_t>(out.list.size()));
+      for (std::uint32_t m = g.begin; m < g.end; ++m) {
+        const Net q = cn_.dff_out[members[m]];
+        const std::uint32_t j = force_slot_[static_cast<std::size_t>(q)];
+        if (j != kNoForce) out.list.push_back({static_cast<std::uint32_t>(q), j});
+      }
+    }
+    out.at.push_back(static_cast<std::uint32_t>(out.list.size()));
+  }
+
+  /// The engine's per-cycle tallies go to the registry once per batch and
+  /// trace (at the next begin() and at destruction), not once per cycle.
+  void flush_counters() {
     static obs::Counter& seen = obs::counter("gate.latch_groups");
     static obs::Counter& skipped = obs::counter("gate.latch_groups_skipped");
+    static obs::Counter& dispatches = obs::counter("gate.interp_dispatches");
+    static obs::Counter& ops = obs::counter("gate.interp_ops");
+    static obs::Counter& forces = obs::counter("gate.source_forces");
     seen.add(latch_seen_);
     skipped.add(latch_skipped_);
-    latch_seen_ = 0;
-    latch_skipped_ = 0;
+    dispatches.add(interp_dispatches_);
+    ops.add(interp_ops_);
+    forces.add(source_forces_);
+    latch_seen_ = latch_skipped_ = 0;
+    interp_dispatches_ = interp_ops_ = source_forces_ = 0;
   }
 
   // ---- per-batch execution plan ------------------------------------------
@@ -526,6 +625,7 @@ class BatchFaultSimT final : public BatchSim {
   void plan_batch() {
     use_jit_ = false;
     patched_ = false;
+    collect_dff_forces(latch_groups_, latch_members_, dff_forces_);
     const Stream* S = base_;
     if (mode_ == Mode::Fused) {
       if (!observed_exact_) {
@@ -651,6 +751,7 @@ class BatchFaultSimT final : public BatchSim {
         held_.push_back({level, force_instr(fixups_[f])});
     }
     release_forces(eval_code_, std::numeric_limits<std::int32_t>::max());
+    op_runs(eval_code_, eval_runs_);
   }
 
   void jit_eval() {
@@ -669,95 +770,15 @@ class BatchFaultSimT final : public BatchSim {
     }
   }
 
-  // ---- direct-threaded interpreter ---------------------------------------
+  // ---- interpreter --------------------------------------------------------
 
-  /// `golden` feeds the cone program's Mat ops (eval_cone only).
-  void exec_range(const Instr* code, std::size_t i, std::size_t end,
-                  GoldenRow golden) {
-    if (i >= end) return;
-    W* const v = val_.data();
-#if defined(__GNUC__) || defined(__clang__)
-    static const void* const tbl[kNumOps] = {
-        &&l_c0, &&l_c1, &&l_cp, &&l_nc, &&l_and, &&l_or,  &&l_nand, &&l_nor,
-        &&l_xor, &&l_xnor, &&l_mux, &&l_mat, &&l_f0, &&l_f1, &&l_f2, &&l_f3,
-        &&l_f4, &&l_f5, &&l_f6, &&l_f7, &&l_f8, &&l_f9, &&l_f10, &&l_f11,
-        &&l_f12, &&l_f13, &&l_f14, &&l_f15, &&l_x3, &&l_xn3};
-#define GPF_NEXT()          \
-  do {                      \
-    if (++i >= end) return; \
-    goto* tbl[code[i].op];  \
-  } while (0)
-#define GPF_OP(label, expr)                  \
-  label : {                                  \
-    const Instr& q = code[i];                \
-    v[q.out] = (expr);                       \
-  }                                          \
-  GPF_NEXT()
-    goto* tbl[code[i].op];
-    GPF_OP(l_c0, W::zero());
-    GPF_OP(l_c1, W::ones());
-    GPF_OP(l_cp, v[q.a]);
-    GPF_OP(l_nc, ~v[q.a]);
-    GPF_OP(l_and, v[q.a] & v[q.b]);
-    GPF_OP(l_or, v[q.a] | v[q.b]);
-    GPF_OP(l_nand, ~(v[q.a] & v[q.b]));
-    GPF_OP(l_nor, ~(v[q.a] | v[q.b]));
-    GPF_OP(l_xor, v[q.a] ^ v[q.b]);
-    GPF_OP(l_xnor, ~(v[q.a] ^ v[q.b]));
-    GPF_OP(l_mux, (v[q.a] & v[q.c]) | (~v[q.a] & v[q.b]));
-    GPF_OP(l_mat, W::broadcast(golden[q.a]));
-    GPF_OP(l_f0, (v[q.a] & v[q.b]) & v[q.c]);
-    GPF_OP(l_f1, (v[q.a] | v[q.b]) & v[q.c]);
-    GPF_OP(l_f2, (v[q.a] & v[q.b]) | v[q.c]);
-    GPF_OP(l_f3, (v[q.a] | v[q.b]) | v[q.c]);
-    GPF_OP(l_f4, ~(v[q.a] & v[q.b]) & v[q.c]);
-    GPF_OP(l_f5, ~(v[q.a] | v[q.b]) & v[q.c]);
-    GPF_OP(l_f6, ~(v[q.a] & v[q.b]) | v[q.c]);
-    GPF_OP(l_f7, ~(v[q.a] | v[q.b]) | v[q.c]);
-    GPF_OP(l_f8, ~((v[q.a] & v[q.b]) & v[q.c]));
-    GPF_OP(l_f9, ~((v[q.a] | v[q.b]) & v[q.c]));
-    GPF_OP(l_f10, ~((v[q.a] & v[q.b]) | v[q.c]));
-    GPF_OP(l_f11, ~((v[q.a] | v[q.b]) | v[q.c]));
-    GPF_OP(l_f12, ~(~(v[q.a] & v[q.b]) & v[q.c]));
-    GPF_OP(l_f13, ~(~(v[q.a] | v[q.b]) & v[q.c]));
-    GPF_OP(l_f14, ~(~(v[q.a] & v[q.b]) | v[q.c]));
-    GPF_OP(l_f15, ~(~(v[q.a] | v[q.b]) | v[q.c]));
-    GPF_OP(l_x3, v[q.a] ^ v[q.b] ^ v[q.c]);
-    GPF_OP(l_xn3, ~(v[q.a] ^ v[q.b] ^ v[q.c]));
-#undef GPF_OP
-#undef GPF_NEXT
-#else
-    for (; i < end; ++i) {
-      const Instr& q = code[i];
-      switch (static_cast<Op>(q.op)) {
-        case Op::Const0: v[q.out] = W::zero(); break;
-        case Op::Const1: v[q.out] = W::ones(); break;
-        case Op::Copy: v[q.out] = v[q.a]; break;
-        case Op::NCopy: v[q.out] = ~v[q.a]; break;
-        case Op::And: v[q.out] = v[q.a] & v[q.b]; break;
-        case Op::Or: v[q.out] = v[q.a] | v[q.b]; break;
-        case Op::Nand: v[q.out] = ~(v[q.a] & v[q.b]); break;
-        case Op::Nor: v[q.out] = ~(v[q.a] | v[q.b]); break;
-        case Op::Xor: v[q.out] = v[q.a] ^ v[q.b]; break;
-        case Op::Xnor: v[q.out] = ~(v[q.a] ^ v[q.b]); break;
-        case Op::Mux:
-          v[q.out] = (v[q.a] & v[q.c]) | (~v[q.a] & v[q.b]);
-          break;
-        case Op::Mat: v[q.out] = W::broadcast(golden[q.a]); break;
-        case Op::Xor3: v[q.out] = v[q.a] ^ v[q.b] ^ v[q.c]; break;
-        case Op::Xnor3: v[q.out] = ~(v[q.a] ^ v[q.b] ^ v[q.c]); break;
-        default: {
-          const std::uint32_t bits =
-              q.op - static_cast<std::uint32_t>(Op::Fuse2_0);
-          W mid = (bits & 1) ? (v[q.a] | v[q.b]) : (v[q.a] & v[q.b]);
-          if (bits & 4) mid = ~mid;
-          W r = (bits & 2) ? (mid | v[q.c]) : (mid & v[q.c]);
-          v[q.out] = (bits & 8) ? ~r : r;
-          break;
-        }
-      }
-    }
-#endif
+  /// Runs `code`, cut into `runs`; `golden` feeds the cone program's Mat ops
+  /// (eval_cone only).
+  void exec(const std::vector<Instr>& code, const std::vector<OpRun>& runs,
+            GoldenRow golden) {
+    exec_runs(val_.data(), code.data(), runs, golden);
+    interp_dispatches_ += runs.size();
+    interp_ops_ += code.size();
   }
 
   // ---- fanout cone --------------------------------------------------------
@@ -803,6 +824,7 @@ class BatchFaultSimT final : public BatchSim {
       cg.end = at();
       if (cg.end > cg.begin) cone_groups_.push_back(cg);
     }
+    collect_dff_forces(cone_groups_, cone_members_, cone_dff_forces_);
   }
 
   bool in_cone(Net n) const {
@@ -891,6 +913,7 @@ class BatchFaultSimT final : public BatchSim {
       cone_covered_ += m.cover_count;
     }
     release_forces(cone_code_, std::numeric_limits<std::int32_t>::max());
+    op_runs(cone_code_, cone_runs_);
     finish_cone(cone_covered_);
   }
 
@@ -907,10 +930,13 @@ class BatchFaultSimT final : public BatchSim {
                         ///<   once so begin() never reallocates)
   std::vector<std::uint32_t> force_slot_;  ///< per-net mask slot, or kNoForce
   std::vector<W> dff_next_;  ///< reusable clock() sample buffer
-  std::vector<Net> forced_nets_;  ///< fault sites (dedup'd)
+  std::vector<Net> forced_nets_;  ///< fault sites (dedup'd); [slot] -> net
   std::vector<Net> source_sites_; ///< Input/Const/Dff fault sites
-  std::vector<Net> sites_;        ///< per-lane fault site
-  W lane_mask_ = W::zero();
+  std::size_t num_lanes_ = 0;     ///< faults installed by begin()
+  W lane_mask_ = W::zero();  ///< installed lanes not retired
+  std::vector<InputWord> input_words_;  ///< where the input nets sit in a row
+  std::vector<std::uint64_t> in_last_;  ///< row layout: each input net's
+                                        ///<   value as last written
 
   // Per-batch execution plan.
   std::span<const Instr> active_code_;
@@ -918,7 +944,9 @@ class BatchFaultSimT final : public BatchSim {
   const Stream* active_stream_ = nullptr;  ///< null when patched
   std::vector<Fixup> fixups_;  ///< sorted by pos; level order too
   std::vector<Instr> eval_code_;  ///< active code + force ops (eval())
+  std::vector<OpRun> eval_runs_;  ///< eval_code_'s same-opcode runs
   bool eval_code_ready_ = false;
+  DffForces dff_forces_;  ///< forced DFFs of latch_groups_
   struct HeldForce {
     std::int32_t level;  ///< the writer's level
     Instr op;
@@ -942,15 +970,17 @@ class BatchFaultSimT final : public BatchSim {
                                  ///< clock() may latch in-cone DFFs only; any
                                  ///< full-stream eval (plain eval(), JIT,
                                  ///< cone-skip) keeps full latching while the
-                                 ///< sets keep restricting diff/retire reads
+                                 ///< sets keep restricting diff reads
   std::uint32_t cone_epoch_ = 0;
   std::vector<std::uint32_t> cone_stamp_;      ///< per-net in-cone epoch
   std::vector<std::uint32_t> frontier_stamp_;  ///< per-net frontier epoch
   std::vector<std::uint32_t> cone_ops_;        ///< in-cone active-code indices
   std::vector<Instr> cone_code_;  ///< in-cone program + Mat and force ops
+  std::vector<OpRun> cone_runs_;  ///< cone_code_'s same-opcode runs
   std::size_t cone_covered_ = 0;  ///< compiled slots covered by cone_code_
   std::vector<LatchGroup> cone_groups_;        ///< latch groups ∩ cone
   std::vector<std::uint32_t> cone_members_;    ///< their DFF indices
+  DffForces cone_dff_forces_;                  ///< forced DFFs of cone_groups_
   std::vector<Net> cone_nets_;                 ///< all in-cone nets
   std::vector<Net> frontier_;                  ///< golden-refreshed nets
   std::vector<Net> observed_cone_;             ///< observed_ ∩ cone
@@ -959,8 +989,15 @@ class BatchFaultSimT final : public BatchSim {
   std::vector<LatchGroup> latch_groups_;       ///< every DFF, by enable net
   std::vector<std::uint32_t> latch_members_;   ///< their DFF indices
   std::vector<const LatchGroup*> latched_groups_;  ///< clock() scratch
-  std::uint64_t latch_seen_ = 0;     ///< groups visited since the last flush
-  std::uint64_t latch_skipped_ = 0;  ///< of which all-lanes-disabled
+  std::vector<std::uint32_t> latched_forces_;  ///< clock() scratch: latched
+                                               ///<   groups with forced DFFs
+
+  // Tallies since the last flush_counters().
+  std::uint64_t latch_seen_ = 0;         ///< groups visited
+  std::uint64_t latch_skipped_ = 0;      ///< of which all-live-lanes-disabled
+  std::uint64_t interp_dispatches_ = 0;  ///< runs the interpreter dispatched
+  std::uint64_t interp_ops_ = 0;         ///< ops it executed
+  std::uint64_t source_forces_ = 0;      ///< forces applied to source nets
 };
 
 }  // namespace gpf::gate

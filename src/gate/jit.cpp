@@ -262,7 +262,7 @@ std::shared_ptr<const JitModule> jit_module(const GateProgram& gp,
       g_warned_no_compiler = true;
       std::fprintf(stderr,
                    "[gpf] GPF_JIT=%s: no system C++ compiler found; using "
-                   "the direct-threaded interpreter\n",
+                   "the interpreter\n",
                    jit_mode_name(mode));
     }
     g_by_key[key] = nullptr;
@@ -288,7 +288,7 @@ std::shared_ptr<const JitModule> jit_module(const GateProgram& gp,
       fallbacks.add(1);
       std::fprintf(stderr,
                    "[gpf] GPF_JIT=%s: native compile/load failed for %s; "
-                   "using the direct-threaded interpreter\n",
+                   "using the interpreter\n",
                    jit_mode_name(mode), so_path.c_str());
     }
   }

@@ -17,7 +17,7 @@
 // entry fails dlopen/validation, is unlinked, and is recompiled once.
 //
 // Everything degrades to nullptr — GPF_JIT=off, no compiler on the host
-// (one warning, then the direct-threaded interpreter), compile failure,
+// (one warning, then the interpreter), compile failure,
 // auto mode on a netlist too small to amortize the compile. Callers treat
 // nullptr as "interpret".
 #pragma once

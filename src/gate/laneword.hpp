@@ -115,12 +115,6 @@ struct LaneWord {
   static LaneWord broadcast(std::uint8_t bit) {
     return LaneWord{Vec{} - static_cast<std::uint64_t>(bit != 0)};
   }
-  /// Word with exactly lane `lane` set.
-  static LaneWord bit(unsigned lane) {
-    LaneWord b = zero();
-    b.v[lane >> 6] = std::uint64_t{1} << (lane & 63);
-    return b;
-  }
   /// Word carrying the low kLanes bits of a LaneMask (bits beyond N, which a
   /// narrower engine can never have set, are dropped).
   static LaneWord from_mask(const LaneMask& m) {

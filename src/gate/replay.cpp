@@ -859,7 +859,7 @@ void UnitReplayer::classify_batch(BatchSim& sim, const UnitTraces& t,
   // the brute oracle). Lanes entering here always have hang == false.
   const auto retire = [&](unsigned k) {
     live.clear(k);
-    sim.retire_lane(k, gv);
+    sim.retire_lane(k);
   };
   // Per-lane faulty bus words, indexed by lane (bus_values fills only the
   // requested lanes).
@@ -1133,7 +1133,7 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
   LaneMask live;
   for (std::size_t k = 0; k < lanes; ++k) {
     if (out[k].hang)
-      sim.retire_lane(static_cast<unsigned>(k), g.row(0));
+      sim.retire_lane(static_cast<unsigned>(k));
     else
       live.set(static_cast<unsigned>(k));
   }
@@ -1141,15 +1141,9 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
 
   // With cone pruning on, only gates downstream of the batch's fault sites
   // are word-evaluated; every other net tracks the golden trace exactly, so
-  // diff_observed/state_diff/retire restrict themselves to the cone too.
+  // diff_observed/state_diff restrict themselves to the cone too.
   const bool cone = sim.cone_active();
 
-  const auto site = [&](std::size_t k) {
-    return static_cast<std::size_t>(faults[k].net);
-  };
-  const auto stuck = [&](std::size_t k) -> std::uint8_t {
-    return faults[k].stuck_high ? 1 : 0;
-  };
   // Diverged lanes are classified by classify_batch: per-bus diff masks come
   // word-wide from the engine (they scale with the SIMD width), and only
   // instruction-word decodes remain scalar per lane. gate.classify_lanes
@@ -1168,18 +1162,17 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
     table_lanes.add(scratch.table_lanes);
   };
 
+  // Inputs come from the golden rows: compute_goldens drives each row's
+  // input nets exactly as drive_inputs drives a Simulator, and set_inputs
+  // rewrites only the inputs that change.
   if (kind_ == UnitKind::Decoder) {
     // Combinational: one word evaluation covers all live lanes per pattern.
+    LaneMask activated;
     for (std::size_t c = 0; c < n && live.any(); ++c) {
-      LaneMask act;  // lanes activated by this pattern
-      for_each_lane(live, [&](unsigned k) {
-        if (g.row(c)[site(k)] != stuck(k)) {
-          act.set(k);
-          out[k].activated = true;
-        }
-      });
+      const LaneMask act = sim.activated_lanes(g.row(c));
       if (!act.any()) continue;
-      drive_inputs(sim, t, c);
+      activated |= act;
+      sim.set_inputs(g.row(c));
       if (cone)
         sim.eval_cone(g.row(c));
       else
@@ -1187,6 +1180,7 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
       lane_cycles.add(lanes);
       classify_diverged(sim.diff_observed(g.row(c)) & act, c);
     }
+    for_each_lane(activated, [&](unsigned k) { out[k].activated = true; });
     publish();
     return;
   }
@@ -1196,19 +1190,20 @@ void UnitReplayer::run_fault_batch(BatchSim& sim,
   // overlay is a no-op, so the replay can start from the golden snapshot.
   std::size_t first_any = n, last_any = 0;
   for_each_lane(live, [&](unsigned k) {
-    const GoldenTrace::Window& win = g.windows[site(k)];
-    const std::uint32_t first = stuck(k) ? win.first0 : win.first1;
+    const GoldenTrace::Window& win =
+        g.windows[static_cast<std::size_t>(faults[k].net)];
+    const bool stuck = faults[k].stuck_high;
+    const std::uint32_t first = stuck ? win.first0 : win.first1;
     if (first == GoldenTrace::kNoCycle) return;
     out[k].activated = true;
     first_any = std::min<std::size_t>(first_any, first);
-    last_any = std::max<std::size_t>(last_any,
-                                     stuck(k) ? win.last0 : win.last1);
+    last_any = std::max<std::size_t>(last_any, stuck ? win.last0 : win.last1);
   });
   if (first_any == n) return;  // no live lane ever activates
 
   sim.load_broadcast(g.row(first_any));
   for (std::size_t c = first_any; c < n; ++c) {
-    drive_inputs(sim, t, c);
+    sim.set_inputs(g.row(c));
     if (cone)
       sim.eval_cone(g.row(c));
     else

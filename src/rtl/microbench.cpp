@@ -134,7 +134,7 @@ MicroBench make_micro_bench(MicroOp op, InputRange range, std::uint64_t value_se
   Rng rng(value_seed * 1315423911ULL + static_cast<std::uint64_t>(op) * 77 +
           static_cast<std::uint64_t>(range));
 
-  double lo, hi;
+  double lo = 0.0, hi = 0.0;
   range_bounds(range, lo, hi);
   for (std::size_t t = 0; t < kMicroThreads; ++t) {
     switch (op) {

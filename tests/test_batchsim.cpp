@@ -16,6 +16,7 @@
 
 #include "common/rng.hpp"
 #include "gate/batchsim.hpp"
+#include "gate/interp.hpp"
 #include "gate/jit.hpp"
 #include "gate/profiler.hpp"
 #include "gate/replay.hpp"
@@ -60,6 +61,14 @@ std::vector<std::size_t> supported_widths() {
   for (const std::size_t w : {std::size_t{64}, std::size_t{256}, std::size_t{512}})
     if (batch_width_supported(w)) widths.push_back(w);
   return widths;
+}
+
+/// Net values (one byte per net) packed into a golden row.
+std::vector<std::uint64_t> pack_row(const std::vector<std::uint8_t>& v) {
+  std::vector<std::uint64_t> row((v.size() + 63) / 64, 0);
+  for (std::size_t n = 0; n < v.size(); ++n)
+    row[n / 64] |= std::uint64_t{v[n]} << (n % 64);
+  return row;
 }
 
 /// Restores lane-width dispatch to "defer to environment" even when an
@@ -286,15 +295,12 @@ TEST(BatchSimWordDiff, BusDiffSplitSeparatesOneBitLanes) {
       };
       Simulator golden(nl);
       const std::uint64_t gv = run(golden);
-      std::vector<std::uint64_t> row((nl.num_nets() + 63) / 64, 0);
-      for (std::size_t n = 0; n < nl.num_nets(); ++n)
-        row[n / 64] |= std::uint64_t{golden.values()[n]} << (n % 64);
+      const std::vector<std::uint64_t> row = pack_row(golden.values());
 
       const std::unique_ptr<BatchSim> sim = make_batch_sim(nl, width);
       sim->set_observed(bus.nets);
       sim->begin(faults);
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        sim->set_bus(PortBus{"i", {inputs[i]}}, drive[i]);
+      sim->set_inputs(GoldenRow{row.data()});
       sim->eval();
       std::array<LaneMask, 64> single;
       std::array<std::uint64_t, LaneMask::kMaxLanes> out{};
@@ -336,7 +342,8 @@ TEST(BatchSimWordDiff, BusDiffSplitSeparatesOneBitLanes) {
 /// A gate soup whose DFFs share a few enable nets (one of them always
 /// enabled): enables drawn from inputs, gates and DFF outputs, DFFs fed by
 /// other DFFs directly, and at least one enable group of two or more DFFs.
-Netlist enable_group_netlist(Rng& rng) {
+/// With `constants`, gates may also read a constant-0 and a constant-1 net.
+Netlist enable_group_netlist(Rng& rng, bool constants = false) {
   Netlist nl;
   std::vector<Net> nets;
   const std::size_t ni = 2 + rng.below(4);
@@ -346,6 +353,10 @@ Netlist enable_group_netlist(Rng& rng) {
   for (std::size_t i = 0; i < nd; ++i) {
     dffs.push_back(nl.dff());
     nets.push_back(dffs.back());
+  }
+  if (constants) {
+    nets.push_back(nl.constant(false));
+    nets.push_back(nl.constant(true));
   }
   const std::size_t ng = 8 + rng.below(30);
   for (std::size_t i = 0; i < ng; ++i) {
@@ -379,7 +390,7 @@ Netlist enable_group_netlist(Rng& rng) {
 }
 
 // Enable-grouped latching is exact: a group is skipped only when its enable
-// is 0 in every lane, and a faulted enable (or D, or DFF output) in one lane
+// is 0 in every installed lane, and a faulted enable (or D, or DFF output) in one lane
 // must still latch that lane. Every fault of random shared-enable netlists,
 // lane for lane against the scalar Simulator on every cycle, at every width,
 // with plain eval (full latching) and with eval_cone (cone-restricted
@@ -411,9 +422,7 @@ TEST(BatchSimLatch, SharedEnableNetlistsMatchSimulatorWithConeOnAndOff) {
         golden.set_input(n, drive[c].back() != 0);
       }
       golden.eval();
-      rows[c].assign((nl.num_nets() + 63) / 64, 0);
-      for (std::size_t n = 0; n < nl.num_nets(); ++n)
-        rows[c][n / 64] |= std::uint64_t{golden.values()[n]} << (n % 64);
+      rows[c] = pack_row(golden.values());
       golden.clock();
     }
     std::vector<std::uint8_t> want;  // [cycle][probe net][fault]
@@ -439,8 +448,7 @@ TEST(BatchSimLatch, SharedEnableNetlistsMatchSimulatorWithConeOnAndOff) {
           sim->set_observed(probe);
           sim->begin(std::span(all).subspan(base, count));
           for (int c = 0; c < kCycles; ++c) {
-            for (std::size_t i = 0; i < inputs.size(); ++i)
-              sim->set_bus(PortBus{"i", {inputs[i]}}, drive[c][i]);
+            sim->set_inputs(GoldenRow{rows[c].data()});
             if (cone)
               sim->eval_cone(GoldenRow{rows[c].data()});
             else
@@ -465,6 +473,247 @@ TEST(BatchSimLatch, SharedEnableNetlistsMatchSimulatorWithConeOnAndOff) {
     EXPECT_GT(skipped.value(), skipped0);
     EXPECT_GT(groups.value() - groups0, skipped.value() - skipped0);
   }
+}
+
+/// A random shared-enable netlist with constants, every net faulted in both
+/// polarities, replayed for `cycles` cycles by per-lane Simulators. Input 0
+/// holds one value, input 1 toggles every cycle, and every other input does
+/// one or the other. Values are taken after each cycle's eval.
+struct SourceReplay {
+  Netlist nl;
+  std::vector<Net> inputs;
+  std::vector<StuckFault> faults;
+  std::vector<std::vector<std::uint8_t>> drive;   ///< [cycle][input]
+  std::vector<std::vector<std::uint8_t>> golden;  ///< [cycle][net]
+  std::vector<std::vector<std::uint64_t>> rows;   ///< [cycle] golden, packed
+  std::vector<std::vector<std::vector<std::uint8_t>>> faulty;  ///< [fault][cycle][net]
+
+  SourceReplay(Rng& rng, std::size_t cycles)
+      : nl(enable_group_netlist(rng, true)) {
+    for (Net n = 0; n < static_cast<Net>(nl.num_nets()); ++n) {
+      if (nl.gate(n).kind == GateKind::Input) inputs.push_back(n);
+      for (const bool high : {false, true}) faults.push_back({n, high});
+    }
+    drive.assign(cycles, std::vector<std::uint8_t>(inputs.size()));
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const bool toggles = i == 1 || (i > 1 && rng.below(2) == 0);
+      const auto v0 = static_cast<std::uint8_t>(rng.below(2));
+      for (std::size_t c = 0; c < cycles; ++c)
+        drive[c][i] = toggles ? static_cast<std::uint8_t>(v0 ^ (c & 1)) : v0;
+    }
+    const auto replay = [&](Simulator& sim) {
+      std::vector<std::vector<std::uint8_t>> vals;
+      for (const std::vector<std::uint8_t>& d : drive) {
+        for (std::size_t i = 0; i < inputs.size(); ++i)
+          sim.set_input(inputs[i], d[i] != 0);
+        sim.eval();
+        vals.push_back(sim.values());
+        sim.clock();
+      }
+      return vals;
+    };
+    Simulator g(nl);
+    golden = replay(g);
+    for (const std::vector<std::uint8_t>& v : golden) rows.push_back(pack_row(v));
+    for (const StuckFault& f : faults) {
+      Simulator sim(nl);
+      sim.set_fault(f);
+      faulty.push_back(replay(sim));
+    }
+  }
+  GoldenRow row(std::size_t c) const { return {rows[c].data()}; }
+};
+
+// A source net is written only by the code that changes it, and that code
+// applies the force: set_inputs() rewrites an input only when its golden
+// value changes, a constant is written once per begin(), and a DFF output
+// takes its force in the store of a group that latches, while a skipped
+// group's forced DFFs keep their forced value. Every net of random
+// shared-enable netlists with constants is faulted, inputs hold or toggle,
+// and every source net and output is checked lane for lane against the
+// per-lane Simulators on every cycle, at every width, with eval and with
+// eval_cone.
+TEST(BatchSimSources, SourceForcesMatchSimulatorWithConeOnAndOff) {
+  KnobGuard knobs;
+  obs::Counter& forces = obs::counter("gate.source_forces");
+  obs::Counter& dispatches = obs::counter("gate.interp_dispatches");
+  obs::Counter& ops = obs::counter("gate.interp_ops");
+  const std::uint64_t forces0 = forces.value();
+  const std::uint64_t dispatches0 = dispatches.value(), ops0 = ops.value();
+  Rng rng(0x50E5CE);
+  constexpr std::size_t kCycles = 8;
+  // Forced DFF lanes at a clock whose group no lane enables / some lane does.
+  std::size_t skipped_sites = 0, latched_sites = 0;
+  for (int iter = 0; iter < 30; ++iter) {
+    const SourceReplay r(rng, kCycles);
+    const Netlist& nl = r.nl;
+    std::vector<Net> probe = nl.outputs()[0].nets;
+    for (Net n = 0; n < static_cast<Net>(nl.num_nets()); ++n) {
+      const GateKind k = nl.gate(n).kind;
+      if (k == GateKind::Input || k == GateKind::Const0 ||
+          k == GateKind::Const1 || k == GateKind::Dff)
+        probe.push_back(n);
+    }
+    for (const std::size_t width : supported_widths()) {
+      for (const int cone : {0, 1}) {
+        set_cone_override(cone);
+        for (std::size_t base = 0; base < r.faults.size(); base += width) {
+          const std::size_t count = std::min(width, r.faults.size() - base);
+          const std::unique_ptr<BatchSim> sim = make_batch_sim(nl, width);
+          sim->set_observed(probe);
+          sim->begin(std::span(r.faults).subspan(base, count));
+          for (std::size_t c = 0; c < kCycles; ++c) {
+            sim->set_inputs(r.row(c));
+            if (cone)
+              sim->eval_cone(r.row(c));
+            else
+              sim->eval();
+            for (std::size_t k = 0; k < count; ++k)
+              for (const Net n : probe)
+                ASSERT_EQ(sim->value(n, static_cast<unsigned>(k)),
+                          r.faulty[base + k][c][static_cast<std::size_t>(n)] !=
+                              0)
+                    << "iter " << iter << " width " << width << " cone "
+                    << cone << " cycle " << c << " net " << n << " fault net "
+                    << r.faults[base + k].net << " stuck "
+                    << r.faults[base + k].stuck_high;
+            // Does the clock below skip or latch each forced DFF's group?
+            // It skips a group no installed lane enables.
+            for (std::size_t k = 0; k < count && cone == 0; ++k) {
+              const Gate& q = nl.gate(r.faults[base + k].net);
+              if (q.kind != GateKind::Dff) continue;
+              bool skipped = q.b != kNoNet;
+              for (std::size_t j = 0; j < count && skipped; ++j)
+                skipped = !r.faulty[base + j][c][static_cast<std::size_t>(q.b)];
+              ++(skipped ? skipped_sites : latched_sites);
+            }
+            sim->clock();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(skipped_sites, 0u);
+  EXPECT_GT(latched_sites, 0u);
+  if (obs::enabled()) {
+    EXPECT_GT(forces.value(), forces0);
+    EXPECT_GT(dispatches.value(), dispatches0);
+    EXPECT_GT(ops.value() - ops0, dispatches.value() - dispatches0);
+  }
+}
+
+// retire_lane() only takes a lane out of lane_mask(): the lane keeps its
+// fault and goes on diverging, and every read that reports lanes must leave
+// it out. Every net of random shared-enable netlists is faulted; after
+// cycle 2's eval every lane whose fault has reached the outputs or the DFF
+// state is retired, and on every later cycle each read is checked against
+// the per-lane Simulators, at every width, with eval and with eval_cone.
+TEST(BatchSimRetire, RetiredLanesLeaveEveryLaneRead) {
+  KnobGuard knobs;
+  Rng rng(0x7E71E);
+  constexpr std::size_t kCycles = 8;
+  constexpr std::size_t kRetireAt = 2;
+  std::size_t retired_diverging = 0;  // (retired lane, later cycle) pairs
+  for (int iter = 0; iter < 30; ++iter) {
+    const SourceReplay r(rng, kCycles);
+    const Netlist& nl = r.nl;
+    const PortBus& bus = nl.outputs()[0];
+    const auto bus_of = [&](const std::vector<std::uint8_t>& vals) {
+      std::uint64_t v = 0;
+      for (std::size_t i = 0; i < bus.nets.size(); ++i)
+        v |= std::uint64_t{vals[static_cast<std::size_t>(bus.nets[i])]} << i;
+      return v;
+    };
+    const auto state_differs = [&](std::size_t f, std::size_t c) {
+      for (const Net d : nl.dffs())
+        if (r.faulty[f][c][static_cast<std::size_t>(d)] !=
+            r.golden[c][static_cast<std::size_t>(d)])
+          return true;
+      return false;
+    };
+    for (const std::size_t width : supported_widths()) {
+      for (const int cone : {0, 1}) {
+        set_cone_override(cone);
+        for (std::size_t base = 0; base < r.faults.size(); base += width) {
+          const std::size_t count = std::min(width, r.faults.size() - base);
+          const std::unique_ptr<BatchSim> sim = make_batch_sim(nl, width);
+          sim->set_observed(bus.nets);
+          sim->begin(std::span(r.faults).subspan(base, count));
+          const LaneMask installed = sim->lane_mask();
+          std::vector<std::uint8_t> retired(count, 0);
+          for (std::size_t c = 0; c < kCycles; ++c) {
+            const GoldenRow row = r.row(c);
+            sim->set_inputs(row);
+            if (cone)
+              sim->eval_cone(row);
+            else
+              sim->eval();
+            const std::uint64_t gv = bus_of(r.golden[c]);
+            if (c == kRetireAt) {
+              for (std::size_t k = 0; k < count; ++k)
+                if (bus_of(r.faulty[base + k][c]) != gv ||
+                    state_differs(base + k, c)) {
+                  retired[k] = 1;
+                  sim->retire_lane(static_cast<unsigned>(k));
+                }
+            }
+            LaneMask want_out, want_state, want_act, want_live;
+            std::vector<std::uint64_t> fv(count);
+            for (std::size_t k = 0; k < count; ++k) {
+              const auto lane = static_cast<unsigned>(k);
+              fv[k] = bus_of(r.faulty[base + k][c]);
+              const bool diverged = fv[k] != gv || state_differs(base + k, c);
+              if (retired[k]) {
+                retired_diverging += c > kRetireAt && diverged;
+                continue;
+              }
+              want_live.set(lane);
+              if (fv[k] != gv) want_out.set(lane);
+              if (state_differs(base + k, c)) want_state.set(lane);
+              const StuckFault& f = r.faults[base + k];
+              if (row[static_cast<std::size_t>(f.net)] != f.stuck_high)
+                want_act.set(lane);
+            }
+            const std::string at = "iter " + std::to_string(iter) +
+                                   " width " + std::to_string(width) +
+                                   " cone " + std::to_string(cone) +
+                                   " cycle " + std::to_string(c);
+            ASSERT_EQ(sim->lane_mask(), want_live) << at;
+            EXPECT_EQ(sim->diff_lanes(bus.nets, row), want_out) << at;
+            EXPECT_EQ(sim->diff_observed(row), want_out) << at;
+            EXPECT_EQ(sim->state_diff_lanes(row), want_state) << at;
+            EXPECT_EQ(sim->activated_lanes(row), want_act) << at;
+            // Ask for every installed lane, retired ones included.
+            std::array<std::uint64_t, LaneMask::kMaxLanes> out{};
+            EXPECT_EQ(sim->bus_values(bus, row, installed, gv, out), want_out)
+                << at;
+            for_each_lane(want_out, [&](unsigned k) {
+              EXPECT_EQ(out[k], fv[k]) << at << " lane " << k;
+            });
+            std::array<LaneMask, 64> single;
+            const BatchSim::BusDiffSplit split =
+                sim->bus_diff_split(bus, row, installed, gv, single, out);
+            LaneMask want_multi, got_single;
+            for_each_lane(want_out, [&](unsigned k) {
+              if (std::popcount(fv[k] ^ gv) >= 2) want_multi.set(k);
+            });
+            EXPECT_EQ(split.multi, want_multi) << at;
+            for (unsigned b = 0; b < bus.nets.size(); ++b) {
+              if (!((split.single_bits >> b) & 1)) continue;
+              got_single |= single[b];
+              for_each_lane(single[b], [&](unsigned k) {
+                EXPECT_EQ(fv[k] ^ gv, std::uint64_t{1} << b) << at;
+              });
+            }
+            EXPECT_EQ(got_single | want_multi, want_out) << at;
+            sim->clock();
+          }
+        }
+      }
+    }
+  }
+  // Retired lanes must go on diverging for the checks above to mean anything.
+  EXPECT_GT(retired_diverging, 0u);
 }
 
 // Fault collapsing and cone pruning are pure optimizations: every
@@ -548,6 +797,68 @@ TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
   std::filesystem::remove_all(jit_dir);
 }
 
+// Hung lanes are retired and keep diverging unsnapped. A batch mixes
+// faults that hang the unit early — the decoder dropping `valid`, fetch
+// dropping `fetch_valid`, the WSC dropping `sel_valid`: stuck-ats on that
+// output net and its fan-in — with sampled faults that go on producing
+// errors, over two traces, so lanes hung in the first replay are retired
+// before the second starts. Every lane must match run_fault at every width,
+// with the cone on and off.
+TEST_P(BatchSimEquivalence, HungLanesMatchRunFaultWithConeOnAndOff) {
+  const std::vector<UnitTraces> traces = {trace_of("p_tiled_mxm", 300),
+                                          trace_of("p_sort", 300)};
+  const UnitReplayer replayer(GetParam());
+  const Netlist& nl = replayer.netlist();
+  const auto goldens = replayer.compute_goldens(traces);
+  const char* hang_bus = GetParam() == UnitKind::Decoder ? "valid"
+                         : GetParam() == UnitKind::Fetch ? "fetch_valid"
+                                                         : "sel_valid";
+  std::vector<Net> fanin = {nl.find_output(hang_bus)->nets[0]};
+  for (std::size_t i = 0; i < fanin.size() && fanin.size() < 24; ++i) {
+    const Gate& g = nl.gate(fanin[i]);
+    for (const Net n : {g.a, g.b, g.c})
+      if (n != kNoNet && std::find(fanin.begin(), fanin.end(), n) == fanin.end())
+        fanin.push_back(n);
+  }
+  std::vector<StuckFault> faults;
+  for (const Net n : fanin)
+    for (const bool high : {false, true}) faults.push_back({n, high});
+  const std::vector<StuckFault> all = full_fault_list(nl);
+  Rng rng(0x4A6);
+  for (int i = 0; i < 40; ++i) faults.push_back(all[rng.below(all.size())]);
+
+  std::vector<FaultCharacterization> brute(faults.size());
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    brute[k].fault = faults[k];
+    for (std::size_t ti = 0; ti < traces.size(); ++ti)
+      replayer.run_fault(faults[k], traces[ti], goldens[ti], brute[k]);
+  }
+  const auto hung = std::count_if(brute.begin(), brute.end(),
+                                  [](const auto& f) { return f.hang; });
+  const auto erring = std::count_if(brute.begin(), brute.end(), [](const auto& f) {
+    return !f.hang && f.any_error();
+  });
+  ASSERT_GE(hung, 2);
+  ASSERT_GE(erring, 4);
+
+  LaneGuard lanes;
+  KnobGuard knobs;
+  for (const std::size_t width : supported_widths()) {
+    set_batch_lanes_override(width);
+    for (const int cone : {0, 1}) {
+      set_cone_override(cone);
+      std::vector<FaultCharacterization> batch(faults.size());
+      for (std::size_t k = 0; k < faults.size(); ++k) batch[k].fault = faults[k];
+      replay_faults(replayer, EngineKind::Batch, faults, traces, goldens,
+                    nullptr, batch);
+      const std::string label =
+          "width " + std::to_string(width) + " cone " + std::to_string(cone);
+      for (std::size_t k = 0; k < faults.size(); ++k)
+        expect_same(brute[k], batch[k], label.c_str());
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Units, BatchSimEquivalence,
                          ::testing::Values(UnitKind::Decoder, UnitKind::Fetch,
                                            UnitKind::WSC),
@@ -621,9 +932,12 @@ TEST(BatchFaultSimUnit, WordEvalMatchesScalarOnToyNetlist) {
             ssims[k].set_input(b, bv != 0);
             ssims[k].eval();
           }
-          const PortBus in_a{"a", {a}}, in_b{"b", {b}};
-          bsim->set_bus(in_a, static_cast<std::uint64_t>(av));
-          bsim->set_bus(in_b, static_cast<std::uint64_t>(bv));
+          // set_inputs reads only the input nets' bits of the row.
+          std::vector<std::uint64_t> row((nl.num_nets() + 63) / 64, 0);
+          for (const auto& [n, v] : {std::pair{a, av}, std::pair{b, bv}})
+            row[static_cast<std::size_t>(n) / 64] |=
+                std::uint64_t(v) << (static_cast<std::size_t>(n) % 64);
+          bsim->set_inputs(GoldenRow{row.data()});
           bsim->eval();
           for (std::size_t k = 0; k < faults.size(); ++k)
             for (Net n : {a, b, x1, n1, m, q, o})
@@ -636,6 +950,107 @@ TEST(BatchFaultSimUnit, WordEvalMatchesScalarOnToyNetlist) {
         }
       }
     }
+  }
+}
+
+// The decoder's activation test is one word-wide pass over the batch's
+// force masks. It must equal the per-lane scan (the site's golden value
+// differs from the stuck value) with stuck-at-0 and stuck-at-1 on one site,
+// and never name an unfilled or a retired lane.
+TEST(BatchSimActivation, WordWideTestMatchesPerLaneScan) {
+  const UnitReplayer replayer(UnitKind::Decoder);
+  const Netlist& nl = replayer.netlist();
+  const std::vector<StuckFault> all = full_fault_list(nl);
+  Rng rng(0xAC71);
+  for (const std::size_t width : supported_widths()) {
+    // Pairs of both polarities on one site; the last lanes stay unfilled.
+    const std::size_t count = width / 2 + 3;
+    std::vector<StuckFault> faults;
+    while (faults.size() < count) {
+      const Net n = all[rng.below(all.size())].net;
+      faults.push_back({n, false});
+      if (faults.size() < count) faults.push_back({n, true});
+    }
+    const std::unique_ptr<BatchSim> sim = make_batch_sim(nl, width);
+    sim->begin(faults);
+    std::vector<std::uint8_t> retired(count, 0);
+    for (std::size_t k = 0; k < count; k += 5) {
+      retired[k] = 1;
+      sim->retire_lane(static_cast<unsigned>(k));
+    }
+    for (int pattern = 0; pattern < 16; ++pattern) {
+      std::vector<std::uint64_t> bits((nl.num_nets() + 63) / 64);
+      for (std::uint64_t& w : bits) w = rng();
+      const GoldenRow row{bits.data()};
+      LaneMask want;
+      for (std::size_t k = 0; k < count; ++k)
+        if (!retired[k] &&
+            row[static_cast<std::size_t>(faults[k].net)] != faults[k].stuck_high)
+          want.set(static_cast<unsigned>(k));
+      EXPECT_EQ(sim->activated_lanes(row), want)
+          << "width " << width << " pattern " << pattern;
+    }
+  }
+}
+
+// The interpreter dispatches once per run of same-opcode ops. Every opcode
+// — Mat and the And-Or force op included — alone and in a longer run, each
+// run between runs of other opcodes, must compute what GateProgram::eval
+// computes op by op, and op_runs must cut the stream into its maximal runs.
+TEST(BatchSimInterp, EveryOpcodeInRunsOfOneAndLongerMatchesOpByOpEval) {
+  using W = LaneWord<64>;
+  constexpr std::uint32_t kSlots = 40;  // values; two force masks follow
+  Rng rng(0x1E7E);
+  const std::uint64_t golden_bits = rng();
+  const GoldenRow golden{&golden_bits};
+  for (int iter = 0; iter < 50; ++iter) {
+    std::vector<Instr> code;
+    std::vector<std::uint32_t> lengths;  // of the runs, in order
+    const auto emit = [&](std::uint32_t op, std::uint32_t len) {
+      for (std::uint32_t i = 0; i < len; ++i) {
+        Instr in;
+        in.op = op;
+        in.a = static_cast<std::uint32_t>(rng.below(
+            op == static_cast<std::uint32_t>(Op::Mat) ? 64 : kSlots));
+        in.b = static_cast<std::uint32_t>(rng.below(kSlots));
+        in.c = static_cast<std::uint32_t>(rng.below(kSlots));
+        in.out = static_cast<std::uint32_t>(rng.below(kSlots));
+        if (op == static_cast<std::uint32_t>(Op::Fuse2_2) && rng.below(2)) {
+          in.a = in.out;  // a force op: (v & keep) | set in place
+          in.b = kSlots;
+          in.c = kSlots + 1;
+        }
+        code.push_back(in);
+      }
+      lengths.push_back(len);
+    };
+    // Every opcode alone, in order, then every opcode in a run of 2 to 6.
+    for (std::uint32_t op = 0; op < kNumOps; ++op) emit(op, 1);
+    for (std::uint32_t op = 0; op < kNumOps; ++op)
+      emit(op, 2 + static_cast<std::uint32_t>(rng.below(5)));
+
+    std::vector<OpRun> runs;
+    op_runs(code, runs);
+    ASSERT_EQ(runs.size(), lengths.size());
+    std::uint32_t at = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].begin, at);
+      EXPECT_EQ(runs[i].end - runs[i].begin, lengths[i]) << "run " << i;
+      EXPECT_EQ(runs[i].op, code[at].op) << "run " << i;
+      at = runs[i].end;
+    }
+
+    std::vector<std::uint64_t> want(kSlots + 2);
+    for (std::uint64_t& x : want) x = rng();
+    std::vector<W> v(want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) v[i].v[0] = want[i];
+    for (const Instr& in : code)
+      want[in.out] = in.op == static_cast<std::uint32_t>(Op::Mat)
+                         ? (golden[in.a] ? ~std::uint64_t{0} : 0)
+                         : GateProgram::eval(in, want.data());
+    exec_runs(v.data(), code.data(), runs, golden);
+    for (std::size_t i = 0; i < want.size(); ++i)
+      ASSERT_EQ(v[i].v[0], want[i]) << "iter " << iter << " slot " << i;
   }
 }
 

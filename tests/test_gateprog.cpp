@@ -344,8 +344,13 @@ void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
           sim->begin(chunk);
           std::vector<std::uint8_t> out;
           for (const auto& cyc : drive) {
-            for (std::size_t i = 0; i < inputs.size(); ++i)
-              sim->set_bus(PortBus{"i", {inputs[i]}}, cyc[i]);
+            // set_inputs reads only the input nets' bits of the row.
+            std::vector<std::uint64_t> row((nl.num_nets() + 63) / 64, 0);
+            for (std::size_t i = 0; i < inputs.size(); ++i) {
+              const auto n = static_cast<std::size_t>(inputs[i]);
+              row[n / 64] |= std::uint64_t{cyc[i]} << (n % 64);
+            }
+            sim->set_inputs(GoldenRow{row.data()});
             sim->eval();
             for (const Net n : probe)
               for (std::size_t k = 0; k < count; ++k)

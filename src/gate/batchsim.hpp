@@ -116,24 +116,6 @@ class BatchSim {
                               const LaneMask& lanes, std::uint64_t golden_value,
                               std::span<std::uint64_t> out) const = 0;
 
-  /// Lanes of `lanes` whose `bus` value differs from `golden_value`, split
-  /// by how many bits differ. Bit i of `single_bits` says single[i] holds
-  /// the lanes whose only differing bit is bus bit i (other entries of
-  /// `single` are left as they were); `multi` holds the lanes differing in
-  /// two or more bits, and out[k] receives each such lane's value. The
-  /// split is word-wide, so single-bit lanes cost no per-lane work here.
-  /// The bus has at most 64 nets and `single` one entry per net, else
-  /// std::invalid_argument.
-  struct BusDiffSplit {
-    LaneMask multi;
-    std::uint64_t single_bits = 0;
-  };
-  virtual BusDiffSplit bus_diff_split(const PortBus& bus, GoldenRow golden,
-                                      const LaneMask& lanes,
-                                      std::uint64_t golden_value,
-                                      std::span<LaneMask> single,
-                                      std::span<std::uint64_t> out) const = 0;
-
   /// Lanes whose value on any of `nets` differs from the golden snapshot.
   virtual LaneMask diff_lanes(std::span<const Net> nets,
                               GoldenRow golden) const = 0;

@@ -42,11 +42,7 @@
 //     lane_mask_, and every read that reports lanes ANDs with lane_mask_, so
 //     a retired lane's values are never snapped back. Unfilled and retired
 //     lanes need no particular values at all, which is also what lets the
-//     latch skip a group no live lane enables;
-//   - single-bit bus diffs: bus_diff_split() hands classification the lanes
-//     whose bus value differs from golden in exactly one bit, grouped by
-//     that bit, so a lookup table can classify them without a per-lane
-//     decode (gate/replay.cpp).
+//     latch skip a group no live lane enables.
 //
 // Exactness of the fused mode under arbitrary fault sites, per batch:
 //   - a forced net the stream writes (own index or vreg slot) gets a force
@@ -307,48 +303,6 @@ class BatchFaultSimT final : public BatchSim {
       for_each_lane(d.to_mask(), [&](unsigned k) { out[k] ^= bit; });
     }
     return diff.to_mask();
-  }
-
-  BusDiffSplit bus_diff_split(const PortBus& bus, GoldenRow golden,
-                              const LaneMask& lanes,
-                              std::uint64_t golden_value,
-                              std::span<LaneMask> single,
-                              std::span<std::uint64_t> out) const override {
-    if (bus.nets.size() > 64 || single.size() < bus.nets.size())
-      throw std::invalid_argument("bus_diff_split: bus wider than its groups");
-    const W sel = W::from_mask(lanes) & lane_mask_;
-    BusDiffSplit r;
-    if (!sel.any()) return r;
-    // Per-bit diff words, then two word-wide accumulators: `once` holds the
-    // lanes with at least one differing bit, `twice` those with two or more.
-    W d[64];
-    std::uint64_t bits = 0;
-    W once = W::zero(), twice = W::zero();
-    for (std::size_t i = 0; i < bus.nets.size(); ++i) {
-      const auto n = static_cast<std::size_t>(bus.nets[i]);
-      d[i] = (val_[n] ^ W::broadcast(golden[n])) & sel;
-      if (!d[i].any()) continue;
-      bits |= std::uint64_t{1} << i;
-      twice |= once & d[i];
-      once |= d[i];
-    }
-    if (!bits) return r;
-    const W one_bit = once & ~twice;
-    r.multi = twice.to_mask();
-    for_each_lane(r.multi, [&](unsigned k) { out[k] = golden_value; });
-    for (std::uint64_t rest = bits; rest; rest &= rest - 1) {
-      const unsigned i = static_cast<unsigned>(std::countr_zero(rest));
-      const W s = d[i] & one_bit;
-      if (s.any()) {
-        single[i] = s.to_mask();
-        r.single_bits |= std::uint64_t{1} << i;
-      }
-      const W m = d[i] & twice;
-      if (m.any())
-        for_each_lane(m.to_mask(),
-                      [&](unsigned k) { out[k] ^= std::uint64_t{1} << i; });
-    }
-    return r;
   }
 
   LaneMask diff_lanes(std::span<const Net> nets,

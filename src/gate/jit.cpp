@@ -64,39 +64,49 @@ const char* find_compiler_locked() {
   return nullptr;
 }
 
+/// Concatenates `parts` by appending each to one string. GCC 12 at -O3
+/// reports a false -Wrestrict on `"literal" + std::string&&`, which this
+/// form never builds.
+template <class... Parts>
+std::string cat(const Parts&... parts) {
+  std::string s;
+  (s += ... += parts);
+  return s;
+}
+
 void emit_op(std::string& src, const Instr& in) {
   char buf[160];
   const auto v = [](std::uint32_t i) {
-    return "v[" + std::to_string(i) + "]";
+    return cat("v[", std::to_string(i), "]");
   };
   std::string rhs;
   switch (static_cast<Op>(in.op)) {
     case Op::Const0: rhs = "Z"; break;
     case Op::Const1: rhs = "O"; break;
     case Op::Copy: rhs = v(in.a); break;
-    case Op::NCopy: rhs = "~" + v(in.a); break;
-    case Op::And: rhs = v(in.a) + " & " + v(in.b); break;
-    case Op::Or: rhs = v(in.a) + " | " + v(in.b); break;
-    case Op::Nand: rhs = "~(" + v(in.a) + " & " + v(in.b) + ")"; break;
-    case Op::Nor: rhs = "~(" + v(in.a) + " | " + v(in.b) + ")"; break;
-    case Op::Xor: rhs = v(in.a) + " ^ " + v(in.b); break;
-    case Op::Xnor: rhs = "~(" + v(in.a) + " ^ " + v(in.b) + ")"; break;
+    case Op::NCopy: rhs = cat("~", v(in.a)); break;
+    case Op::And: rhs = cat(v(in.a), " & ", v(in.b)); break;
+    case Op::Or: rhs = cat(v(in.a), " | ", v(in.b)); break;
+    case Op::Nand: rhs = cat("~(", v(in.a), " & ", v(in.b), ")"); break;
+    case Op::Nor: rhs = cat("~(", v(in.a), " | ", v(in.b), ")"); break;
+    case Op::Xor: rhs = cat(v(in.a), " ^ ", v(in.b)); break;
+    case Op::Xnor: rhs = cat("~(", v(in.a), " ^ ", v(in.b), ")"); break;
     case Op::Mux:
-      rhs = "(" + v(in.a) + " & " + v(in.c) + ") | (~" + v(in.a) + " & " +
-            v(in.b) + ")";
+      rhs = cat("(", v(in.a), " & ", v(in.c), ") | (~", v(in.a), " & ",
+                v(in.b), ")");
       break;
-    case Op::Xor3: rhs = v(in.a) + " ^ " + v(in.b) + " ^ " + v(in.c); break;
+    case Op::Xor3: rhs = cat(v(in.a), " ^ ", v(in.b), " ^ ", v(in.c)); break;
     case Op::Xnor3:
-      rhs = "~(" + v(in.a) + " ^ " + v(in.b) + " ^ " + v(in.c) + ")";
+      rhs = cat("~(", v(in.a), " ^ ", v(in.b), " ^ ", v(in.c), ")");
       break;
     default: {
       const std::uint32_t bits =
           in.op - static_cast<std::uint32_t>(Op::Fuse2_0);
       std::string mid =
-          "(" + v(in.a) + ((bits & 1) ? " | " : " & ") + v(in.b) + ")";
-      if (bits & 4) mid = "~" + mid;
-      rhs = "(" + mid + ((bits & 2) ? " | " : " & ") + v(in.c) + ")";
-      if (bits & 8) rhs = "~" + rhs;
+          cat("(", v(in.a), (bits & 1) ? " | " : " & ", v(in.b), ")");
+      if (bits & 4) mid = cat("~", mid);
+      rhs = cat("(", mid, (bits & 2) ? " | " : " & ", v(in.c), ")");
+      if (bits & 8) rhs = cat("~", rhs);
       break;
     }
   }

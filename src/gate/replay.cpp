@@ -837,11 +837,9 @@ void UnitReplayer::compare_outputs(const UnitTraces& t, std::size_t c,
   }
 }
 
-/// What classify_batch keeps across the cycles of one replay: the
-/// single-bit lane groups (reused, never cleared: bus_diff_split reports
-/// which entries are valid) and the lane tallies run_fault_batch publishes.
+/// What classify_batch keeps across the cycles of one replay: the lane
+/// tallies run_fault_batch publishes.
 struct UnitReplayer::ClassifyScratch {
-  std::array<LaneMask, 64> single;
   std::uint64_t lanes = 0;        ///< diverged lanes classified
   std::uint64_t table_lanes = 0;  ///< of which by table lookup
 };
@@ -864,41 +862,29 @@ void UnitReplayer::classify_batch(BatchSim& sim, const UnitTraces& t,
   // Per-lane faulty bus words, indexed by lane (bus_values fills only the
   // requested lanes).
   std::array<std::uint64_t, LaneMask::kMaxLanes> words;
-  // Instruction-word bus: the engine splits the lanes whose word differs by
-  // how many bits differ. A one-bit lane adds its bit's table entry; the
-  // others (and any the table cannot answer) decode their faulty word
-  // against the golden decode, once per cycle.
+  // Instruction-word bus: each lane whose word differs from golden in
+  // exactly one bit adds that bit's table entry; the others (and any the
+  // table cannot answer) decode their faulty word against the golden
+  // decode, once per cycle.
   const auto classify_word_bus = [&](const PortBus& bus, std::uint32_t regs,
                                      const LaneMask& alive) {
     const std::uint64_t gw = golden_bus(gv, bus);
-    const BatchSim::BusDiffSplit split =
-        sim.bus_diff_split(bus, gv, alive, gw, scratch.single, words);
-    LaneMask decode = split.multi;
-    const std::uint32_t* entries =
-        split.single_bits && table ? table->find(gw, regs) : nullptr;
-    for (std::uint64_t rest = split.single_bits; rest; rest &= rest - 1) {
-      const auto b = static_cast<unsigned>(std::countr_zero(rest));
-      const LaneMask& lanes = scratch.single[b];
-      const std::uint32_t e = entries ? entries[b] : WordDiffTable::kPerLane;
-      if (e != WordDiffTable::kPerLane) {
-        // Nearly every entry names one model: one add per lane then.
-        const unsigned m =
-            e ? static_cast<unsigned>(std::countr_zero(e)) / 2 : 0;
-        const std::uint32_t n = e >> (2 * m);
-        for_each_lane(lanes, [&](unsigned k) {
-          if (n <= 3)
-            out[k].error_counts[m] += n;
-          else
-            WordDiffTable::add(e, out[k].error_counts);
+    const LaneMask diverged = sim.bus_values(bus, gv, alive, gw, words);
+    if (!diverged.any()) return;
+    const std::uint32_t* entries = table ? table->find(gw, regs) : nullptr;
+    LaneMask decode;
+    for_each_lane(diverged, [&](unsigned k) {
+      const std::uint64_t x = words[k] ^ gw;
+      if (entries && std::has_single_bit(x)) {
+        const std::uint32_t e = entries[std::countr_zero(x)];
+        if (e != WordDiffTable::kPerLane) {
+          WordDiffTable::add(e, out[k].error_counts);
           ++scratch.table_lanes;
-        });
-        continue;
+          return;
+        }
       }
-      for_each_lane(lanes, [&](unsigned k) {
-        words[k] = gw ^ (std::uint64_t{1} << b);
-      });
-      decode |= lanes;
-    }
+      decode.set(k);
+    });
     if (!decode.any()) return;
     const isa::DecodeResult gd = isa::decode(gw);
     if (!gd.ok) return;  // traces never carry invalid golden words

@@ -24,7 +24,10 @@ std::string disassemble(std::uint64_t word) {
   }
 
   auto reg = [](std::uint8_t r) {
-    return r == kRZ ? std::string("RZ") : "R" + std::to_string(int(r));
+    if (r == kRZ) return std::string("RZ");
+    std::string s = "R";
+    s += std::to_string(int(r));
+    return s;
   };
 
   switch (in.op) {

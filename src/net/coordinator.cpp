@@ -438,8 +438,7 @@ void Coordinator::drain_appends_locked(Conn& conn, bool queue_replies) {
     PendingAppend pa = std::move(conn.appends.front());
     conn.appends.pop_front();
     if (const auto it = campaigns_.find(pa.cid); it != campaigns_.end()) {
-      for (const store::Record& rec : pa.fresh)
-        it->second.ckpt->record(rec.id, rec.payload);
+      it->second.ckpt->record(pa.fresh);  // one write for the whole message
       it->second.pending_appends -= pa.fresh.size();
     }
     conn.outstanding_records -= pa.fresh.size();
@@ -659,9 +658,13 @@ void Coordinator::handle_message(Conn& conn, const Frame& f) {
         // Results are kept even from a lost lease: the work is done and
         // id-dedup makes acceptance harmless (and saves the re-run when
         // the reassigned copy hasn't started that id yet).
-        for (store::Record& rec : msg.records) {
+        std::size_t payload_bytes = 0;
+        for (const store::Record& rec : msg.records)
+          payload_bytes += rec.payload.size();
+        pa.fresh = store::RecordBatch(msg.records.size(), payload_bytes);
+        for (const store::Record& rec : msg.records) {
           if (c.dispatcher->mark_retired(rec.id)) {
-            pa.fresh.push_back(std::move(rec));
+            pa.fresh.add(rec.id, rec.payload);
             ++stats_.appended;
           } else {
             ++stats_.duplicates;

@@ -179,7 +179,9 @@ class Coordinator {
   /// Records admitted from one Result, with the reply owed once they land.
   struct PendingAppend {
     std::uint64_t cid = 0;
-    std::vector<store::Record> fresh;  ///< already retired in the dispatcher
+    /// The message's records already retired in the dispatcher, framed for
+    /// one append.
+    store::RecordBatch fresh;
     Frame reply;
   };
 

@@ -203,6 +203,18 @@ std::size_t gate_campaign_representatives(const store::CampaignMeta& meta) {
 void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
                          ThreadPool* pool,
                          const std::function<bool()>& stop) const {
+  run_batches(
+      ids,
+      [&](std::span<const std::uint64_t> done,
+          std::span<const gate::FaultCharacterization> results) {
+        for (std::size_t i = 0; i < done.size(); ++i) emit(done[i], results[i]);
+      },
+      pool, stop);
+}
+
+void GateUnitRunner::run_batches(std::span<const std::uint64_t> ids,
+                                 const EmitBatch& emit, ThreadPool* pool,
+                                 const std::function<bool()>& stop) const {
   // Jobs are the faults actually simulated. With collapsing on, the ids of
   // one equivalence class share a job (the class representative) and each
   // member's record is expanded from it; otherwise every id is its own job.
@@ -225,7 +237,8 @@ void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
     }
   }
   // The ids grouped by job (members[first[j]..first[j + 1]) are job j's),
-  // so each finished batch emits exactly its own jobs' ids.
+  // so a finished batch of jobs [lo, lo + len) emits the contiguous run
+  // members[first[lo]..first[lo + len]).
   std::vector<std::size_t> first(jobs.size() + 1, 0);
   for (const std::size_t j : job_of) ++first[j + 1];
   std::partial_sum(first.begin(), first.end(), first.begin());
@@ -240,13 +253,21 @@ void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
   gate::replay_faults(
       replayer_, engine_, jobs, traces_, goldens_, &words_, out, pool, stop,
       [&](std::size_t lo, std::size_t len) {
-        for (std::size_t j = lo; j < lo + len; ++j)
-          for (std::size_t m = first[j]; m < first[j + 1]; ++m) {
-            const std::uint64_t id = members[m];
-            emit(id, collapse_ ? gate::expand_collapsed(out[j], faults_[id], act_)
-                               : out[j]);
-          }
-        retired.add(first[lo + len] - first[lo]);
+        const std::span<const std::uint64_t> done(
+            members.data() + first[lo], first[lo + len] - first[lo]);
+        if (!collapse_) {  // one id per job, in job order
+          emit(done, std::span<const gate::FaultCharacterization>(out).subspan(
+                         lo, len));
+        } else {
+          std::vector<gate::FaultCharacterization> expanded;
+          expanded.reserve(done.size());
+          for (std::size_t j = lo; j < lo + len; ++j)
+            for (std::size_t m = first[j]; m < first[j + 1]; ++m)
+              expanded.push_back(gate::expand_collapsed(
+                  out[j], faults_[members[m]], act_));
+          emit(done, expanded);
+        }
+        retired.add(done.size());
       });
 }
 
@@ -295,11 +316,19 @@ gate::UnitCampaignResult run_unit_campaign_store(
     return static_cast<std::size_t>(
         std::lower_bound(owned.begin(), owned.end(), id) - owned.begin());
   };
-  runner.run(
+  // Each retired batch is framed on the thread that retired it, into a
+  // buffer sized once for the batch, and appended with one write.
+  runner.run_batches(
       pending,
-      [&](std::uint64_t id, const gate::FaultCharacterization& fc) {
-        result.faults[slot_of(id)] = fc;
-        ckpt.record(id, store::encode(to_gate_record(fc)));
+      [&](std::span<const std::uint64_t> ids,
+          std::span<const gate::FaultCharacterization> fcs) {
+        store::RecordBatch batch(ids.size(),
+                                 ids.size() * store::kGateRecordBytes);
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+          result.faults[slot_of(ids[i])] = fcs[i];
+          batch.add(ids[i], store::encode(to_gate_record(fcs[i])));
+        }
+        ckpt.record(batch);
       },
       pool, [&] { return ckpt.should_stop(); });
   ckpt.sync();  // unit boundary: everything recorded above is now durable

@@ -64,8 +64,10 @@ EngineKind gate_campaign_engine(const store::CampaignMeta& meta);
 /// through this.
 gate::UnitKind gate_campaign_unit(const store::CampaignMeta& meta);
 
-/// Durable variant of run_unit_campaign: every retired fault is appended to
-/// `ckpt` as it completes, faults already in the store are restored instead
+/// Durable variant of run_unit_campaign: the faults of each retired batch
+/// are appended to `ckpt` with one write as the batch completes (a
+/// lane-width batch of the batch engine, one fault of the brute engine),
+/// faults already in the store are restored instead
 /// of re-simulated (resume), and only fault ids owned by the checkpoint's
 /// shard slice are evaluated. Campaign parameters (sampled list, seed,
 /// engine) come from the checkpoint's meta. The returned result holds this
@@ -101,6 +103,10 @@ class GateUnitRunner {
  public:
   using Emit =
       std::function<void(std::uint64_t, const gate::FaultCharacterization&)>;
+  /// One retired batch: results[i] is the result of ids[i].
+  using EmitBatch =
+      std::function<void(std::span<const std::uint64_t> ids,
+                         std::span<const gate::FaultCharacterization> results)>;
 
   GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
                  const store::CampaignMeta& meta);
@@ -121,6 +127,14 @@ class GateUnitRunner {
   void run(std::span<const std::uint64_t> ids, const Emit& emit,
            ThreadPool* pool = nullptr,
            const std::function<bool()>& stop = {}) const;
+
+  /// run(), reporting each retired batch once: emit(ids, results) gets the
+  /// ids of the batch's jobs (collapsed members included) and their
+  /// results. run() is this with a per-id loop; the store driver uses it
+  /// to append each batch with one write.
+  void run_batches(std::span<const std::uint64_t> ids, const EmitBatch& emit,
+                   ThreadPool* pool = nullptr,
+                   const std::function<bool()>& stop = {}) const;
 
  private:
   /// Construction start, declared first so the gate.runner_setup_us sample

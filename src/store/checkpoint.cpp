@@ -13,12 +13,18 @@ std::size_t CampaignCheckpoint::done_count() const {
   return done_.size() + fresh_records_;
 }
 
+bool CampaignCheckpoint::record(const RecordBatch& batch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  log_.append(batch);
+  fresh_records_ += batch.size();
+  return record_limit_ == 0 || fresh_records_ < record_limit_;
+}
+
 bool CampaignCheckpoint::record(std::uint64_t id,
                                 std::span<const std::uint8_t> payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  log_.append(id, payload);
-  ++fresh_records_;
-  return record_limit_ == 0 || fresh_records_ < record_limit_;
+  RecordBatch one(1, payload.size());
+  one.add(id, payload);
+  return record(one);
 }
 
 void CampaignCheckpoint::sync() {

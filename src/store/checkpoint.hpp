@@ -1,8 +1,9 @@
 // CampaignCheckpoint: the campaign-facing durability API on top of the
 // append-only ResultLog. Drivers ask which fault ids are already classified
-// (skip-on-resume), record each result as it retires (thread-safe), and poll
-// a cooperative stop flag that implements `gpfctl run --limit` (pause after N
-// fresh records — the deterministic stand-in for a mid-campaign kill).
+// (skip-on-resume), record the results they retire together as one batch
+// (thread-safe, one write per batch), and poll a cooperative stop flag that
+// implements `gpfctl run --limit` (pause after N fresh records, at batch
+// granularity — the deterministic stand-in for a mid-campaign kill).
 #pragma once
 
 #include <cstdint>
@@ -33,9 +34,13 @@ class CampaignCheckpoint {
   /// Already-retired + newly recorded this run.
   std::size_t done_count() const;
 
-  /// Durably appends one retired result. Thread-safe. Returns false once the
-  /// record limit has been reached (the result is still recorded; callers
-  /// should stop scheduling new work).
+  /// Appends a batch of retired results with one write under one lock
+  /// (ResultLog::append): once it returns, every record of the batch
+  /// survives a kill of this process. Thread-safe. Returns false once the
+  /// record limit has been reached (the whole batch is still recorded;
+  /// callers should stop scheduling new work).
+  bool record(const RecordBatch& batch);
+  /// Appends one retired result: a batch of one.
   bool record(std::uint64_t id, std::span<const std::uint8_t> payload);
 
   /// Pushes everything recorded so far onto stable storage (see
@@ -44,8 +49,9 @@ class CampaignCheckpoint {
   /// destructor also syncs, so a graceful exit is always durable.
   void sync();
 
-  /// Stop scheduling new work after `n` fresh records this run (0 = no
-  /// limit). Used to pause a campaign deterministically.
+  /// Stop scheduling new work once `n` fresh records were recorded this run
+  /// (0 = no limit). The check runs per batch, so the batch that crosses
+  /// the limit is recorded whole. Used to pause a campaign deterministically.
   void set_record_limit(std::size_t n) { record_limit_ = n; }
   bool should_stop() const;
   /// True when the campaign paused on the record limit (vs running to

@@ -14,7 +14,7 @@ const char* GateRecord::class_name() const {
 
 std::vector<std::uint8_t> encode(const GateRecord& r) {
   std::vector<std::uint8_t> out;
-  out.reserve(7 + 4 * errmodel::kNumErrorModels);
+  out.reserve(kGateRecordBytes);
   ByteWriter w(out);
   w.u32(r.net);
   w.u8(r.stuck_high ? 1 : 0);

@@ -35,6 +35,10 @@ struct GateRecord {
   const char* class_name() const;
 };
 
+/// Every gate record's payload size: net, three flag bytes, the counts.
+inline constexpr std::size_t kGateRecordBytes =
+    7 + 4 * errmodel::kNumErrorModels;
+
 std::vector<std::uint8_t> encode(const GateRecord& r);
 GateRecord decode_gate(std::span<const std::uint8_t> payload);
 

@@ -41,18 +41,19 @@ std::string recovery_tmp_path(const std::string& path) {
 /// or CRC mismatch), so the remainder is the torn tail.
 std::size_t parse_records(std::span<const std::uint8_t> bytes,
                           std::vector<Record>& out) {
+  constexpr std::size_t kFrame = RecordBatch::kFrameBytes;
   std::size_t pos = 0;
-  while (pos + 16 <= bytes.size()) {
-    ByteReader r(bytes.subspan(pos, 16));
+  while (pos + kFrame <= bytes.size()) {
+    ByteReader r(bytes.subspan(pos, kFrame));
     const std::uint64_t id = r.u64();
     const std::uint32_t len = r.u32();
     const std::uint32_t want = r.u32();
-    if (pos + 16 + len > bytes.size()) break;  // torn: payload cut short
+    if (pos + kFrame + len > bytes.size()) break;  // torn: payload cut short
     const auto crc_span = bytes.subspan(pos, 8);  // id bytes
-    const auto payload = bytes.subspan(pos + 16, len);
+    const auto payload = bytes.subspan(pos + kFrame, len);
     if (crc32(payload, crc32(crc_span)) != want) break;  // torn: bad CRC
     out.push_back({id, {payload.begin(), payload.end()}});
-    pos += 16 + len;
+    pos += kFrame + len;
   }
   return pos;
 }
@@ -86,21 +87,60 @@ std::vector<std::uint8_t> read_file_from(const std::string& path,
   return bytes;
 }
 
+// Slice-by-8 tables: kCrcTables[k][b] is the CRC register contribution of
+// byte b followed by k zero bytes, so eight bytes fold in with eight lookups
+// and no serial dependency between them. kCrcTables[0] is the classic
+// byte-at-a-time table of the reflected polynomial 0xEDB88320.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
-    }
-    return t;
-  }();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+void RecordBatch::add(std::uint64_t id, std::span<const std::uint8_t> payload) {
+  const std::size_t at = bytes_.size();
+  ByteWriter w(bytes_);
+  w.u64(id);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u32(crc32(payload, crc32(std::span(bytes_).subspan(at, 8))));
+  bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  ++records_;
 }
 
 const char* campaign_kind_name(CampaignKind k) {
@@ -262,24 +302,27 @@ void ResultLog::open_existing(const CampaignMeta* expect) {
   if (!f_) throw std::runtime_error("store: cannot reopen " + path_);
 }
 
-void ResultLog::append(std::uint64_t id, std::span<const std::uint8_t> payload) {
+void ResultLog::append(const RecordBatch& batch) {
+  if (batch.empty()) return;
   static obs::Counter& appends = obs::counter("store.appends");
+  static obs::Counter& writes = obs::counter("store.append_writes");
   static obs::Counter& bytes = obs::counter("store.append_bytes");
   static obs::Histogram& latency = obs::histogram("store.append_us");
   obs::ScopedTimerUs timer(latency);
-  std::vector<std::uint8_t> rec;
-  rec.reserve(16 + payload.size());
-  ByteWriter w(rec);
-  w.u64(id);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u32(crc32(payload, crc32(std::span(rec).subspan(0, 8))));
-  rec.insert(rec.end(), payload.begin(), payload.end());
-  if (std::fwrite(rec.data(), 1, rec.size(), f_) != rec.size() ||
+  const std::span<const std::uint8_t> out = batch.bytes();
+  if (std::fwrite(out.data(), 1, out.size(), f_) != out.size() ||
       std::fflush(f_) != 0)
     throw std::runtime_error("store: append failed on " + path_);
-  unsynced_bytes_ += rec.size();
-  appends.add(1);
-  bytes.add(rec.size());
+  unsynced_bytes_ += out.size();
+  appends.add(batch.size());
+  writes.add(1);
+  bytes.add(out.size());
+}
+
+void ResultLog::append(std::uint64_t id, std::span<const std::uint8_t> payload) {
+  RecordBatch one(1, payload.size());
+  one.add(id, payload);
+  append(one);
 }
 
 void ResultLog::sync() {

@@ -3,13 +3,16 @@
 // A campaign store is a single file: a fixed-size header identifying the
 // campaign (kind, target, engine, seed, id-space size, shard slice) followed
 // by a stream of variable-length records, one per retired fault/injection.
-// Every record carries a CRC32 over its id and payload, so a process killed
-// mid-write leaves at most one torn record at the tail, which open() detects
-// and truncates away (atomically: the trimmed copy is written to a temp file
-// and renamed over the original, so a crash mid-recovery never destroys
-// valid records). Appends are flushed record-by-record into the OS page
-// cache — safe against a process kill — and sync() (fdatasync, GPF_FSYNC)
-// extends that to host crash / power loss at checkpoint boundaries.
+// Every record carries a CRC32 over its id and payload. Records are written
+// a batch at a time (RecordBatch: the records a driver retires together,
+// framed in one buffer) with one fwrite+fflush into the OS page cache — safe
+// against a process kill once the append returns. A process killed during
+// an append leaves a prefix of the batch's whole records and at most one
+// torn record at the tail, which open() detects and truncates away (atomically:
+// the trimmed copy is written to a temp file and renamed over the original,
+// so a crash mid-recovery never destroys valid records). sync() (fdatasync,
+// GPF_FSYNC) extends durability to host crash / power loss at checkpoint
+// boundaries.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +61,33 @@ struct Record {
   std::vector<std::uint8_t> payload;
 };
 
+/// Records framed for one append, byte for byte as they lie in a store file:
+/// per record u64 id | u32 payload length | u32 CRC32 over id and payload |
+/// payload. A driver frames the records it retires together (off any lock)
+/// and appends them with one write; a single record is a batch of one.
+class RecordBatch {
+ public:
+  /// Frame bytes in front of each payload.
+  static constexpr std::size_t kFrameBytes = 16;
+
+  RecordBatch() = default;
+  /// Reserves room for `records` records carrying `payload_bytes` payload
+  /// bytes in all, so a batch whose size is known up front allocates once.
+  RecordBatch(std::size_t records, std::size_t payload_bytes) {
+    bytes_.reserve(records * kFrameBytes + payload_bytes);
+  }
+
+  void add(std::uint64_t id, std::span<const std::uint8_t> payload);
+  /// Records framed so far.
+  std::size_t size() const { return records_; }
+  bool empty() const { return records_ == 0; }
+  std::span<const std::uint8_t> bytes() const { return bytes_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::size_t records_ = 0;
+};
+
 /// The append-only log file. Not thread-safe; CampaignCheckpoint adds the
 /// campaign-facing locking and dedup on top.
 class ResultLog {
@@ -82,11 +112,17 @@ class ResultLog {
   /// Records the tail truncation (if any) performed at open time, in bytes.
   std::size_t torn_bytes_dropped() const { return torn_bytes_; }
 
-  /// Appends one record and flushes it to the OS page cache (fwrite +
-  /// fflush). Exact guarantee: once append() returns, the record survives
-  /// any crash of *this process* (SIGKILL included); it does NOT survive a
-  /// host crash or power loss until the next sync(). Callers that
-  /// acknowledge work to a coordinator should sync() first.
+  /// Appends a batch of records with one fwrite + fflush into the OS page
+  /// cache; an empty batch writes nothing. Exact guarantee: once append()
+  /// returns, every record of the batch survives any crash of *this process*
+  /// (SIGKILL included); a kill during the call keeps some prefix of the
+  /// batch's whole records. Nothing survives a host crash or power loss
+  /// until the next sync(); callers that acknowledge work to a coordinator
+  /// should sync() first. Counters: store.appends (records),
+  /// store.append_writes (batches written) and store.append_bytes; the
+  /// store.append_us histogram times each write.
+  void append(const RecordBatch& batch);
+  /// Appends one record: a batch of one.
   void append(std::uint64_t id, std::span<const std::uint8_t> payload);
 
   /// Pushes every record appended so far onto stable storage (fdatasync).

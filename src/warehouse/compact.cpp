@@ -118,9 +118,9 @@ CompactStats Compactor::refresh() {
         SourceTally& t = tallies_[i];
         const std::size_t from =
             std::max<std::size_t>(t.watermark, store::ResultLog::kHeaderSize);
-        const store::ScannedTail tail = store::scan_records(paths_[i], from);
-        for (const store::Record& r : tail.records)
-          records_[r.id] = r.payload;  // last wins, same as load_store
+        store::ScannedTail tail = store::scan_records(paths_[i], from);
+        for (store::Record& r : tail.records)
+          records_[r.id] = std::move(r.payload);  // last wins, as load_store
         st.fresh_records += tail.records.size();
         t.scanned_records += tail.records.size();
         t.watermark = tail.end_offset;

@@ -27,6 +27,7 @@ enum : std::uint32_t {
   kColIdxLen = 8,    // rtl: u32 corrupted_idx length per row
   kColIdxVal = 9,    // rtl: u32 corrupted_idx values, flattened
   kGateCountBase = 16,
+  kColumnIds = kGateCountBase + errmodel::kNumErrorModels,  // ids are below
 };
 
 struct ColumnBlock {
@@ -53,15 +54,11 @@ void append_block(std::vector<std::uint8_t>& out, const ColumnBlock& b) {
 std::vector<ColumnBlock> build_columns(
     store::CampaignKind kind,
     const std::map<std::uint64_t, std::vector<std::uint8_t>>& records) {
-  std::vector<ColumnBlock> cols;
-  const auto col = [&cols](std::uint32_t id) -> ColumnBlock& {
-    for (auto& c : cols)
-      if (c.id == id) return c;
-    cols.push_back({id, 0, {}});
-    return cols.back();
-  };
-  const auto push = [&col](std::uint32_t id, auto write_field) {
-    ColumnBlock& c = col(id);
+  // Blocks indexed by column id, so each field finds its block directly.
+  std::vector<ColumnBlock> cols(kColumnIds);
+  for (std::uint32_t id = 0; id < kColumnIds; ++id) cols[id].id = id;
+  const auto push = [&cols](std::uint32_t id, auto write_field) {
+    ColumnBlock& c = cols[id];
     store::ByteWriter w(c.data);
     write_field(w);
     ++c.rows;
@@ -135,7 +132,7 @@ std::vector<ColumnBlock> build_columns(
   }
   std::vector<ColumnBlock> ordered;
   ordered.reserve(want.size());
-  for (const std::uint32_t id : want) ordered.push_back(col(id));
+  for (const std::uint32_t id : want) ordered.push_back(std::move(cols[id]));
   return ordered;
 }
 

@@ -258,83 +258,76 @@ TEST(BatchSimWordDiff, SingleAndMultiBitWordDiffsMatchBruteOracle) {
   }
 }
 
-// bus_diff_split's contract, lane by lane against the scalar Simulator: a
-// lane whose bus value differs from golden in exactly one bit is in that
-// bit's single-bit group and nowhere else; a lane differing in two or more
-// is in `multi` with its value in out[k]. Stuck-ats on s and t flip two and
-// three bus bits at once; one on an xor or buffer flips one.
-TEST(BatchSimWordDiff, BusDiffSplitSeparatesOneBitLanes) {
-  Netlist nl;
-  std::vector<Net> a;
-  for (int i = 0; i < 6; ++i) a.push_back(nl.input());
-  const Net s = nl.input(), t = nl.input();
-  const std::vector<Net> o = {nl.xor_(a[0], s), nl.xor_(a[1], s),
-                              nl.xor_(a[2], t), nl.xor_(a[3], t),
-                              nl.xnor_(a[4], t), nl.buf(a[5])};
-  nl.add_output_bus("o", o);
-  nl.finalize();
-  const PortBus& bus = nl.outputs()[0];
-  std::vector<Net> inputs = a;
-  inputs.push_back(s);
-  inputs.push_back(t);
-  std::vector<StuckFault> faults;
-  for (Net n = 0; n < static_cast<Net>(nl.num_nets()); ++n)
-    for (const bool high : {false, true}) faults.push_back({n, high});
+// A lane whose instruction word differs from golden in exactly two bits
+// must be decoded; the table's entry for either bit alone misclassifies it.
+// No profiled trace yields such a diff, so this edits one. At an issue cycle
+// c the buffer enable drops, so golden dispatches the buffered word (the
+// previous issue's), while ibuf_in carries that word with use_imm and the
+// low rs1 bit flipped. ibuf_en stuck at 1 dispatches ibuf_in there: a
+// two-bit diff whose use_imm flip is an immediate-operand error that the
+// rs1 bit's entry lacks. Every lane must equal the brute oracle, with the
+// table and without it, at every width.
+TEST(BatchSimWordDiff, TwoBitWordDiffsMatchBruteOracle) {
+  UnitTraces t = trace_of("p_tiled_mxm");
+  std::vector<std::size_t> issues;
+  for (std::size_t c = 0; c < t.wsc.size(); ++c)
+    if (t.wsc[c].is_issue) issues.push_back(c);
+  ASSERT_GE(issues.size(), 4u);
+  const std::size_t c = issues[issues.size() / 2];
+  const std::size_t prev = issues[issues.size() / 2 - 1];
+  const unsigned use_imm = isa::field::kFlagImm, rs1 = isa::field::kRs1Lo;
+  const std::uint64_t two = (std::uint64_t{1} << use_imm) |
+                            (std::uint64_t{1} << rs1);
+  t.wsc[c].ibuf_en = false;
+  t.wsc[c].ibuf_in = t.wsc[prev].ibuf_in ^ two;
 
-  Rng rng(0xB175);
+  const UnitReplayer replayer(UnitKind::WSC);
+  const Netlist& nl = replayer.netlist();
+  const auto goldens = replayer.compute_goldens({&t, 1});
+  const UnitReplayer::GoldenTrace& g = goldens[0];
+  const WordDiffTable table = replayer.word_diff_table({&t, 1}, goldens);
+  const PortBus& dispatch = *nl.find_output("dispatch");
+  std::uint64_t gw = 0;
+  for (std::size_t i = 0; i < dispatch.nets.size(); ++i)
+    gw |= std::uint64_t{g.row(c)[static_cast<std::size_t>(dispatch.nets[i])]}
+          << i;
+  // The shape: golden sends the buffered word, which decodes, and ibuf_in
+  // differs from it in exactly the two chosen bits.
+  ASSERT_EQ(gw, t.wsc[prev].ibuf_in);
+  ASSERT_TRUE(isa::decode(gw).ok);
+  ASSERT_EQ(gw ^ t.wsc[c].ibuf_in, two);
+  const auto iio = static_cast<unsigned>(errmodel::ErrorModel::IIO);
+  const std::uint32_t* entries = table.find(gw, t.wsc[c].regs_per_thread);
+  ASSERT_NE(entries, nullptr);
+  EXPECT_NE(entries[rs1], WordDiffTable::kPerLane);
+  EXPECT_EQ((entries[rs1] >> (2 * iio)) & 3u, 0u);
+
+  const Net ibuf_en = nl.find_input("ibuf_en")->nets[0];
+  std::vector<StuckFault> faults = {{ibuf_en, true}, {ibuf_en, false}};
+  for (const unsigned bit : {use_imm, rs1, 60u, 3u})
+    for (const bool high : {false, true})
+      faults.push_back({dispatch.nets[bit], high});
+  std::vector<FaultCharacterization> brute(faults.size());
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    brute[k].fault = faults[k];
+    replayer.run_fault(faults[k], t, g, brute[k]);
+  }
+  EXPECT_GT(brute[0].error_counts[iio], 0u);
+
+  LaneGuard guard;
   for (const std::size_t width : supported_widths()) {
-    for (int pattern = 0; pattern < 8; ++pattern) {
-      std::vector<std::uint8_t> drive;
-      for (std::size_t i = 0; i < inputs.size(); ++i)
-        drive.push_back(static_cast<std::uint8_t>(rng.below(2)));
-      const auto run = [&](Simulator& sim) {
-        for (std::size_t i = 0; i < inputs.size(); ++i)
-          sim.set_input(inputs[i], drive[i] != 0);
-        sim.eval();
-        return sim.bus_value(bus);
-      };
-      Simulator golden(nl);
-      const std::uint64_t gv = run(golden);
-      const std::vector<std::uint64_t> row = pack_row(golden.values());
-
-      const std::unique_ptr<BatchSim> sim = make_batch_sim(nl, width);
-      sim->set_observed(bus.nets);
-      sim->begin(faults);
-      sim->set_inputs(GoldenRow{row.data()});
-      sim->eval();
-      std::array<LaneMask, 64> single;
-      std::array<std::uint64_t, LaneMask::kMaxLanes> out{};
-      const BatchSim::BusDiffSplit split = sim->bus_diff_split(
-          bus, GoldenRow{row.data()}, sim->lane_mask(), gv, single, out);
-
-      bool saw[4] = {};  // lanes differing in 0, 1, 2, 3+ bits
-      for (std::size_t k = 0; k < faults.size(); ++k) {
-        Simulator one(nl);
-        one.set_fault(faults[k]);
-        const std::uint64_t fv = run(one);
-        const int bits = std::popcount(fv ^ gv);
-        saw[std::min(bits, 3)] = true;
-        const auto lane = static_cast<unsigned>(k);
-        const std::string at = "width " + std::to_string(width) + " net " +
-                               std::to_string(faults[k].net) + " stuck " +
-                               std::to_string(faults[k].stuck_high);
-        EXPECT_EQ(split.multi.test(lane), bits >= 2) << at;
-        if (bits >= 2) {
-          EXPECT_EQ(out[k], fv) << at;
-        }
-        for (unsigned b = 0; b < bus.nets.size(); ++b) {
-          const bool in_group =
-              ((split.single_bits >> b) & 1) && single[b].test(lane);
-          EXPECT_EQ(in_group, bits == 1 && fv == (gv ^ (std::uint64_t{1} << b)))
-              << at << " bit " << b;
-        }
-      }
-      EXPECT_TRUE(saw[1] && saw[2] && saw[3]) << "pattern " << pattern;
-      // Fewer groups than bus bits is refused, not overrun.
-      EXPECT_THROW(sim->bus_diff_split(bus, GoldenRow{row.data()},
-                                       sim->lane_mask(), gv,
-                                       std::span(single).first(2), out),
-                   std::invalid_argument);
+    set_batch_lanes_override(width);
+    for (const WordDiffTable* words :
+         {&table, static_cast<const WordDiffTable*>(nullptr)}) {
+      std::vector<FaultCharacterization> batch(faults.size());
+      for (std::size_t k = 0; k < faults.size(); ++k)
+        batch[k].fault = faults[k];
+      const std::unique_ptr<BatchSim> sim = make_batch_sim(nl);
+      replayer.run_fault_batch(*sim, faults, t, g, batch, words);
+      const std::string label = "width " + std::to_string(width) +
+                                (words ? " table" : " decode");
+      for (std::size_t k = 0; k < faults.size(); ++k)
+        expect_same(brute[k], batch[k], label.c_str());
     }
   }
 }
@@ -690,22 +683,6 @@ TEST(BatchSimRetire, RetiredLanesLeaveEveryLaneRead) {
             for_each_lane(want_out, [&](unsigned k) {
               EXPECT_EQ(out[k], fv[k]) << at << " lane " << k;
             });
-            std::array<LaneMask, 64> single;
-            const BatchSim::BusDiffSplit split =
-                sim->bus_diff_split(bus, row, installed, gv, single, out);
-            LaneMask want_multi, got_single;
-            for_each_lane(want_out, [&](unsigned k) {
-              if (std::popcount(fv[k] ^ gv) >= 2) want_multi.set(k);
-            });
-            EXPECT_EQ(split.multi, want_multi) << at;
-            for (unsigned b = 0; b < bus.nets.size(); ++b) {
-              if (!((split.single_bits >> b) & 1)) continue;
-              got_single |= single[b];
-              for_each_lane(single[b], [&](unsigned k) {
-                EXPECT_EQ(fv[k] ^ gv, std::uint64_t{1} << b) << at;
-              });
-            }
-            EXPECT_EQ(got_single | want_multi, want_out) << at;
             sim->clock();
           }
         }

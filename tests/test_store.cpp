@@ -2,12 +2,18 @@
 // validation, record codecs, merge semantics, and export determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <span>
 #include <sstream>
 
 #include "common/env.hpp"
+#include "common/rng.hpp"
+#include "obs/metrics.hpp"
+#include "store/bytes.hpp"
 #include "store/checkpoint.hpp"
 #include "store/export.hpp"
 #include "store/merge.hpp"
@@ -55,8 +61,26 @@ class StoreTest : public ::testing::Test {
     return store::encode(r);
   }
 
+  static std::vector<std::uint8_t> read_bytes(const std::string& p) {
+    std::ifstream f(p, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+  }
+
   std::filesystem::path dir_;
 };
+
+/// CRC-32 by its definition, one bit at a time: the reflected polynomial
+/// 0xEDB88320, register preset to all ones, result inverted. store::crc32
+/// must equal it everywhere.
+std::uint32_t crc32_bitwise(std::span<const std::uint8_t> data,
+                            std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (const std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
 
 TEST_F(StoreTest, MetaHeaderRoundTrip) {
   store::CampaignMeta m = gate_meta(2, 8);
@@ -84,6 +108,109 @@ TEST_F(StoreTest, AppendAndRecover) {
   EXPECT_EQ(r.net, 7u);
   EXPECT_TRUE(r.hang);
   EXPECT_EQ(r.error_counts[2], 7u);
+}
+
+TEST_F(StoreTest, Crc32MatchesBitwiseDefinition) {
+  const std::string check = "123456789";
+  EXPECT_EQ(store::crc32({reinterpret_cast<const std::uint8_t*>(check.data()),
+                          check.size()}),
+            0xCBF43926u);
+  Rng rng(0xC4C32);
+  std::vector<std::uint8_t> buf(4096);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.below(256));
+  const std::span<const std::uint8_t> all(buf);
+  // Every length 0-64 at every alignment 0-7, so each split between the
+  // 8-byte steps and the byte tail is taken.
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t len = 0; len <= 64; ++len)
+      ASSERT_EQ(store::crc32(all.subspan(off, len)),
+                crc32_bitwise(all.subspan(off, len)))
+          << "offset " << off << " length " << len;
+  // Random spans with random seeds; a seed continues an earlier CRC.
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t off = rng.below(buf.size());
+    const std::size_t len = rng.below(buf.size() - off + 1);
+    const auto seed = static_cast<std::uint32_t>(rng.below(1ull << 32));
+    ASSERT_EQ(store::crc32(all.subspan(off, len), seed),
+              crc32_bitwise(all.subspan(off, len), seed))
+        << "offset " << off << " length " << len;
+    const std::size_t cut = len ? rng.below(len) : 0;
+    ASSERT_EQ(store::crc32(all.subspan(off + cut, len - cut),
+                           store::crc32(all.subspan(off, cut))),
+              store::crc32(all.subspan(off, len)));
+  }
+}
+
+// A batch is framed exactly as single appends frame its records, and one
+// cut anywhere inside it (a kill during the write) leaves its whole records
+// before the cut: reopening keeps exactly those and drops the rest.
+TEST_F(StoreTest, BatchCutAtEveryByteKeepsWholeRecordsBeforeIt) {
+  const std::string p = path("batch.gpfs");
+  std::vector<store::Record> recs;
+  for (std::uint64_t id = 0; id < 6; ++id)
+    recs.push_back({id * 3 + 1, gate_payload(static_cast<std::uint32_t>(id),
+                                             id % 2 != 0)});
+  recs[4].payload.resize(5);  // records of mixed payload lengths
+  recs[5].payload.clear();
+  store::RecordBatch batch;
+  for (const store::Record& r : recs) batch.add(r.id, r.payload);
+  ASSERT_EQ(batch.size(), recs.size());
+  std::size_t begin = 0;
+  {
+    store::ResultLog log(p, gate_meta());
+    log.append(100, gate_payload(100, false));  // a record before the batch
+    log.append(store::RecordBatch{});           // writes nothing
+    begin = std::filesystem::file_size(p);
+    log.append(batch);
+  }
+  const std::vector<std::uint8_t> bytes = read_bytes(p);
+  ASSERT_EQ(bytes.size(), begin + batch.bytes().size());
+  ASSERT_TRUE(std::equal(batch.bytes().begin(), batch.bytes().end(),
+                         bytes.begin() + static_cast<long>(begin)));
+  // Record ends inside the file.
+  std::vector<std::size_t> ends;
+  std::size_t at = begin;
+  for (const store::Record& r : recs) {
+    at += store::RecordBatch::kFrameBytes + r.payload.size();
+    ends.push_back(at);
+  }
+  const std::string cut_path = path("cut.gpfs");
+  for (std::size_t cut = begin; cut <= bytes.size(); ++cut) {
+    {
+      std::ofstream f(cut_path, std::ios::binary | std::ios::trunc);
+      f.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(cut));
+    }
+    const std::size_t whole = static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), cut) - ends.begin());
+    const std::size_t kept_end = whole ? ends[whole - 1] : begin;
+    store::ResultLog log(cut_path, gate_meta());
+    ASSERT_EQ(log.recovered().size(), 1 + whole) << "cut at " << cut;
+    EXPECT_EQ(log.torn_bytes_dropped(), cut - kept_end) << "cut at " << cut;
+    for (std::size_t i = 0; i < whole; ++i) {
+      EXPECT_EQ(log.recovered()[1 + i].id, recs[i].id) << "cut at " << cut;
+      EXPECT_EQ(log.recovered()[1 + i].payload, recs[i].payload)
+          << "cut at " << cut;
+    }
+  }
+}
+
+// store.appends counts records and store.append_writes the writes, so a
+// trace shows records per write; an empty batch is no write.
+TEST_F(StoreTest, AppendCountersCountRecordsAndWrites) {
+  if (!obs::enabled()) GTEST_SKIP() << "metrics disabled";
+  obs::Counter& appends = obs::counter("store.appends");
+  obs::Counter& writes = obs::counter("store.append_writes");
+  const std::uint64_t a0 = appends.value(), w0 = writes.value();
+  store::ResultLog log(path("counters.gpfs"), gate_meta());
+  store::RecordBatch batch(5, 5 * store::kGateRecordBytes);
+  for (std::uint32_t id = 0; id < 5; ++id)
+    batch.add(id, gate_payload(id, false));
+  log.append(batch);
+  log.append(store::RecordBatch{});
+  log.append(9, gate_payload(9, false));
+  EXPECT_EQ(appends.value() - a0, 6u);
+  EXPECT_EQ(writes.value() - w0, 2u);
 }
 
 TEST_F(StoreTest, TornTailIsTruncatedOnOpen) {
@@ -228,6 +355,30 @@ TEST_F(StoreTest, CheckpointSkipAndLimit) {
   EXPECT_TRUE(ckpt.is_done(5));
   EXPECT_TRUE(ckpt.is_done(7));
   EXPECT_FALSE(ckpt.should_stop());
+}
+
+// The limit is checked per batch: the batch that crosses it is recorded
+// whole, and the checkpoint pauses after it.
+TEST_F(StoreTest, RecordLimitPausesAtBatchGranularity) {
+  const std::string p = path("limit.gpfs");
+  const auto batch_of = [](std::uint32_t lo, std::uint32_t n) {
+    store::RecordBatch b(n, n * store::kGateRecordBytes);
+    for (std::uint32_t id = lo; id < lo + n; ++id)
+      b.add(id, gate_payload(id, false));
+    return b;
+  };
+  {
+    store::CampaignCheckpoint ckpt(p, gate_meta());
+    ckpt.set_record_limit(3);
+    EXPECT_TRUE(ckpt.record(batch_of(0, 2)));
+    EXPECT_FALSE(ckpt.should_stop());
+    EXPECT_FALSE(ckpt.record(batch_of(2, 4)));  // crosses the limit
+    EXPECT_TRUE(ckpt.paused());
+    EXPECT_EQ(ckpt.done_count(), 6u);
+  }
+  store::CampaignCheckpoint ckpt(p, gate_meta());
+  EXPECT_EQ(ckpt.done().size(), 6u);
+  for (std::uint64_t id = 0; id < 6; ++id) EXPECT_TRUE(ckpt.is_done(id));
 }
 
 TEST_F(StoreTest, MergeDisjointShardsAndConflicts) {

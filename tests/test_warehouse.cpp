@@ -6,11 +6,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "store/checkpoint.hpp"
 #include "store/merge.hpp"
 #include "store/records.hpp"
 #include "store/result_log.hpp"
@@ -171,6 +173,48 @@ TEST_F(WarehouseTest, RollupsMatchFullScanOnFourShardMergedStore) {
     EXPECT_EQ(t.shard_count, 4u);
     EXPECT_EQ(t.rows, 30u);
     EXPECT_EQ(t.scanned_records, 30u);
+  }
+}
+
+// Batching changes no byte on disk: the same records appended one per call
+// and in batches of mixed sizes give identical .gpfs files, and so
+// identical .gpfw segments, for every record kind.
+TEST_F(WarehouseTest, BatchedAppendsWriteTheSameStoreAndSegmentBytes) {
+  struct Kind {
+    const char* name;
+    store::CampaignMeta meta;
+    std::vector<std::uint8_t> (*payload)(std::uint64_t);
+  };
+  const Kind kinds[] = {{"gate", gate_meta(), gate_payload},
+                        {"perfi", perfi_meta(), perfi_payload},
+                        {"rtl", rtl_meta(), rtl_payload}};
+  for (const Kind& k : kinds) {
+    const std::uint64_t n = k.meta.total;
+    const std::string one = path(std::string(k.name) + "-one.gpfs");
+    const std::string batched = path(std::string(k.name) + "-batch.gpfs");
+    {
+      store::ResultLog log(one, k.meta);
+      for (std::uint64_t id = 0; id < n; ++id) log.append(id, k.payload(id));
+    }
+    {
+      store::CampaignCheckpoint ckpt(batched, k.meta);
+      std::uint64_t id = 0;
+      for (const std::uint64_t size : {std::uint64_t{1}, std::uint64_t{7}, n}) {
+        store::RecordBatch batch;
+        for (std::uint64_t end = std::min(n, id + size); id < end; ++id)
+          batch.add(id, k.payload(id));
+        ckpt.record(batch);
+      }
+      ASSERT_EQ(ckpt.done_count(), n) << k.name;
+    }
+    EXPECT_EQ(file_bytes(one), file_bytes(batched)) << k.name;
+    const std::string seg_one = warehouse::warehouse_path_for(one);
+    const std::string seg_batched = warehouse::warehouse_path_for(batched);
+    warehouse::compact_stores({one}, seg_one);
+    warehouse::compact_stores({batched}, seg_batched);
+    const auto seg_bytes = file_bytes(seg_one);
+    ASSERT_FALSE(seg_bytes.empty()) << k.name;
+    EXPECT_EQ(file_bytes(seg_batched), seg_bytes) << k.name;
   }
 }
 

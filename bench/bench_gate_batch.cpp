@@ -4,9 +4,10 @@
 // equivalence collapsing (GPF_COLLAPSE) and fanout-cone pruning (GPF_CONE) —
 // interpreted and JIT-compiled, and the tuned engine again at every SIMD
 // lane width this build and CPU support (64-lane scalar words, 256-lane
-// AVX2, 512-lane AVX-512). The runner rows time the path stores and fleets
-// run instead: a serial report::GateUnitRunner::run over the whole fault
-// list in lease-sized slices (64 or 512 ids) at the dispatched width, which
+// AVX2, 512-lane AVX-512). Every row runs report::GateUnitRunner, the path
+// stores and fleets run: the engine rows as report::run_unit_campaign, one
+// serial run() over the whole fault list, and the runner rows as a serial
+// run() per lease-sized slice (64 or 512 ids) at the dispatched width, which
 // is what a fleet worker computes for a campaign's work units back to back.
 // All rows produce identical classifications (checked here against the
 // brute row and asserted in test_batchsim); this bench measures throughput
@@ -101,7 +102,7 @@ double mean_cone_fraction(const gate::Netlist& nl,
 
 /// A fleet worker's work for a whole campaign: GateUnitRunner::run over
 /// every fault id in lease-sized slices of `unit_ids`, serially. Returns the
-/// records in id order, like run_unit_campaign.
+/// records in id order, like report::run_unit_campaign.
 gate::UnitCampaignResult run_leases(const report::GateUnitRunner& runner,
                                     gate::UnitKind unit, std::size_t unit_ids) {
   gate::UnitCampaignResult res;
@@ -413,8 +414,9 @@ int main(int argc, char** argv) {
           row_res[ri] =
               row.unit_ids
                   ? run_leases(runner, unit, row.unit_ids)
-                  : gate::run_unit_campaign(unit, traces, max_faults, 7,
-                                            nullptr, row.engine);
+                  : report::run_unit_campaign(
+                        traces, report::gate_campaign_meta(
+                                    unit, max_faults, max_issues, 7, row.engine));
         row_secs[ri] = std::min(
             row_secs[ri],
             std::chrono::duration<double>(Clock::now() - t0).count() / reps);
@@ -537,8 +539,9 @@ int main(int argc, char** argv) {
     const auto timed = [&](int metrics_on) {
       set_metrics_override(metrics_on);
       const auto t0 = Clock::now();
-      gate::run_unit_campaign(gate::UnitKind::Decoder, traces, max_faults, 7,
-                              nullptr, EngineKind::Batch);
+      report::run_unit_campaign(
+          traces, report::gate_campaign_meta(gate::UnitKind::Decoder, max_faults,
+                                             max_issues, 7, EngineKind::Batch));
       return std::chrono::duration<double>(Clock::now() - t0).count();
     };
     timed(0);  // warm caches before either measured pass

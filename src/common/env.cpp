@@ -307,21 +307,6 @@ std::uint32_t status_interval_ms() {
   return ms;
 }
 
-namespace {
-std::atomic<int> g_warehouse_override{-1};
-}  // namespace
-
-bool warehouse_enabled() {
-  const int o = g_warehouse_override.load();
-  if (o >= 0) return o != 0;
-  static const bool on = env_flag("GPF_WAREHOUSE", true);
-  return on;
-}
-
-void set_warehouse_override(int v) {
-  g_warehouse_override = v < 0 ? -1 : (v ? 1 : 0);
-}
-
 std::uint32_t compact_interval_ms() {
   static const std::uint32_t ms = [] {
     const unsigned long long v =
@@ -393,11 +378,6 @@ void dump_env(std::ostream& os) {
     line("GPF_METRICS", metrics_enabled() ? "1" : "0");
   line("GPF_TRACE", trace_path().empty() ? "(off)" : trace_path());
   line("GPF_STATUS_MS", std::to_string(status_interval_ms()));
-  if (g_warehouse_override.load() >= 0)
-    os << "# GPF_WAREHOUSE=" << (warehouse_enabled() ? "1" : "0")
-       << " (override)\n";
-  else
-    line("GPF_WAREHOUSE", warehouse_enabled() ? "1" : "0");
   line("GPF_COMPACT_MS", std::to_string(compact_interval_ms()));
   line("GPF_HTTP_ADDR", http_addr().empty() ? "(off)" : http_addr());
 }

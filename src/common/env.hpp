@@ -22,7 +22,6 @@
 //   GPF_METRICS           process-wide metrics registry: 1 | 0 (default 1)
 //   GPF_TRACE             Chrome trace-event JSON output path (default off)
 //   GPF_STATUS_MS         campaign progress-line period in ms (default 5000, 0 = off)
-//   GPF_WAREHOUSE         compact stores into .gpfw warehouse segments: 1 | 0 (default 1)
 //   GPF_COMPACT_MS        gpfd incremental-compaction period in ms (default 5000, 0 = at exit only)
 //   GPF_HTTP_ADDR         gpfd HTTP/JSON endpoint host:port (default "" = off)
 //
@@ -194,15 +193,6 @@ std::string trace_path();
 /// drivers print a progress/ETA line (default 5000 ms, 0 = off). The gpfd
 /// coordinator's equivalent is its --status-ms flag.
 std::uint32_t status_interval_ms();
-
-/// GPF_WAREHOUSE environment variable: when on (the default), gpfctl
-/// run/resume and gpfd roll the campaign store into its columnar warehouse
-/// segment (<store>.gpfw) at campaign end, and gpfd refreshes it
-/// incrementally while serving — `gpfctl query` and the HTTP /v1/query
-/// endpoint answer from its pre-aggregated rollups in O(ms). Same
-/// off-spellings as GPF_COLLAPSE. Override: -1 = defer to environment.
-bool warehouse_enabled();
-void set_warehouse_override(int v);
 
 /// GPF_COMPACT_MS environment variable: how often gpfd's background
 /// compaction thread rolls freshly appended records into the warehouse

@@ -4,11 +4,9 @@
 #include <bit>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "common/rng.hpp"
 #include "gate/batchsim.hpp"
-#include "gate/collapse.hpp"
 #include "gate/compiled.hpp"
 #include "gate/gateprog.hpp"
 #include "isa/encoding.hpp"
@@ -1298,68 +1296,6 @@ FaultCharacterization expand_collapsed(const FaultCharacterization& rep,
   // from the stuck value" — exactly the summary bits.
   out.activated = rep.hang ? true : act.activated(member);
   return out;
-}
-
-UnitCampaignResult run_unit_campaign(UnitKind unit, std::span<const UnitTraces> traces,
-                                     std::size_t max_faults, std::uint64_t seed,
-                                     ThreadPool* pool, EngineKind engine) {
-  obs::TraceSpan unit_span("gate", std::string("unit ") + unit_name(unit));
-  UnitReplayer replayer(unit);
-  UnitCampaignResult result;
-  result.unit = unit;
-  result.full_fault_list_size = full_fault_list(replayer.netlist()).size();
-  std::vector<StuckFault> faults =
-      sampled_fault_list(replayer.netlist(), unit, max_faults, seed);
-
-  result.faults.resize(faults.size());
-  for (std::size_t i = 0; i < faults.size(); ++i) result.faults[i].fault = faults[i];
-
-  // With collapsing on, only one representative per equivalence class is
-  // simulated; every member's record is expanded from it afterwards. With it
-  // off, the "representatives" are the campaign faults themselves.
-  const bool collapse = collapse_enabled();
-  std::vector<StuckFault> sim_faults;
-  std::vector<std::uint32_t> rep_slot;  // campaign fault -> sim_faults index
-  if (collapse) {
-    const FaultCollapse col(replayer.netlist());
-    std::unordered_map<std::uint32_t, std::uint32_t> slot_of_node;
-    rep_slot.resize(faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      const StuckFault rep = col.representative(faults[i]);
-      const auto [it, inserted] = slot_of_node.try_emplace(
-          FaultCollapse::node(rep), static_cast<std::uint32_t>(sim_faults.size()));
-      if (inserted) sim_faults.push_back(rep);
-      rep_slot[i] = it->second;
-    }
-  } else {
-    sim_faults = faults;
-  }
-
-  std::vector<FaultCharacterization> sim_out(sim_faults.size());
-  for (std::size_t j = 0; j < sim_faults.size(); ++j)
-    sim_out[j].fault = sim_faults[j];
-  const std::vector<UnitReplayer::GoldenTrace> goldens =
-      replayer.compute_goldens(traces);
-  const WordDiffTable words = replayer.word_diff_table(traces, goldens);
-  replay_faults(replayer, engine, sim_faults, traces, goldens, &words, sim_out,
-                pool);
-
-  if (collapse) {
-    ActivationSummary act(replayer.netlist().num_nets());
-    for (const UnitReplayer::GoldenTrace& g : goldens) act.add(g);
-    for (std::size_t i = 0; i < faults.size(); ++i)
-      result.faults[i] = expand_collapsed(sim_out[rep_slot[i]], faults[i], act);
-  } else {
-    result.faults = std::move(sim_out);
-  }
-  // Collapse ratio = members / reps; faults_retired is the record stream.
-  static obs::Counter& members = obs::counter("gate.collapse_members");
-  static obs::Counter& reps = obs::counter("gate.collapse_reps");
-  static obs::Counter& retired = obs::counter("gate.faults_retired");
-  members.add(faults.size());
-  reps.add(sim_faults.size());
-  retired.add(result.faults.size());
-  return result;
 }
 
 }  // namespace gpf::gate

@@ -236,17 +236,17 @@ class UnitReplayer {
   std::unique_ptr<Ports> ports_;
 };
 
-/// The fault loop behind every campaign driver (run_unit_campaign and
-/// report::GateUnitRunner): replays `faults` against every trace, with
-/// goldens[i] precomputed from traces[i] and `words` (may be null) the
-/// word-diff table built from both, filling out[k], whose .fault must be
-/// faults[k]. The batch engine runs batch-major: the faults are cut into
-/// batch_lane_width() batches, and each batch replays every trace through
-/// one engine, so its per-batch plan is built once (gate.cone_builds counts
-/// one per batch). The brute oracle runs one fault at a time. With a pool,
-/// batches (or single faults) are spread across it. `stop`, when set, is
-/// polled before each one starts; `done(lo, len)`, when set, runs on the
-/// thread that just finished faults [lo, lo + len).
+/// The fault loop behind every campaign driver (report::GateUnitRunner):
+/// replays `faults` against every trace, with goldens[i] precomputed from
+/// traces[i] and `words` (may be null) the word-diff table built from both,
+/// filling out[k], whose .fault must be faults[k]. The batch engine runs
+/// batch-major: the faults are cut into batch_lane_width() batches, and each
+/// batch replays every trace through one engine, so its per-batch plan is
+/// built once (gate.cone_builds counts one per batch). The brute oracle runs
+/// one fault at a time. With a pool, batches (or single faults) are spread
+/// across it. `stop`, when set, is polled before each one starts;
+/// `done(lo, len)`, when set, runs on the thread that just finished faults
+/// [lo, lo + len).
 void replay_faults(
     const UnitReplayer& replayer, EngineKind engine,
     std::span<const StuckFault> faults, std::span<const UnitTraces> traces,
@@ -292,17 +292,5 @@ struct ActivationSummary {
 FaultCharacterization expand_collapsed(const FaultCharacterization& rep,
                                        const StuckFault& member,
                                        const ActivationSummary& act);
-
-/// Full campaign over (sampled) faults x traces. The engine defaults to the
-/// GPF_ENGINE environment knob (batch unless overridden); with the batch
-/// engine, batch_lane_width()-fault batches are distributed across the pool
-/// exactly like single faults are for the brute oracle. Chunking by lane
-/// width never changes record content — exports are byte-identical at any
-/// width because each fault's characterization is independent of which batch
-/// carried it.
-UnitCampaignResult run_unit_campaign(UnitKind unit, std::span<const UnitTraces> traces,
-                                     std::size_t max_faults, std::uint64_t seed,
-                                     ThreadPool* pool = nullptr,
-                                     EngineKind engine = campaign_engine());
 
 }  // namespace gpf::gate

@@ -568,7 +568,6 @@ Frame Coordinator::on_submit(const SubmitCampaign& msg) {
   }
   try {
     const std::string path = cfg_.store_dir + "/" + msg.name + ".gpfs";
-    store::create_parent_dirs(path);
     auto owned = std::make_unique<store::CampaignCheckpoint>(path, msg.meta);
     store::CampaignCheckpoint& ref = *owned;
     register_campaign_locked(ref, std::move(owned), msg.priority);

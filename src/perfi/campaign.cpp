@@ -1,6 +1,7 @@
 #include "perfi/campaign.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "store/records.hpp"
@@ -62,37 +63,6 @@ AppOutcome AppInjectionRunner::inject(const errmodel::ErrorDescriptor& desc) {
   return equal ? AppOutcome::Masked : AppOutcome::SDC;
 }
 
-EprCell run_epr_cell(const workloads::Workload& w, ErrorModel model, std::size_t n,
-                     std::uint64_t seed) {
-  EprCell cell;
-  AppInjectionRunner runner(w);
-  Rng rng(seed ^ (static_cast<std::uint64_t>(model) * 0x9E3779B9u));
-  for (std::size_t i = 0; i < n; ++i) {
-    const errmodel::ErrorDescriptor desc = random_descriptor(model, rng);
-    const AppOutcome out = runner.inject(desc);
-    ++cell.injections;
-    switch (out) {
-      case AppOutcome::Masked: ++cell.masked; break;
-      case AppOutcome::SDC: ++cell.sdc; break;
-      case AppOutcome::DUE: {
-        ++cell.due;
-        switch (runner.last_trap()) {
-          case arch::TrapKind::IllegalAddress:
-          case arch::TrapKind::InvalidPC:
-            ++cell.due_illegal_address;
-            break;
-          case arch::TrapKind::InvalidRegister: ++cell.due_invalid_register; break;
-          case arch::TrapKind::InvalidOpcode: ++cell.due_invalid_opcode; break;
-          case arch::TrapKind::Watchdog: ++cell.due_hang; break;
-          default: ++cell.due_other; break;
-        }
-        break;
-      }
-    }
-  }
-  return cell;
-}
-
 namespace {
 
 store::PerfiOutcome to_perfi_outcome(AppOutcome out, arch::TrapKind trap) {
@@ -113,9 +83,11 @@ store::PerfiOutcome to_perfi_outcome(AppOutcome out, arch::TrapKind trap) {
   }
 }
 
-void add_outcome(EprCell& cell, store::PerfiOutcome o) {
+}  // namespace
+
+void add_record(EprCell& cell, const store::PerfiRecord& rec) {
   ++cell.injections;
-  switch (o) {
+  switch (rec.outcome) {
     case store::PerfiOutcome::Masked: ++cell.masked; break;
     case store::PerfiOutcome::Sdc: ++cell.sdc; break;
     case store::PerfiOutcome::DueIllegalAddress:
@@ -141,8 +113,6 @@ void add_outcome(EprCell& cell, store::PerfiOutcome o) {
   }
 }
 
-}  // namespace
-
 store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
                                       ErrorModel model, std::size_t n,
                                       std::uint64_t seed,
@@ -158,10 +128,6 @@ store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
   meta.shard_count = shard_count;
   meta.app = std::string(w.name());
   return meta;
-}
-
-void add_record(EprCell& cell, const store::PerfiRecord& rec) {
-  add_outcome(cell, rec.outcome);
 }
 
 EprUnitRunner::EprUnitRunner(const workloads::Workload& w,
@@ -199,6 +165,18 @@ void EprUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
   }
 }
 
+EprCell run_epr_cell(const workloads::Workload& w, ErrorModel model, std::size_t n,
+                     std::uint64_t seed) {
+  EprUnitRunner runner(w, epr_campaign_meta(w, model, n, seed));
+  std::vector<std::uint64_t> ids(n);
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  EprCell cell;
+  runner.run(ids, [&](std::uint64_t, const store::PerfiRecord& rec) {
+    add_record(cell, rec);
+  });
+  return cell;
+}
+
 EprCell run_epr_cell_store(const workloads::Workload& w,
                            store::CampaignCheckpoint& ckpt) {
   const store::CampaignMeta& meta = ckpt.meta();
@@ -208,14 +186,14 @@ EprCell run_epr_cell_store(const workloads::Workload& w,
   for (std::uint64_t i = 0; i < meta.total; ++i) {
     if (!meta.owns(i)) continue;
     if (const auto it = ckpt.done().find(i); it != ckpt.done().end()) {
-      add_outcome(cell, store::decode_perfi(it->second).outcome);
+      add_record(cell, store::decode_perfi(it->second));
       continue;
     }
     if (ckpt.should_stop()) break;
     const std::uint64_t id[] = {i};
     runner.run(id, [&](std::uint64_t, const store::PerfiRecord& rec) {
       ckpt.record(i, store::encode(rec));
-      add_outcome(cell, rec.outcome);
+      add_record(cell, rec);
     });
   }
   ckpt.sync();  // campaign boundary: all recorded results are now durable

@@ -62,7 +62,10 @@ class AppInjectionRunner {
   arch::TrapKind last_trap_ = arch::TrapKind::None;
 };
 
-/// Inject `n` random descriptors of one model into one application.
+/// Inject `n` random descriptors of one model into one application:
+/// EprUnitRunner over injection ids [0, n) of epr_campaign_meta(w, model, n,
+/// seed), folded with add_record, so the cell equals the fold of a store of
+/// that campaign.
 EprCell run_epr_cell(const workloads::Workload& w, errmodel::ErrorModel model,
                      std::size_t n, std::uint64_t seed);
 
@@ -73,10 +76,9 @@ store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
                                       std::uint32_t shard_index = 0,
                                       std::uint32_t shard_count = 1);
 
-/// Durable variant of run_epr_cell: injection i's error descriptor is drawn
-/// from an RNG stream forked on i (shard- and resume-stable), each outcome is
-/// appended to `ckpt` as it retires, and done ids are restored instead of
-/// re-run. The returned cell covers this shard's retired injections.
+/// Durable variant of run_epr_cell: each outcome is appended to `ckpt` as it
+/// retires, and done ids are restored instead of re-run. The returned cell
+/// covers this shard's retired injections.
 EprCell run_epr_cell_store(const workloads::Workload& w,
                            store::CampaignCheckpoint& ckpt);
 

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "gate/collapse.hpp"
 #include "gate/profiler.hpp"
@@ -18,6 +19,27 @@
 namespace gpf::report {
 
 namespace {
+
+/// The structural-collapse class of each campaign fault: of_id[i] is the
+/// representative of faults[i], and count the number of distinct ones.
+struct Representatives {
+  std::vector<gate::StuckFault> of_id;
+  std::size_t count = 0;
+};
+
+Representatives collapse_representatives(
+    const gate::Netlist& nl, std::span<const gate::StuckFault> faults) {
+  const gate::FaultCollapse col(nl);
+  Representatives reps;
+  reps.of_id.reserve(faults.size());
+  std::unordered_set<std::uint32_t> seen;
+  for (const gate::StuckFault& f : faults) {
+    reps.of_id.push_back(col.representative(f));
+    seen.insert(gate::FaultCollapse::node(reps.of_id.back()));
+  }
+  reps.count = seen.size();
+  return reps;
+}
 
 std::vector<gate::UnitTraces> profile(std::size_t max_issues) {
   std::vector<gate::UnitTraces> traces;
@@ -67,9 +89,11 @@ GateCampaigns run_gate_campaigns(const std::vector<gate::UnitTraces>& traces,
   ThreadPool pool;
   const gate::UnitKind kinds[] = {gate::UnitKind::Decoder, gate::UnitKind::Fetch,
                                   gate::UnitKind::WSC};
+  // The traces are given, so the header's profiling cap (param1) is unused.
   for (unsigned i = 0; i < 3; ++i)
-    out.units[i] = gate::run_unit_campaign(kinds[i], traces, faults_per_unit, seed,
-                                           &pool, engine);
+    out.units[i] = run_unit_campaign(
+        traces,
+        gate_campaign_meta(kinds[i], faults_per_unit, 0, seed, engine), &pool);
   for (const auto& t : traces) out.total_dynamic_instructions += t.issues;
   return out;
 }
@@ -163,15 +187,10 @@ GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
   collapse_ = collapse_enabled();
   rep_count_ = faults_.size();
   if (collapse_) {
-    const gate::FaultCollapse col(replayer_.netlist());
-    rep_of_id_.reserve(faults_.size());
-    std::unordered_map<std::uint32_t, std::uint32_t> seen;
-    for (const gate::StuckFault& f : faults_) {
-      const gate::StuckFault rep = col.representative(f);
-      rep_of_id_.push_back(rep);
-      seen.try_emplace(gate::FaultCollapse::node(rep), 0u);
-    }
-    rep_count_ = seen.size();
+    Representatives reps =
+        collapse_representatives(replayer_.netlist(), faults_);
+    rep_of_id_ = std::move(reps.of_id);
+    rep_count_ = reps.count;
     act_ = gate::ActivationSummary(replayer_.netlist().num_nets());
     for (const gate::UnitReplayer::GoldenTrace& g : goldens_) act_.add(g);
   }
@@ -193,11 +212,7 @@ std::size_t gate_campaign_representatives(const store::CampaignMeta& meta) {
   const std::vector<gate::StuckFault> faults =
       gate::sampled_fault_list(*nl, unit, meta.param0, meta.seed);
   if (faults.size() != meta.total) return meta.total;  // stale store: no map
-  const gate::FaultCollapse col(*nl);
-  std::unordered_map<std::uint32_t, std::uint32_t> seen;
-  for (const gate::StuckFault& f : faults)
-    seen.try_emplace(gate::FaultCollapse::node(col.representative(f)), 0u);
-  return seen.size();
+  return collapse_representatives(*nl, faults).count;
 }
 
 void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
@@ -269,6 +284,27 @@ void GateUnitRunner::run_batches(std::span<const std::uint64_t> ids,
         }
         retired.add(done.size());
       });
+}
+
+gate::UnitCampaignResult run_unit_campaign(
+    const std::vector<gate::UnitTraces>& traces, const store::CampaignMeta& meta,
+    ThreadPool* pool) {
+  const gate::UnitKind unit = gate_campaign_unit(meta);
+  obs::TraceSpan unit_span("gate", std::string("unit ") + gate::unit_name(unit));
+  const GateUnitRunner runner(traces, meta);
+  gate::UnitCampaignResult result;
+  result.unit = unit;
+  result.full_fault_list_size = runner.full_fault_list_size();
+  result.faults.resize(runner.faults().size());
+  std::vector<std::uint64_t> ids(runner.faults().size());
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  runner.run(
+      ids,
+      [&](std::uint64_t id, const gate::FaultCharacterization& fc) {
+        result.faults[id] = fc;
+      },
+      pool);
+  return result;
 }
 
 gate::UnitCampaignResult run_unit_campaign_store(

@@ -32,13 +32,23 @@ struct GateCampaigns {
   std::size_t total_dynamic_instructions = 0;
 };
 
-/// Run the stuck-at campaigns for the three units over the given traces.
-/// `faults_per_unit` of 0 evaluates the full collapsed fault list. Faults
-/// (or lane-width batches, for the batch engine) are spread across a thread
-/// pool sized by GPF_THREADS; the engine defaults to the GPF_ENGINE knob.
+/// Run the stuck-at campaigns for the three units over the given traces
+/// (run_unit_campaign per unit). `faults_per_unit` of 0 evaluates the full
+/// collapsed fault list. Faults (or lane-width batches, for the batch
+/// engine) are spread across a thread pool sized by GPF_THREADS; the engine
+/// defaults to the GPF_ENGINE knob.
 GateCampaigns run_gate_campaigns(const std::vector<gate::UnitTraces>& traces,
                                  std::size_t faults_per_unit, std::uint64_t seed,
                                  EngineKind engine = campaign_engine());
+
+/// One unit's stuck-at campaign in memory: GateUnitRunner over every fault
+/// id [0, meta.total), with result.faults[id] the result of id, inside a
+/// "unit <name>" trace span. Parameters (sampled list, seed, engine) come
+/// from `meta`, as for run_unit_campaign_store; faults are spread across
+/// `pool` when given.
+gate::UnitCampaignResult run_unit_campaign(
+    const std::vector<gate::UnitTraces>& traces, const store::CampaignMeta& meta,
+    ThreadPool* pool = nullptr);
 
 /// Store header for one unit's stuck-at campaign. `faults_per_unit` of 0
 /// evaluates the full collapsed list; `total` is resolved against the unit

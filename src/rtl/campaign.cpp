@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -471,18 +472,14 @@ AvfSummary run_tmxm_campaign_store(store::CampaignCheckpoint& ckpt,
 AvfSummary run_tmxm_campaign(workloads::TileType type, Site site,
                              std::size_t injections, std::uint64_t seed,
                              std::vector<InjectionResult>* details) {
+  TmxmUnitRunner runner(tmxm_campaign_meta(type, site, injections, seed));
+  std::vector<std::uint64_t> ids(injections);
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
   AvfSummary summary;
-  Rng rng(seed ^ (static_cast<std::uint64_t>(type) << 8) ^
-          (static_cast<std::uint64_t>(site) << 16));
-  for (std::uint64_t draw = 0; draw < 4; ++draw) {
-    Injector injector(target_from_tmxm(type, seed * 16 + draw));
-    const std::size_t n = injections / 4 + (draw < injections % 4 ? 1 : 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      InjectionResult r = injector.inject(random_fault(site, true, rng));
-      summary.add(r);
-      if (details) details->push_back(std::move(r));
-    }
-  }
+  runner.run(ids, [&](std::uint64_t, const InjectionResult& r) {
+    summary.add(r);
+    if (details) details->push_back(r);
+  });
   return summary;
 }
 

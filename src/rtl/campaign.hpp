@@ -102,8 +102,10 @@ class Injector {
 AvfSummary run_micro_campaign(MicroOp op, InputRange range, Site site,
                               std::size_t injections, std::uint64_t seed);
 
-/// Figs. 7-9 / Table 2 campaign on the t-MxM mini-app. Per-injection details
-/// (for spatial patterns and per-element syndromes) optionally collected.
+/// Figs. 7-9 / Table 2 campaign on the t-MxM mini-app: TmxmUnitRunner over
+/// injection ids [0, injections) of tmxm_campaign_meta(type, site,
+/// injections, seed). Per-injection details (for spatial patterns and
+/// per-element syndromes) are optionally collected, in id order.
 AvfSummary run_tmxm_campaign(workloads::TileType type, Site site,
                              std::size_t injections, std::uint64_t seed,
                              std::vector<InjectionResult>* details = nullptr);
@@ -114,11 +116,9 @@ store::CampaignMeta tmxm_campaign_meta(workloads::TileType type, Site site,
                                        std::uint32_t shard_index = 0,
                                        std::uint32_t shard_count = 1);
 
-/// Durable variant of run_tmxm_campaign: injection i's fault is drawn from an
-/// independent RNG stream forked on i, so every shard / resumed run computes
-/// the identical fault for a given id regardless of which ids already
-/// retired. Done ids are restored from the store; fresh ones are recorded as
-/// they retire. The summary covers this shard's retired injections.
+/// Durable variant of run_tmxm_campaign: done ids are restored from the
+/// store; fresh ones are recorded as they retire. The summary covers this
+/// shard's retired injections.
 AvfSummary run_tmxm_campaign_store(store::CampaignCheckpoint& ckpt,
                                    std::vector<InjectionResult>* details = nullptr);
 

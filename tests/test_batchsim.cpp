@@ -22,6 +22,7 @@
 #include "gate/replay.hpp"
 #include "isa/encoding.hpp"
 #include "obs/metrics.hpp"
+#include "report/gate_experiments.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpf::gate {
@@ -36,6 +37,15 @@ UnitTraces trace_of(const char* app, std::size_t max_issues = 500) {
   EXPECT_TRUE(w->run(gpu).ok);
   gpu.set_hooks(nullptr);
   return prof.take(app);
+}
+
+/// One unit's in-memory campaign: the GateUnitRunner path the benches run.
+UnitCampaignResult run_campaign(UnitKind unit,
+                                const std::vector<UnitTraces>& traces,
+                                std::size_t faults, std::uint64_t seed,
+                                EngineKind engine) {
+  return report::run_unit_campaign(
+      traces, report::gate_campaign_meta(unit, faults, 0, seed, engine));
 }
 
 void expect_same(const FaultCharacterization& a, const FaultCharacterization& b,
@@ -90,14 +100,14 @@ TEST_P(BatchSimEquivalence, CampaignMatchesBruteOracleAtEveryWidth) {
                 "sample must exercise a ragged final batch at every width");
   LaneGuard guard;
 
-  const auto brute = run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr,
-                                       EngineKind::Brute);
+  const auto brute = run_campaign(GetParam(), traces, kFaults, 42,
+                                  EngineKind::Brute);
   ASSERT_EQ(brute.faults.size(), kFaults);
 
   for (const std::size_t width : supported_widths()) {
     set_batch_lanes_override(width);
-    const auto batch = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                         nullptr, EngineKind::Batch);
+    const auto batch = run_campaign(GetParam(), traces, kFaults, 42,
+                                    EngineKind::Batch);
     ASSERT_EQ(batch.faults.size(), kFaults) << "width " << width;
 
     // The sample must cover both stuck-at polarities.
@@ -708,8 +718,8 @@ TEST_P(BatchSimEquivalence, KnobMatrixClassifiesIdentically) {
 
   set_collapse_override(0);
   set_cone_override(0);
-  const auto reference = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                           nullptr, EngineKind::Brute);
+  const auto reference = run_campaign(GetParam(), traces, kFaults, 42,
+                                      EngineKind::Brute);
   ASSERT_EQ(reference.faults.size(), kFaults);
 
   for (const int collapse : {0, 1}) {
@@ -720,7 +730,7 @@ TEST_P(BatchSimEquivalence, KnobMatrixClassifiesIdentically) {
         set_collapse_override(collapse);
         set_cone_override(cone);
         const auto res =
-            run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr, e);
+            run_campaign(GetParam(), traces, kFaults, 42, e);
         const std::string label = std::string("collapse=") +
                                   std::to_string(collapse) +
                                   " cone=" + std::to_string(cone) +
@@ -752,8 +762,8 @@ TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
   const std::string jit_dir = ::testing::TempDir() + "gpf-jit-knobmatrix";
   set_jit_cache_dir_override(jit_dir);
 
-  const auto reference = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                           nullptr, EngineKind::Brute);
+  const auto reference = run_campaign(GetParam(), traces, kFaults, 42,
+                                      EngineKind::Brute);
   ASSERT_EQ(reference.faults.size(), kFaults);
 
   for (const int fuse : {0, 1}) {
@@ -762,8 +772,8 @@ TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
       set_fuse_override(fuse);
       set_jit_override(jit);
       jit_reset_for_tests();
-      const auto res = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                         nullptr, EngineKind::Batch);
+      const auto res = run_campaign(GetParam(), traces, kFaults, 42,
+                                    EngineKind::Batch);
       const std::string label = std::string("fuse=") + std::to_string(fuse) +
                                 " jit=" + std::to_string(jit) + " vs brute";
       ASSERT_EQ(res.faults.size(), reference.faults.size()) << label;

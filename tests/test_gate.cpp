@@ -12,6 +12,7 @@
 #include "gate/units.hpp"
 #include "gate/wordops.hpp"
 #include "isa/builder.hpp"
+#include "report/gate_experiments.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpf::gate {
@@ -592,17 +593,23 @@ TEST(Replay, GoldenWscMatchesFunctionalSelection) {
   }
 }
 
+/// One unit's in-memory campaign over `traces`, as the benches run it.
+UnitCampaignResult run_campaign(UnitKind u, const std::vector<UnitTraces>& traces,
+                                std::size_t faults, std::uint64_t seed) {
+  return report::run_unit_campaign(
+      traces, report::gate_campaign_meta(u, faults, 0, seed, campaign_engine()));
+}
+
 TEST(Replay, CampaignProducesAllClasses) {
   arch::Gpu gpu;
   UnitProfiler prof(500);
   gpu.set_hooks(&prof);
   ASSERT_TRUE(gpu.launch(tiny_kernel(), {1, 1, 1}, {64, 1, 1}).ok);
   gpu.set_hooks(nullptr);
-  const UnitTraces t = prof.take("tiny");
-  const UnitTraces traces[] = {t};
+  const std::vector<UnitTraces> traces = {prof.take("tiny")};
 
   for (UnitKind u : {UnitKind::Decoder, UnitKind::Fetch, UnitKind::WSC}) {
-    const UnitCampaignResult res = run_unit_campaign(u, traces, 300, 42);
+    const UnitCampaignResult res = run_campaign(u, traces, 300, 42);
     EXPECT_EQ(res.faults.size(), 300u) << unit_name(u);
     EXPECT_GT(res.full_fault_list_size, 500u) << unit_name(u);
     // At minimum some faults propagate to unit outputs and some are benign.
@@ -620,9 +627,9 @@ TEST(Replay, WscFaultsProduceParallelManagementErrors) {
   gpu.set_hooks(&prof);
   ASSERT_TRUE(gpu.launch(tiny_kernel(), {1, 1, 1}, {64, 1, 1}).ok);
   gpu.set_hooks(nullptr);
-  const UnitTraces traces[] = {prof.take("tiny")};
+  const std::vector<UnitTraces> traces = {prof.take("tiny")};
 
-  const UnitCampaignResult res = run_unit_campaign(UnitKind::WSC, traces, 1200, 7);
+  const UnitCampaignResult res = run_campaign(UnitKind::WSC, traces, 1200, 7);
   std::size_t parallel_mgmt = 0;
   for (auto m : {errmodel::ErrorModel::IAT, errmodel::ErrorModel::IAW,
                  errmodel::ErrorModel::IAC, errmodel::ErrorModel::IPP})
@@ -644,9 +651,9 @@ TEST(FaultDictionary, RoundTrips) {
   w->setup(gpu);
   ASSERT_TRUE(w->run(gpu).ok);
   gpu.set_hooks(nullptr);
-  const UnitTraces traces[] = {prof.take("p_naive_mxm")};
+  const std::vector<UnitTraces> traces = {prof.take("p_naive_mxm")};
 
-  const UnitCampaignResult res = run_unit_campaign(UnitKind::Decoder, traces, 120, 3);
+  const UnitCampaignResult res = run_campaign(UnitKind::Decoder, traces, 120, 3);
   std::stringstream ss;
   write_fault_dictionary(ss, res);
   const auto loaded = read_fault_dictionary(ss);

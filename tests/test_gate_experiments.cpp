@@ -96,12 +96,10 @@ TEST_F(GateExperimentsTest, ClassCountsStableAcrossEngines) {
 // The checkpointed driver produces the same classifications as the in-memory
 // campaign, and the store's class names match the gate library's.
 TEST_F(GateExperimentsTest, StoreDriverMatchesInMemoryCampaign) {
-  const auto unit = gate::UnitKind::Decoder;
-  const auto plain = gate::run_unit_campaign(unit, traces(), kFaults, kSeed,
-                                             nullptr, EngineKind::Batch);
-  store::CampaignCheckpoint ckpt(
-      path("a.gpfs"), report::gate_campaign_meta(unit, kFaults, kMaxIssues, kSeed,
-                                                 EngineKind::Batch));
+  const auto meta = report::gate_campaign_meta(
+      gate::UnitKind::Decoder, kFaults, kMaxIssues, kSeed, EngineKind::Batch);
+  const auto plain = report::run_unit_campaign(traces(), meta);
+  store::CampaignCheckpoint ckpt(path("a.gpfs"), meta);
   const auto stored = report::run_unit_campaign_store(traces(), ckpt);
   ASSERT_EQ(stored.faults.size(), plain.faults.size());
   for (std::size_t i = 0; i < plain.faults.size(); ++i) {

@@ -624,10 +624,12 @@ TEST(NetCoordinator, UnitSizeFollowsCampaignKindUnlessPinned) {
         }
       } serving{coord, std::thread([&coord] { coord.serve(); })};
 
-      for (std::size_t i = 0; i < c.registered.size(); ++i)
-        EXPECT_EQ(first_grant(coord.port(), "c" + std::to_string(i)).ids.size(),
-                  c.want[i])
+      for (std::size_t i = 0; i < c.registered.size(); ++i) {
+        std::string name = "c";
+        name += std::to_string(i);
+        EXPECT_EQ(first_grant(coord.port(), name).ids.size(), c.want[i])
             << "campaign " << i;
+      }
       if (c.submitted) {
         const OpResult r = submit_campaign("127.0.0.1", coord.port(),
                                            "submitted", *c.submitted);
@@ -662,7 +664,8 @@ void run_fleet(const std::vector<store::CampaignCheckpoint*>& ckpts,
     workers.emplace_back([&, i] {
       WorkerConfig wcfg;
       wcfg.port = coord.port();
-      wcfg.name = "w" + std::to_string(i);
+      wcfg.name = "w";
+      wcfg.name += std::to_string(i);
       wcfg.backoff_ms = 20;
       stats[static_cast<std::size_t>(i)] = run_worker(wcfg, make_unit_fn);
     });

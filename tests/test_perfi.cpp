@@ -2,11 +2,15 @@
 // integration: each model must produce its architecturally-specified effect.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <unistd.h>
 
 #include "perfi/campaign.hpp"
 #include "perfi/injector.hpp"
+#include "store/result_log.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpf::perfi {
@@ -152,6 +156,42 @@ TEST(Campaign, ParallelManagementErrorsProduceSdc) {
   // Paper: IAT on low-interdependence codes mostly SDC.
   const EprCell iat = run_epr_cell(app("vectoradd"), ErrorModel::IAT, 25, 79);
   EXPECT_GT(iat.epr_sdc(), 0.3);
+}
+
+// run_epr_cell is the fold of the records a store of the same campaign
+// holds. gemm x IOC ends in traps and in hangs, so both DUE causes are
+// compared, not only the outcome split.
+TEST(Campaign, EprCellEqualsFoldOfStoredRecords) {
+  const workloads::Workload& w = app("gemm");
+  constexpr std::size_t kN = 24;
+  const store::CampaignMeta meta = epr_campaign_meta(w, ErrorModel::IOC, kN, 5);
+  const EprCell mem = run_epr_cell(w, ErrorModel::IOC, kN, 5);
+
+  const std::string path = ::testing::TempDir() + "gpf-perfi-fold-" +
+                           std::to_string(::getpid()) + ".gpfs";
+  std::filesystem::remove(path);
+  {
+    store::CampaignCheckpoint ckpt(path, meta);
+    run_epr_cell_store(w, ckpt);
+  }
+  const store::LoadedStore stored = store::load_store(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(stored.records.size(), kN);
+  EprCell folded;
+  for (const auto& [id, payload] : stored.records)
+    add_record(folded, store::decode_perfi(payload));
+
+  const auto fields = [](const EprCell& c) {
+    return std::array<std::size_t, 9>{
+        c.injections,          c.masked,
+        c.sdc,                 c.due,
+        c.due_illegal_address, c.due_invalid_register,
+        c.due_invalid_opcode,  c.due_hang,
+        c.due_other};
+  };
+  EXPECT_EQ(fields(mem), fields(folded));
+  EXPECT_GT(mem.due_hang, 0u);
+  EXPECT_GT(mem.due - mem.due_hang, 0u);
 }
 
 TEST(Campaign, SoftwareModelListMatchesPaper) {

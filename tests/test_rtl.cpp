@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
 #include <string>
+#include <unistd.h>
 
 #include "rtl/campaign.hpp"
 #include "rtl/microbench.hpp"
+#include "store/result_log.hpp"
 #include "syndrome/pattern.hpp"
 
 namespace gpf::rtl {
@@ -143,6 +146,41 @@ TEST(Campaign, TmxmCampaignRuns) {
                                          Site::Scheduler, 40, 31, &details);
   EXPECT_EQ(s.injections, 40u);
   EXPECT_EQ(details.size(), 40u);
+}
+
+// run_tmxm_campaign's details are, id by id, the records a store of the
+// same campaign holds: outcome, corrupted elements and their syndromes.
+TEST(Campaign, TmxmDetailsEqualStoredRecords) {
+  constexpr std::size_t kN = 24;
+  std::vector<InjectionResult> details;
+  run_tmxm_campaign(workloads::TileType::Random, Site::Scheduler, kN, 9,
+                    &details);
+  ASSERT_EQ(details.size(), kN);
+
+  const std::string path = ::testing::TempDir() + "gpf-rtl-details-" +
+                           std::to_string(::getpid()) + ".gpfs";
+  std::filesystem::remove(path);
+  {
+    store::CampaignCheckpoint ckpt(
+        path, tmxm_campaign_meta(workloads::TileType::Random, Site::Scheduler,
+                                 kN, 9));
+    run_tmxm_campaign_store(ckpt);
+  }
+  const store::LoadedStore stored = store::load_store(path);
+  std::filesystem::remove(path);
+  ASSERT_EQ(stored.records.size(), kN);
+  std::size_t corrupted = 0;
+  for (const auto& [id, payload] : stored.records) {
+    const InjectionResult r = from_rtl_record(store::decode_rtl(payload));
+    const InjectionResult& d = details.at(id);
+    EXPECT_EQ(d.outcome, r.outcome) << "id " << id;
+    EXPECT_EQ(d.corrupted, r.corrupted) << "id " << id;
+    EXPECT_EQ(d.per_warp_corrupted, r.per_warp_corrupted) << "id " << id;
+    EXPECT_EQ(d.rel_errors, r.rel_errors) << "id " << id;
+    EXPECT_EQ(d.corrupted_idx, r.corrupted_idx) << "id " << id;
+    corrupted += r.corrupted;
+  }
+  EXPECT_GT(corrupted, 0u);  // syndromes were compared, not only outcomes
 }
 
 // The tile (target) and site (param0) bytes of an rtl header come from a

@@ -488,6 +488,20 @@ TEST_F(StoreTest, MergeCreatesMissingOutputDirectories) {
   EXPECT_EQ(merged.meta.shard_count, 1u);
 }
 
+// `gpfctl run --store DIR` with a DIR that does not exist yet: the store
+// creates its parent directories, records, and reopens for a resume.
+TEST_F(StoreTest, CheckpointCreatesMissingParentDirectories) {
+  const std::string p = path("new/nested/x.gpfs");
+  {
+    store::CampaignCheckpoint ckpt(p, gate_meta());
+    EXPECT_TRUE(ckpt.record(4, gate_payload(4, false)));
+    ckpt.sync();
+  }
+  store::CampaignCheckpoint ckpt(p, gate_meta());
+  ASSERT_EQ(ckpt.done().size(), 1u);
+  EXPECT_EQ(ckpt.done().at(4), gate_payload(4, false));
+}
+
 TEST_F(StoreTest, ExportIsDeterministicAndSorted) {
   const std::string p = path("exp.gpfs");
   {

@@ -40,7 +40,7 @@ struct Args {
       if (s.rfind("--", 0) == 0) {
         const std::string key = s.substr(2);
         if (boolean.count(key)) {
-          a.flags[key] = "1";
+          a.flags.insert_or_assign(key, std::string(1, '1'));
           continue;
         }
         if (i + 1 >= argc) throw UsageError("missing value for " + s);

@@ -114,11 +114,10 @@ std::uint64_t owned_ids(const store::CampaignMeta& m) {
 }
 
 /// End-of-campaign warehouse compaction: keeps the .gpfw segment beside the
-/// store current so `gpfctl query` answers without a log scan. Gated by
-/// GPF_WAREHOUSE; a failure warns instead of failing the campaign (the log
-/// is the source of truth, the segment is derived).
+/// store current so `gpfctl query` answers without a log scan. A failure
+/// warns instead of failing the campaign (the log is the source of truth,
+/// the segment is derived).
 void compact_campaign_store(const std::string& store_path) {
-  if (!warehouse_enabled()) return;
   try {
     const std::string seg = warehouse::warehouse_path_for(store_path);
     const warehouse::CompactStats st = warehouse::compact_stores({store_path}, seg);

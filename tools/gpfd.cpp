@@ -144,7 +144,7 @@ class CompactorSet {
 /// ?format=json|csv|table, ?campaign= picks the store when several run).
 net::HttpResponse handle_http(const net::HttpRequest& req,
                               net::Coordinator& coordinator,
-                              CompactorSet* compactors) {
+                              CompactorSet& compactors) {
   const auto campaign_param = [&req]() -> std::string {
     const auto it = req.params.find("campaign");
     return it == req.params.end() ? "" : it->second;
@@ -156,10 +156,7 @@ net::HttpResponse handle_http(const net::HttpRequest& req,
     return {200, "application/json",
             net::campaigns_json(coordinator.list_campaigns())};
   if (req.path == "/v1/query") {
-    if (!compactors)
-      return {404, "application/json",
-              "{\"error\": \"warehouse disabled (GPF_WAREHOUSE=0)\"}\n"};
-    warehouse::Compactor* compactor = compactors->find(campaign_param());
+    warehouse::Compactor* compactor = compactors.find(campaign_param());
     if (!compactor)
       return {400, "application/json",
               "{\"error\": \"ambiguous or unknown campaign; pass "
@@ -256,27 +253,24 @@ int main(int argc, char** argv) {
     // then keep them fresh on a timer while serving, picking up remotely
     // submitted campaigns from the live registry (--compact-ms 0 = at exit
     // only).
-    std::unique_ptr<CompactorSet> compactors;
-    if (warehouse_enabled()) compactors = std::make_unique<CompactorSet>();
+    CompactorSet compactors;
     const auto compact_ms = static_cast<std::uint32_t>(
         a.get_u64("compact-ms", compact_interval_ms()));
     std::atomic<bool> serve_done{false};
     std::thread compact_thread;
-    if (compactors) {
-      compactors->refresh(coordinator.store_paths());
-      if (compact_ms > 0)
-        compact_thread = std::thread([&] {
-          while (!serve_done.load(std::memory_order_relaxed)) {
-            for (std::uint32_t waited = 0;
-                 waited < compact_ms &&
-                 !serve_done.load(std::memory_order_relaxed);
-                 waited += 50)
-              std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            if (serve_done.load(std::memory_order_relaxed)) break;
-            compactors->refresh(coordinator.store_paths());
-          }
-        });
-    }
+    compactors.refresh(coordinator.store_paths());
+    if (compact_ms > 0)
+      compact_thread = std::thread([&] {
+        while (!serve_done.load(std::memory_order_relaxed)) {
+          for (std::uint32_t waited = 0;
+               waited < compact_ms &&
+               !serve_done.load(std::memory_order_relaxed);
+               waited += 50)
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          if (serve_done.load(std::memory_order_relaxed)) break;
+          compactors.refresh(coordinator.store_paths());
+        }
+      });
 
     // HTTP observability endpoint (off unless --http / GPF_HTTP_ADDR).
     std::unique_ptr<net::HttpServer> http;
@@ -284,7 +278,7 @@ int main(int argc, char** argv) {
     if (!http_bind.empty()) {
       http = std::make_unique<net::HttpServer>(
           http_bind, [&coordinator, &compactors](const net::HttpRequest& req) {
-            return handle_http(req, coordinator, compactors.get());
+            return handle_http(req, coordinator, compactors);
           });
       http->start();
       std::cout << "[gpfd] http on " << http_bind << " (port " << http->port()
@@ -299,11 +293,9 @@ int main(int argc, char** argv) {
     g_coordinator.store(nullptr);
     serve_done.store(true);
     if (compact_thread.joinable()) compact_thread.join();
-    if (compactors) {
-      compactors->refresh(coordinator.store_paths());
-      for (const auto& [path, segment] : compactors->segment_rows())
-        std::cout << "[gpfd] warehouse: " << path << " -> " << segment << "\n";
-    }
+    compactors.refresh(coordinator.store_paths());
+    for (const auto& [path, segment] : compactors.segment_rows())
+      std::cout << "[gpfd] warehouse: " << path << " -> " << segment << "\n";
     if (http) http->stop();
 
     std::cout << "[gpfd] " << (st.drained ? "drained" : "complete") << ": "

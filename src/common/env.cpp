@@ -307,15 +307,6 @@ std::uint32_t status_interval_ms() {
   return ms;
 }
 
-std::uint32_t compact_interval_ms() {
-  static const std::uint32_t ms = [] {
-    const unsigned long long v =
-        parse_env_u64("GPF_COMPACT_MS", std::getenv("GPF_COMPACT_MS"), 5000);
-    return static_cast<std::uint32_t>(std::min(v, 0xFFFFFFFFull));
-  }();
-  return ms;
-}
-
 std::string http_addr() {
   static const std::string addr = [] {
     const char* s = std::getenv("GPF_HTTP_ADDR");
@@ -378,7 +369,6 @@ void dump_env(std::ostream& os) {
     line("GPF_METRICS", metrics_enabled() ? "1" : "0");
   line("GPF_TRACE", trace_path().empty() ? "(off)" : trace_path());
   line("GPF_STATUS_MS", std::to_string(status_interval_ms()));
-  line("GPF_COMPACT_MS", std::to_string(compact_interval_ms()));
   line("GPF_HTTP_ADDR", http_addr().empty() ? "(off)" : http_addr());
 }
 

@@ -22,7 +22,6 @@
 //   GPF_METRICS           process-wide metrics registry: 1 | 0 (default 1)
 //   GPF_TRACE             Chrome trace-event JSON output path (default off)
 //   GPF_STATUS_MS         campaign progress-line period in ms (default 5000, 0 = off)
-//   GPF_COMPACT_MS        gpfd incremental-compaction period in ms (default 5000, 0 = at exit only)
 //   GPF_HTTP_ADDR         gpfd HTTP/JSON endpoint host:port (default "" = off)
 //
 // Knobs are parsed strictly: a value that is not entirely a number (e.g.
@@ -194,14 +193,9 @@ std::string trace_path();
 /// coordinator's equivalent is its --status-ms flag.
 std::uint32_t status_interval_ms();
 
-/// GPF_COMPACT_MS environment variable: how often gpfd's background
-/// compaction thread rolls freshly appended records into the warehouse
-/// segment (default 5000 ms; 0 = compact only once, at end of serve). The
-/// gpfd --compact-ms flag overrides.
-std::uint32_t compact_interval_ms();
-
 /// GPF_HTTP_ADDR environment variable: "host:port" of gpfd's HTTP/1.1 JSON
-/// endpoint (GET /v1/stats, /v1/query). Empty string (the default) disables
+/// endpoint (GET /v1/stats, /v1/campaigns, /v1/query), served from the
+/// coordinator's event loop. Empty string (the default) disables
 /// it; the gpfd --http flag overrides.
 std::string http_addr();
 

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -88,22 +87,6 @@ std::uint16_t local_port(const Socket& s) {
   if (::getsockname(s.fd(), reinterpret_cast<sockaddr*>(&sa), &len) != 0)
     sys_error("getsockname");
   return ntohs(sa.sin_port);
-}
-
-Socket accept_client(const Socket& listener, int timeout_ms) {
-  pollfd pfd{listener.fd(), POLLIN, 0};
-  const int r = ::poll(&pfd, 1, timeout_ms);
-  if (r < 0) {
-    if (errno == EINTR) return Socket();
-    sys_error("poll");
-  }
-  if (r == 0) return Socket();
-  const int fd = ::accept(listener.fd(), nullptr, nullptr);
-  if (fd < 0) {
-    if (errno == EINTR || errno == ECONNABORTED) return Socket();
-    sys_error("accept");
-  }
-  return Socket(fd);
 }
 
 Socket connect_tcp(const std::string& host, std::uint16_t port) {

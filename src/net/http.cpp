@@ -1,7 +1,5 @@
 #include "net/http.hpp"
 
-#include <sys/socket.h>
-
 #include <cstdio>
 #include <sstream>
 
@@ -11,8 +9,6 @@
 namespace gpf::net {
 
 namespace {
-
-constexpr std::size_t kMaxHeadBytes = 8192;
 
 const char* status_text(int status) {
   switch (status) {
@@ -122,75 +118,22 @@ std::string serialize_http_response(const HttpResponse& r) {
   return os.str();
 }
 
-HttpServer::HttpServer(const std::string& addr, HttpHandler handler)
-    : handler_(std::move(handler)) {
-  const auto [host, port] = parse_addr(addr);
-  listener_ = listen_tcp(host, port);
-  port_ = local_port(listener_);
-}
-
-HttpServer::~HttpServer() { stop(); }
-
-void HttpServer::start() {
-  if (thread_.joinable()) return;
-  stop_.store(false);
-  thread_ = std::thread([this] { serve_loop(); });
-}
-
-void HttpServer::stop() {
-  stop_.store(true);
-  if (thread_.joinable()) thread_.join();
-}
-
-void HttpServer::serve_loop() {
+HttpResponse answer_http(const std::string& head, const HttpHandler& handler) {
   static obs::Counter& requests = obs::counter("http.requests");
   static obs::Counter& errors = obs::counter("http.errors");
-  while (!stop_.load(std::memory_order_relaxed)) {
-    Socket client;
-    try {
-      client = accept_client(listener_, 200);
-    } catch (const std::exception&) {
-      break;  // listener died; nothing to serve
-    }
-    if (!client.valid()) continue;
-
-    HttpResponse resp;
-    try {
-      set_recv_timeout(client, 2000);
-      std::string head;
-      char buf[1024];
-      while (head.find("\r\n\r\n") == std::string::npos &&
-             head.size() < kMaxHeadBytes) {
-        const ssize_t n = ::recv(client.fd(), buf, sizeof(buf), 0);
-        if (n <= 0) break;
-        head.append(buf, static_cast<std::size_t>(n));
-      }
-      HttpRequest req;
-      if (!parse_http_request(head, req)) {
-        resp = {400, "application/json", "{\"error\": \"malformed request\"}\n"};
-      } else if (req.method != "GET") {
-        resp = {405, "application/json", "{\"error\": \"GET only\"}\n"};
-      } else {
-        resp = handler_(req);
-      }
-    } catch (const std::exception& e) {
-      resp = {500, "application/json",
-              "{\"error\": " + json_str(e.what()) + "}\n"};
-      errors.add(1);
-    }
-    requests.add(1);
-    try {
-      const std::string wire = serialize_http_response(resp);
-      std::size_t off = 0;
-      while (off < wire.size()) {
-        const ssize_t n = ::send(client.fd(), wire.data() + off,
-                                 wire.size() - off, MSG_NOSIGNAL);
-        if (n <= 0) break;
-        off += static_cast<std::size_t>(n);
-      }
-    } catch (const std::exception&) {
-      // Peer went away mid-response; nothing to do.
-    }
+  requests.add(1);
+  try {
+    HttpRequest req;
+    if (!parse_http_request(head, req))
+      return {400, "application/json",
+              "{\"error\": \"malformed request\"}\n"};
+    if (req.method != "GET")
+      return {405, "application/json", "{\"error\": \"GET only\"}\n"};
+    return handler(req);
+  } catch (const std::exception& e) {
+    errors.add(1);
+    return {500, "application/json",
+            "{\"error\": " + json_str(e.what()) + "}\n"};
   }
 }
 

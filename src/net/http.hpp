@@ -1,25 +1,31 @@
-// Minimal HTTP/1.1 serving layer for gpfd's observability endpoints.
+// Minimal HTTP/1.1 layer for gpfd's observability endpoints.
 //
-// This is deliberately not a web framework: one short-lived connection at a
-// time, GET only, Connection: close, request head capped at 8 KiB. It
-// exists so `curl http://gpfd/v1/stats` and dashboards can read campaign
-// progress and warehouse rollups without speaking the binary frame
-// protocol. Reuses the same Socket/listen/accept utilities as the
-// coordinator, so the two listeners behave identically under drain.
+// This is deliberately not a web framework: GET only, Connection: close,
+// request head capped at kMaxHttpHeadBytes, each connection closed
+// kHttpRequestMs after it was accepted. It exists so `curl
+// http://gpfd/v1/stats` and dashboards can read campaign progress and
+// warehouse rollups without speaking the binary frame protocol. The
+// connections live in the coordinator's event loop
+// (Coordinator::serve_http); this file turns a request head into a
+// response.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
+#include <vector>
 
-#include "net/framing.hpp"
 #include "net/protocol.hpp"
-#include "store/result_log.hpp"
 
 namespace gpf::net {
+
+/// A request head longer than this is answered as it stands.
+constexpr std::size_t kMaxHttpHeadBytes = 8192;
+/// Whole-request deadline: a connection still open this long after it was
+/// accepted is closed, answered or not.
+constexpr std::uint32_t kHttpRequestMs = 2000;
 
 struct HttpRequest {
   std::string method;  ///< "GET"
@@ -44,32 +50,10 @@ std::string serialize_http_response(const HttpResponse& r);
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// Single-threaded accept-and-respond loop on its own thread. The handler
-/// runs on that thread; it must be internally synchronized (the warehouse
-/// Compactor and Coordinator::snapshot_stats both are). Handler exceptions
-/// become 500 responses; a handler returning status 404 etc. passes through.
-class HttpServer {
- public:
-  /// Binds host:port immediately (port 0 = kernel-assigned; read back with
-  /// port()). Throws on bind failure. Call start() to begin serving.
-  HttpServer(const std::string& addr, HttpHandler handler);
-  ~HttpServer();
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  std::uint16_t port() const { return port_; }
-  void start();
-  void stop();  ///< idempotent; joins the serving thread
-
- private:
-  void serve_loop();
-
-  Socket listener_;
-  std::uint16_t port_ = 0;
-  HttpHandler handler_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-};
+/// Answers one request head: 400 when it does not parse, 405 for anything
+/// but GET, else the handler's response; a handler exception becomes a 500
+/// whose JSON body names it. Counts http.requests and http.errors.
+HttpResponse answer_http(const std::string& head, const HttpHandler& handler);
 
 /// The /v1/stats body: the same live progress view `gpfctl top` renders —
 /// aggregate (or campaign-scoped) progress, the campaign registry, and the

@@ -61,6 +61,23 @@ void put_str(store::ByteWriter& w, const std::string& s) {
 
 std::string get_str(store::ByteReader& r) { return r.fixed_str(r.u32()); }
 
+/// Reads a u32 element count and refuses one that the rest of the payload
+/// cannot hold at `min_bytes` (an element's smallest encoding) each, so a
+/// forged count never sizes an allocation.
+std::uint32_t get_count(store::ByteReader& r, std::size_t min_bytes,
+                        MsgType t) {
+  const std::uint32_t n = r.u32();
+  if (n > r.remaining() / min_bytes)
+    throw std::runtime_error(std::string("net: ") + msg_type_name(t) +
+                             " count " + std::to_string(n) +
+                             " overruns its payload");
+  return n;
+}
+
+constexpr std::size_t kMinRecordBytes = 8 + 4;  // id, payload length
+constexpr std::size_t kMinCampaignRowBytes = 4 + 1 + 1 + 4 + 8 + 8 + 4 + 4;
+constexpr std::size_t kMinWorkerRowBytes = 8 + 4 + 8 + 4 + 8 + 1;
+
 void put_meta(Frame& f, const store::CampaignMeta& meta) {
   const std::vector<std::uint8_t> header = store::ResultLog::encode_meta(meta);
   f.payload.insert(f.payload.end(), header.begin(), header.end());
@@ -213,7 +230,7 @@ ResultMsg decode_result(const Frame& f) {
   ResultMsg m;
   m.campaign_id = r.u64();
   m.unit_id = r.u64();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = get_count(r, kMinRecordBytes, MsgType::Result);
   m.records.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     store::Record rec;
@@ -361,7 +378,8 @@ Frame encode(const CampaignList& m) {
 CampaignList decode_campaign_list(const Frame& f) {
   store::ByteReader r = check(f, MsgType::CampaignList);
   CampaignList m;
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n =
+      get_count(r, kMinCampaignRowBytes, MsgType::CampaignList);
   m.campaigns.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i)
     m.campaigns.push_back(get_campaign_row(r));
@@ -429,11 +447,13 @@ StatsSnapshot decode_stats_snapshot(const Frame& f) {
   m.desired_workers = r.u32();
   m.evicted_workers = r.u64();
   m.evicted_retired = r.u64();
-  const std::uint32_t nc = r.u32();
+  const std::uint32_t nc =
+      get_count(r, kMinCampaignRowBytes, MsgType::StatsSnapshot);
   m.campaigns.reserve(nc);
   for (std::uint32_t i = 0; i < nc; ++i)
     m.campaigns.push_back(get_campaign_row(r));
-  const std::uint32_t nw = r.u32();
+  const std::uint32_t nw =
+      get_count(r, kMinWorkerRowBytes, MsgType::StatsSnapshot);
   m.workers.reserve(nw);
   for (std::uint32_t i = 0; i < nw; ++i) {
     WorkerRow row;

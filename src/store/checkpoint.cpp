@@ -32,6 +32,11 @@ void CampaignCheckpoint::sync() {
   log_.sync();
 }
 
+std::size_t CampaignCheckpoint::unsynced_bytes() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return log_.unsynced_bytes();
+}
+
 bool CampaignCheckpoint::should_stop() const {
   std::lock_guard<std::mutex> lock(mu_);
   return record_limit_ != 0 && fresh_records_ >= record_limit_;

@@ -48,6 +48,8 @@ class CampaignCheckpoint {
   /// checkpoint boundaries (unit retire, lease retire, campaign end); the
   /// destructor also syncs, so a graceful exit is always durable.
   void sync();
+  /// Bytes recorded since the last sync() (ResultLog::unsynced_bytes).
+  std::size_t unsynced_bytes() const;
 
   /// Stop scheduling new work once `n` fresh records were recorded this run
   /// (0 = no limit). The check runs per batch, so the batch that crosses

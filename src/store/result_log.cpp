@@ -330,16 +330,17 @@ void ResultLog::sync() {
   if (!f_ || unsynced_bytes_ == 0) return;
   if (std::fflush(f_) != 0)
     throw std::runtime_error("store: flush failed on " + path_);
-  if (!fsync_enabled()) return;
-  static obs::Counter& syncs = obs::counter("store.fsyncs");
-  static obs::Counter& durable = obs::counter("store.durable_bytes");
-  static obs::Histogram& latency = obs::histogram("store.fsync_us");
-  obs::ScopedTimerUs timer(latency);
-  if (::fdatasync(fileno(f_)) != 0)
-    throw std::runtime_error("store: fdatasync failed on " + path_ + ": " +
-                             std::strerror(errno));
-  syncs.add(1);
-  durable.add(unsynced_bytes_);
+  if (fsync_enabled()) {
+    static obs::Counter& syncs = obs::counter("store.fsyncs");
+    static obs::Counter& durable = obs::counter("store.durable_bytes");
+    static obs::Histogram& latency = obs::histogram("store.fsync_us");
+    obs::ScopedTimerUs timer(latency);
+    if (::fdatasync(fileno(f_)) != 0)
+      throw std::runtime_error("store: fdatasync failed on " + path_ + ": " +
+                               std::strerror(errno));
+    syncs.add(1);
+    durable.add(unsynced_bytes_);
+  }
   unsynced_bytes_ = 0;
 }
 

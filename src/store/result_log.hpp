@@ -132,6 +132,8 @@ class ResultLog {
   /// crashes still lose nothing either way. Called by CampaignCheckpoint at
   /// checkpoint/lease-retire boundaries, not per append.
   void sync();
+  /// Bytes appended since the last sync() (0 right after one).
+  std::size_t unsynced_bytes() const { return unsynced_bytes_; }
 
   static std::vector<std::uint8_t> encode_meta(const CampaignMeta& meta);
   static CampaignMeta decode_meta(std::span<const std::uint8_t> header);

@@ -55,7 +55,7 @@ Compactor::Compactor(std::vector<std::string> store_paths,
   }
 }
 
-void Compactor::full_rebuild_locked() {
+void Compactor::full_rebuild() {
   records_.clear();
   for (std::size_t i = 0; i < tallies_.size(); ++i) {
     tallies_[i] = SourceTally{metas_[i].shard_index, metas_[i].shard_count,
@@ -71,7 +71,6 @@ CompactStats Compactor::refresh() {
   static obs::Histogram& latency = obs::histogram("warehouse.refresh_us");
   obs::ScopedTimerUs timer(latency);
 
-  std::lock_guard<std::mutex> lock(mu_);
   CompactStats st;
   st.sources = paths_.size();
 
@@ -130,7 +129,7 @@ CompactStats Compactor::refresh() {
       // A log shrank below our watermark (torn-tail recovery rewrote it) or
       // became unreadable mid-scan: drop everything and rescan from zero.
       if (attempt == 1) throw;
-      full_rebuild_locked();
+      full_rebuild();
       st = CompactStats{};
       st.sources = paths_.size();
       rebuilds.add(1);
@@ -168,7 +167,6 @@ CompactStats Compactor::refresh() {
 }
 
 Footer Compactor::footer() const {
-  std::lock_guard<std::mutex> lock(mu_);
   Footer f;
   f.meta = meta_;
   f.rows = records_.size();

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,9 +38,8 @@ struct CompactStats {
 };
 
 /// Rolls a fixed set of source stores (shards of one campaign) into one
-/// segment file. Thread-safe: refresh() and the accessors may be called from
-/// different threads (gpfd refreshes on a timer while the HTTP handler reads
-/// footers).
+/// segment file. Not thread-safe: gpfd refreshes and reads footers on its
+/// event-loop thread only.
 class Compactor {
  public:
   /// Validates that every path is a store of the same campaign with a
@@ -62,14 +60,13 @@ class Compactor {
   Footer footer() const;
 
  private:
-  void full_rebuild_locked();
+  void full_rebuild();
 
   std::vector<std::string> paths_;
   std::string segment_path_;
   store::CampaignMeta meta_;                ///< merged view (shard 0 of 1)
   std::vector<store::CampaignMeta> metas_;  ///< per source, parallel to paths_
 
-  mutable std::mutex mu_;
   bool seeded_ = false;         ///< first refresh happened
   bool segment_valid_ = false;  ///< on-disk segment matches `records_`
   std::map<std::uint64_t, std::vector<std::uint8_t>> records_;

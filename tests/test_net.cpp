@@ -1,12 +1,14 @@
-// Tests for the distributed campaign service (src/net): frame/codec
-// round-trips (protocol v3, incl. the registry messages), CRC rejection,
-// the lease state machine, deficit-round-robin fair share, the rate/ETA
-// window, per-kind work-unit sizing, backpressure (Busy) on both sides of
-// the wire, connection-churn and session-TTL accounting, and in-process
-// fleet e2e runs — single- and multi-campaign — whose stores must match
-// single-process runs byte for byte.
+// Tests for the distributed campaign service (src/net) over real sockets:
+// frame/codec round-trips (protocol v3, incl. the registry messages), CRC
+// and forged-count rejection, the lease state machine, deficit-round-robin
+// fair share, the rate/ETA window, per-kind work-unit sizing, backpressure
+// (Busy) on both sides of the wire, connection churn, HTTP served from the
+// coordinator's loop (slow clients included), and in-process fleet e2e runs
+// — single- and multi-campaign — whose stores must match single-process
+// runs byte for byte. test_net_core drives the socket-free CoordinatorCore.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -14,6 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -298,6 +301,58 @@ TEST(NetProtocol, TypeMismatchRejected) {
   EXPECT_THROW(decode_ack(encode(Heartbeat{1, 1})), std::runtime_error);
   EXPECT_THROW(decode_lease_grant(encode(NoWork{})), std::runtime_error);
   EXPECT_THROW(decode_busy(encode(Ack{})), std::runtime_error);
+}
+
+// A forged element count is refused before it sizes an allocation: a
+// 20-byte Result payload claiming 50 M records used to reserve about
+// 1.6 GB, and a count of 2^32-1 threw std::bad_alloc. Each decoder must
+// throw a runtime_error naming the message instead.
+TEST(NetProtocol, ForgedCountsThrowRuntimeErrorNotBadAlloc) {
+  const auto expect_refused = [](const std::function<void()>& decode,
+                                 const char* name) {
+    try {
+      decode();
+      ADD_FAILURE() << name << ": forged count decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << name << ": " << e.what();
+    }
+  };
+  for (const std::uint32_t count : {50000000u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(count);
+    Frame result{static_cast<std::uint16_t>(MsgType::Result), {}};
+    {
+      store::ByteWriter w(result.payload);
+      w.u64(1);  // campaign_id
+      w.u64(2);  // unit_id
+      w.u32(count);
+    }
+    expect_refused([&] { decode_result(result); }, "Result");
+
+    Frame list{static_cast<std::uint16_t>(MsgType::CampaignList), {}};
+    {
+      store::ByteWriter w(list.payload);
+      w.u32(count);
+      w.u64(0);
+    }
+    expect_refused([&] { decode_campaign_list(list); }, "CampaignList");
+
+    // A StatsSnapshot forging its campaign count, then one forging its
+    // worker count after an honest empty campaign list.
+    for (const bool forge_workers : {false, true}) {
+      Frame snap = encode(StatsSnapshot{});
+      const std::size_t counts_at = snap.payload.size() - 8;
+      store::ByteWriter w(snap.payload);
+      w.u64(0);  // room the count could never fill
+      const std::size_t at = counts_at + (forge_workers ? 4 : 0);
+      for (int b = 0; b < 4; ++b)
+        snap.payload[at + static_cast<std::size_t>(b)] =
+            static_cast<std::uint8_t>(count >> (8 * b));
+      expect_refused([&] { decode_stats_snapshot(snap); }, "StatsSnapshot");
+    }
+  }
 }
 
 TEST(NetProtocol, StatsSnapshotRoundTrip) {
@@ -893,7 +948,7 @@ TEST(NetE2E, MultiCampaignFleetWithMidRunSubmitAndRemove) {
 
   // Once the fleet is visibly rolling, grow and shrink the registry.
   for (int tries = 0; tries < 1000; ++tries) {
-    if (coord.snapshot_stats().retired_ids > 20) break;
+    if (fetch_stats("127.0.0.1", coord.port()).retired_ids > 20) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   const OpResult sub =
@@ -1075,75 +1130,13 @@ TEST(NetE2E, ConnectionChurnLeavesNoResidue) {
   for (int tries = 0; tries < 500 && coord.connection_count() != 0; ++tries)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_EQ(coord.connection_count(), 0u);
-  EXPECT_EQ(coord.session_rows(), 0u);  // observers never become stat rows
-  EXPECT_EQ(coord.snapshot_stats().connected_workers, 0u);
+  const StatsSnapshot seen = fetch_stats("127.0.0.1", coord.port());
+  EXPECT_TRUE(seen.workers.empty());  // observers never become stat rows
+  EXPECT_EQ(seen.connected_workers, 0u);
 
   coord.request_drain();
   serve.join();
-  EXPECT_EQ(cs.sessions, 500u);
-  std::remove(path.c_str());
-}
-
-// Disconnected session rows are TTL-evicted but their retired counts stay
-// in the snapshot aggregates, so `sessions_` stays bounded under reconnect
-// churn without stats going silently wrong.
-TEST(NetE2E, SessionRowsTtlEvictIntoAggregates) {
-  const store::CampaignMeta meta = perfi_meta(64, 19);
-  const std::string path = temp_store_path("ttl");
-  store::CampaignCheckpoint ckpt(path, meta);
-
-  CoordinatorConfig ccfg;
-  ccfg.port = 0;
-  ccfg.lease_ms = 5000;
-  ccfg.unit_size = 4;
-  ccfg.status_interval_ms = 0;
-  ccfg.session_ttl_ms = 150;
-  Coordinator coord(ckpt, ccfg);
-  Coordinator::Stats cs;
-  std::thread serve([&] { cs = coord.serve(); });
-
-  // A scripted worker: lease one unit, retire all 4 ids, vanish.
-  {
-    Socket c = connect_tcp("127.0.0.1", coord.port());
-    Hello hello;
-    hello.worker_name = "shortlived";
-    send_frame(c, encode(hello));
-    Frame reply;
-    ASSERT_EQ(recv_frame(c, reply), RecvStatus::Ok);
-    send_frame(c, encode(LeaseRequest{}));
-    ASSERT_EQ(recv_frame(c, reply), RecvStatus::Ok);
-    const LeaseGrant g = decode_lease_grant(reply);
-    ASSERT_EQ(g.ids.size(), 4u);
-    ResultMsg r;
-    r.campaign_id = g.campaign_id;
-    r.unit_id = g.unit_id;
-    for (const std::uint64_t id : g.ids) r.records.push_back({id, {0x5A}});
-    send_frame(c, encode(r));
-    ASSERT_EQ(recv_frame(c, reply), RecvStatus::Ok);
-    EXPECT_FALSE(decode_ack(reply).lost_lease);
-    send_frame(c, encode(UnitDone{g.campaign_id, g.unit_id}));
-    ASSERT_EQ(recv_frame(c, reply), RecvStatus::Ok);
-    c.close();
-  }
-
-  // The row exists while fresh (connected=false), then folds into the
-  // evicted aggregates once it outlives the TTL.
-  StatsSnapshot s = coord.snapshot_stats();
-  for (int tries = 0; tries < 500; ++tries) {
-    s = coord.snapshot_stats();
-    if (s.evicted_workers == 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_EQ(s.evicted_workers, 1u);
-  EXPECT_EQ(s.evicted_retired, 4u);
-  EXPECT_TRUE(s.workers.empty());
-  EXPECT_EQ(coord.session_rows(), 0u);
-  EXPECT_EQ(s.retired_ids, 4u);  // progress accounting is unaffected
-
-  coord.request_drain();
-  serve.join();
-  EXPECT_EQ(cs.evicted_sessions, 1u);
-  EXPECT_EQ(cs.appended, 4u);
+  EXPECT_EQ(cs.sessions, 501u);  // the 500 churned + the fetch_stats observer
   std::remove(path.c_str());
 }
 
@@ -1227,8 +1220,7 @@ TEST(NetE2E, WorkerResendsResultAfterBusy) {
   const std::uint16_t port = local_port(listener);
 
   std::thread script([&] {
-    Socket c;
-    while (!c.valid()) c = accept_client(listener, 200);
+    Socket c(::accept(listener.fd(), nullptr, nullptr));
     ResultMsg refused;
     bool sent_busy = false;
     bool awaiting_resend = false;
@@ -1399,8 +1391,7 @@ TEST(NetHttp, SerializeResponseCarriesStatusAndLength) {
   EXPECT_NE(wire.find("\r\n\r\n{\"error\": \"x\"}"), std::string::npos);
 }
 
-namespace {
-/// Sends one raw request to a local HttpServer and reads to EOF.
+/// Sends one raw request to an HTTP port and reads to EOF.
 std::string http_roundtrip(std::uint16_t port, const std::string& request) {
   Socket c = connect_tcp("127.0.0.1", port);
   std::size_t off = 0;
@@ -1419,44 +1410,137 @@ std::string http_roundtrip(std::uint16_t port, const std::string& request) {
     reply.append(buf, static_cast<std::size_t>(n));
   return reply;
 }
-}  // namespace
 
 TEST(NetHttp, ServerRoutesDispatchesAndReportsErrors) {
-  HttpServer server("127.0.0.1:0", [](const HttpRequest& req) -> HttpResponse {
-    if (req.path == "/boom") throw std::runtime_error("handler exploded");
-    if (req.path == "/echo")
-      return {200, "text/plain", "metric=" + req.params.at("metric")};
-    return {404, "application/json", "{}"};
-  });
-  server.start();
+  // The coordinator serves HTTP from its own loop; one idle campaign keeps
+  // serve() running until the drain below.
+  const std::string path = temp_store_path("http");
+  store::CampaignCheckpoint ckpt(path, perfi_meta(8, 41));
+  CoordinatorConfig ccfg;
+  ccfg.status_interval_ms = 0;
+  Coordinator coord(ckpt, ccfg);
+  const std::uint16_t port = coord.serve_http(
+      "127.0.0.1:0", [](const HttpRequest& req) -> HttpResponse {
+        if (req.path == "/boom") throw std::runtime_error("handler exploded");
+        if (req.path == "/echo")
+          return {200, "text/plain", "metric=" + req.params.at("metric")};
+        return {404, "application/json", "{}"};
+      });
+  std::thread serve([&] { coord.serve(); });
 
   const std::string ok = http_roundtrip(
-      server.port(), "GET /echo?metric=epr HTTP/1.1\r\nHost: t\r\n\r\n");
+      port, "GET /echo?metric=epr HTTP/1.1\r\nHost: t\r\n\r\n");
   EXPECT_EQ(ok.find("HTTP/1.1 200 OK\r\n"), 0u);
   EXPECT_NE(ok.find("metric=epr"), std::string::npos);
 
-  const std::string miss =
-      http_roundtrip(server.port(), "GET /nope HTTP/1.1\r\n\r\n");
+  const std::string miss = http_roundtrip(port, "GET /nope HTTP/1.1\r\n\r\n");
   EXPECT_EQ(miss.find("HTTP/1.1 404"), 0u);
 
-  const std::string post =
-      http_roundtrip(server.port(), "POST /echo HTTP/1.1\r\n\r\n");
+  const std::string post = http_roundtrip(port, "POST /echo HTTP/1.1\r\n\r\n");
   EXPECT_EQ(post.find("HTTP/1.1 405"), 0u);
 
-  const std::string bad = http_roundtrip(server.port(), "garbage\r\n\r\n");
+  const std::string bad = http_roundtrip(port, "garbage\r\n\r\n");
   EXPECT_EQ(bad.find("HTTP/1.1 400"), 0u);
 
   // Handler exceptions surface as 500 with the reason in the JSON body, and
   // the server keeps serving afterwards.
-  const std::string boom =
-      http_roundtrip(server.port(), "GET /boom HTTP/1.1\r\n\r\n");
+  const std::string boom = http_roundtrip(port, "GET /boom HTTP/1.1\r\n\r\n");
   EXPECT_EQ(boom.find("HTTP/1.1 500"), 0u);
   EXPECT_NE(boom.find("handler exploded"), std::string::npos);
   const std::string again =
-      http_roundtrip(server.port(), "GET /echo?metric=x HTTP/1.1\r\n\r\n");
+      http_roundtrip(port, "GET /echo?metric=x HTTP/1.1\r\n\r\n");
   EXPECT_NE(again.find("metric=x"), std::string::npos);
 
-  server.stop();
+  coord.request_drain();
+  serve.join();
+  std::remove(path.c_str());
+}
+
+// One slow HTTP client used to stall gpfd: its HTTP server answered one
+// connection at a time with a 2 s timeout on each recv and joined that
+// thread at exit, so a client dripping bytes held every other request and
+// gpfd's exit. Served from the coordinator's loop, a silent client and a
+// dripping one hold nothing up: a normal GET is answered at once, both slow
+// clients are closed at the request deadline, a worker finishes its
+// campaign meanwhile, and serve() returns within its usual linger.
+TEST(NetHttp, SlowClientsStallNeitherRequestsNorServe) {
+  using namespace std::chrono_literals;
+  constexpr std::uint64_t kIds = 16;
+  const std::string path = temp_store_path("http_slow");
+  store::CampaignCheckpoint ckpt(path, perfi_meta(kIds, 43));
+  CoordinatorConfig ccfg;
+  ccfg.lease_ms = 5000;
+  ccfg.unit_size = 4;
+  ccfg.status_interval_ms = 0;
+  Coordinator coord(ckpt, ccfg);
+  const std::uint16_t http_port = coord.serve_http(
+      "127.0.0.1:0", [&coord](const HttpRequest&) -> HttpResponse {
+        return {200, "application/json", stats_json(coord.snapshot_stats())};
+      });
+  Clock::time_point served_at;
+  std::thread serve([&] {
+    coord.serve();
+    served_at = Clock::now();
+  });
+
+  /// Waits for the server to close `c`; returns when it saw EOF.
+  const auto closed_at = [](const Socket& c, bool drip) {
+    char b;
+    for (int i = 0; i < 100; ++i) {
+      if (drip) ::send(c.fd(), "G", 1, MSG_NOSIGNAL);
+      pollfd p{c.fd(), POLLIN, 0};
+      if (::poll(&p, 1, 100) == 1 && ::recv(c.fd(), &b, 1, 0) <= 0) break;
+    }
+    return Clock::now();
+  };
+  const auto t_connect = Clock::now();
+  Socket silent = connect_tcp("127.0.0.1", http_port);
+  Socket dripper = connect_tcp("127.0.0.1", http_port);
+  Clock::time_point silent_closed, drip_closed;
+  std::thread slow([&] {
+    drip_closed = closed_at(dripper, /*drip=*/true);
+    silent_closed = closed_at(silent, /*drip=*/false);
+  });
+
+  std::this_thread::sleep_for(100ms);
+  const auto t_get = Clock::now();
+  const std::string reply =
+      http_roundtrip(http_port, "GET /v1/stats HTTP/1.1\r\n\r\n");
+  EXPECT_LT(Clock::now() - t_get, 1s);
+  EXPECT_EQ(reply.find("HTTP/1.1 200 OK\r\n"), 0u);
+  EXPECT_NE(reply.find("\"total_ids\": 16"), std::string::npos) << reply;
+
+  // The worker takes about 4 s, well past the slow clients' deadline.
+  WorkerConfig wcfg;
+  wcfg.port = coord.port();
+  wcfg.name = "steady";
+  wcfg.backoff_ms = 20;
+  const WorkerStats ws =
+      run_worker(wcfg, [](const store::CampaignMeta&) -> UnitFn {
+        return [](std::span<const std::uint64_t> ids, const EmitBytes& emit,
+                  const std::function<bool()>&) {
+          for (const std::uint64_t id : ids) {
+            std::this_thread::sleep_for(250ms);
+            emit(id, {static_cast<std::uint8_t>(id)});
+          }
+        };
+      });
+  const auto worker_done = Clock::now();
+  serve.join();
+  slow.join();
+
+  EXPECT_TRUE(ws.drained);
+  EXPECT_EQ(ws.retired, kIds);
+  EXPECT_EQ(ckpt.done_count(), kIds);
+  EXPECT_LT(served_at - worker_done, 2s);  // the linger, not the slow clients
+  // Both slow clients were closed at the 2 s request deadline, while the
+  // worker was still busy.
+  for (const auto& t : {drip_closed, silent_closed}) {
+    EXPECT_GE(t - t_connect, 1900ms);
+    EXPECT_LT(t - t_connect, 3000ms);
+    EXPECT_LT(t, worker_done);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(NetHttp, StatsJsonCarriesProgressCampaignsAndWorkers) {

@@ -19,7 +19,12 @@
 //                        as separate campaigns)
 //   gpfd --resume FILE [FILE...]  (campaign identities from store headers)
 //     common: [--addr HOST:PORT] [--lease-ms N] [--unit-size N]
-//             [--priority N] [--store DIR] [--verbose]
+//             [--priority N] [--store DIR] [--http HOST:PORT] [--verbose]
+//
+// gpfd runs on one thread: the coordinator's event loop serves the workers,
+// `gpfctl` clients and the HTTP endpoints alike. A `/v1/query` compacts its
+// campaign's warehouse segment before it answers, and every store the
+// registry held is compacted once more at exit.
 //
 // SIGTERM/SIGINT drain gracefully: no new leases are granted, outstanding
 // leases finish (or expire), and the process exits with the stores intact
@@ -27,14 +32,11 @@
 #include <csignal>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <filesystem>
@@ -43,7 +45,6 @@
 #include "common/env.hpp"
 #include "net/coordinator.hpp"
 #include "net/framing.hpp"
-#include "net/http.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/checkpoint.hpp"
@@ -77,74 +78,40 @@ int usage(const char* msg = nullptr) {
       "    common: [--addr HOST:PORT] [--lease-ms N] [--unit-size N]\n"
       "            [--priority N] [--seed S] [--store DIR] [--shard-index I]\n"
       "            [--shard-count K] [--status-ms N] [--verbose]\n"
-      "            [--http HOST:PORT] [--compact-ms N]\n"
+      "            [--http HOST:PORT]\n"
       "    --unit-size N: fault ids per work unit; 0 (default) = by campaign\n"
       "            kind (gate 512, perfi and rtl 64), N > 0 pins every campaign\n"
       "    more campaigns can be added while serving: gpfctl submit\n";
   return 2;
 }
 
-/// Per-store warehouse compactors, kept in step with the coordinator's live
-/// registry so remotely submitted campaigns get segments too. Thread-safe
-/// (refresh timer thread vs the HTTP handler).
-class CompactorSet {
+/// One warehouse compactor per store path, made on first use. Everything
+/// here runs on the coordinator's loop thread or after serve() returns.
+class Compactors {
  public:
-  /// Adds compactors for any new paths and refreshes every store's segment.
-  void refresh(const std::vector<std::string>& paths) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& path : paths)
-      if (!compactors_.count(path))
-        compactors_.emplace(path, std::make_unique<warehouse::Compactor>(
-                                      std::vector<std::string>{path},
-                                      warehouse::warehouse_path_for(path)));
-    for (auto& [path, c] : compactors_) {
-      try {
-        c->refresh();
-      } catch (const std::exception& e) {
-        std::cerr << "[gpfd] compaction " << path << ": " << e.what() << "\n";
-      }
-    }
-  }
-
-  /// The compactor for a campaign name ("" = the only one, if unambiguous).
-  warehouse::Compactor* find(const std::string& campaign) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (campaign.empty())
-      return compactors_.size() == 1 ? compactors_.begin()->second.get()
-                                     : nullptr;
-    for (auto& [path, c] : compactors_) {
-      const std::string stem =
-          std::filesystem::path(path).stem().string();
-      if (stem == campaign) return c.get();
-    }
-    return nullptr;
-  }
-
-  std::vector<std::pair<std::string, std::string>> segment_rows() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::pair<std::string, std::string>> rows;
-    for (auto& [path, c] : compactors_)
-      rows.emplace_back(path, c->segment_path());
-    return rows;
-  }
-
-  std::size_t size() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return compactors_.size();
+  /// Rolls every record appended to `store_path` so far into its segment.
+  warehouse::Compactor& refresh(const std::string& store_path) {
+    std::unique_ptr<warehouse::Compactor>& c = by_path_[store_path];
+    if (!c)
+      c = std::make_unique<warehouse::Compactor>(
+          std::vector<std::string>{store_path},
+          warehouse::warehouse_path_for(store_path));
+    c->refresh();
+    return *c;
   }
 
  private:
-  std::mutex mu_;
-  std::map<std::string, std::unique_ptr<warehouse::Compactor>> compactors_;
+  std::map<std::string, std::unique_ptr<warehouse::Compactor>> by_path_;
 };
 
 /// Routes gpfd's observability endpoints: /v1/stats (live coordinator view,
 /// ?campaign= scopes it), /v1/campaigns (the registry), and /v1/query
-/// (warehouse rollups; ?metric=epr|classes|syndromes|workers,
-/// ?format=json|csv|table, ?campaign= picks the store when several run).
+/// (warehouse rollups, compacted up to the last appended record;
+/// ?metric=epr|classes|syndromes|workers, ?format=json|csv|table,
+/// ?campaign= picks the store when the registry has held several).
 net::HttpResponse handle_http(const net::HttpRequest& req,
-                              net::Coordinator& coordinator,
-                              CompactorSet& compactors) {
+                              const net::Coordinator& coordinator,
+                              Compactors& compactors) {
   const auto campaign_param = [&req]() -> std::string {
     const auto it = req.params.find("campaign");
     return it == req.params.end() ? "" : it->second;
@@ -156,8 +123,16 @@ net::HttpResponse handle_http(const net::HttpRequest& req,
     return {200, "application/json",
             net::campaigns_json(coordinator.list_campaigns())};
   if (req.path == "/v1/query") {
-    warehouse::Compactor* compactor = compactors.find(campaign_param());
-    if (!compactor)
+    const std::string campaign = campaign_param();
+    const std::vector<std::string> paths = coordinator.store_paths();
+    std::string path;
+    if (campaign.empty()) {
+      if (paths.size() == 1) path = paths.front();
+    } else {
+      for (const std::string& p : paths)
+        if (std::filesystem::path(p).stem().string() == campaign) path = p;
+    }
+    if (path.empty())
       return {400, "application/json",
               "{\"error\": \"ambiguous or unknown campaign; pass "
               "?campaign=NAME\"}\n"};
@@ -175,7 +150,7 @@ net::HttpResponse handle_http(const net::HttpRequest& req,
     return {200,
             format == warehouse::QueryFormat::Json ? "application/json"
                                                    : "text/plain",
-            render_metric(compactor->footer(), metric, format)};
+            render_metric(compactors.refresh(path).footer(), metric, format)};
   }
   return {404, "application/json", "{\"error\": \"no such endpoint\"}\n"};
 }
@@ -249,39 +224,16 @@ int main(int argc, char** argv) {
                 << "/" << metas[i].total << " already retired, unit size "
                 << coordinator.unit_size_for(metas[i]) << ")\n";
 
-    // Warehouse compaction: roll every store into its .gpfw segment now,
-    // then keep them fresh on a timer while serving, picking up remotely
-    // submitted campaigns from the live registry (--compact-ms 0 = at exit
-    // only).
-    CompactorSet compactors;
-    const auto compact_ms = static_cast<std::uint32_t>(
-        a.get_u64("compact-ms", compact_interval_ms()));
-    std::atomic<bool> serve_done{false};
-    std::thread compact_thread;
-    compactors.refresh(coordinator.store_paths());
-    if (compact_ms > 0)
-      compact_thread = std::thread([&] {
-        while (!serve_done.load(std::memory_order_relaxed)) {
-          for (std::uint32_t waited = 0;
-               waited < compact_ms &&
-               !serve_done.load(std::memory_order_relaxed);
-               waited += 50)
-            std::this_thread::sleep_for(std::chrono::milliseconds(50));
-          if (serve_done.load(std::memory_order_relaxed)) break;
-          compactors.refresh(coordinator.store_paths());
-        }
-      });
-
-    // HTTP observability endpoint (off unless --http / GPF_HTTP_ADDR).
-    std::unique_ptr<net::HttpServer> http;
+    // HTTP observability endpoint (off unless --http / GPF_HTTP_ADDR),
+    // served from the coordinator's own loop.
+    Compactors compactors;
     const std::string http_bind = a.get("http", http_addr());
     if (!http_bind.empty()) {
-      http = std::make_unique<net::HttpServer>(
+      const std::uint16_t http_port = coordinator.serve_http(
           http_bind, [&coordinator, &compactors](const net::HttpRequest& req) {
             return handle_http(req, coordinator, compactors);
           });
-      http->start();
-      std::cout << "[gpfd] http on " << http_bind << " (port " << http->port()
+      std::cout << "[gpfd] http on " << http_bind << " (port " << http_port
                 << "): GET /v1/stats, /v1/campaigns, /v1/query\n";
     }
 
@@ -291,12 +243,15 @@ int main(int argc, char** argv) {
       st = coordinator.serve();
     }
     g_coordinator.store(nullptr);
-    serve_done.store(true);
-    if (compact_thread.joinable()) compact_thread.join();
-    compactors.refresh(coordinator.store_paths());
-    for (const auto& [path, segment] : compactors.segment_rows())
-      std::cout << "[gpfd] warehouse: " << path << " -> " << segment << "\n";
-    if (http) http->stop();
+    // Warehouse: every store the registry held, removed campaigns included.
+    for (const std::string& p : coordinator.store_paths()) {
+      try {
+        std::cout << "[gpfd] warehouse: " << p << " -> "
+                  << compactors.refresh(p).segment_path() << "\n";
+      } catch (const std::exception& e) {
+        std::cerr << "[gpfd] compaction " << p << ": " << e.what() << "\n";
+      }
+    }
 
     std::cout << "[gpfd] " << (st.drained ? "drained" : "complete") << ": "
               << st.appended << " results appended (" << st.duplicates

@@ -2,8 +2,8 @@
 // store, compacts it into a .gpfw segment, and compares answering the EPR
 // summary from the pre-aggregated footer (read_footer) against recomputing
 // it with a full log scan (load_store + compute_rollups). Also times
-// one-shot compaction and an incremental refresh after a small append, and
-// asserts the rollup-vs-full-scan equality invariant on the benchmark store.
+// compaction (median of 5) and asserts the rollup-vs-full-scan equality
+// invariant on the benchmark store.
 //
 // Store appends: the 100k-record store is built kRounds times each way, one
 // record per write (ResultLog::append(id, payload)) and one kBatchRecords
@@ -31,14 +31,12 @@
 #include "warehouse/compact.hpp"
 #include "warehouse/query.hpp"
 #include "warehouse/rollups.hpp"
-#include "warehouse/segment.hpp"
 
 using namespace gpf;
 
 namespace {
 
 constexpr std::uint64_t kRows = 100000;
-constexpr std::uint64_t kAppendTail = 1000;
 /// Rounds of each store build and of the crc32 pass (min of N).
 constexpr int kRounds = 5;
 /// Records per write of the batched store build.
@@ -118,7 +116,7 @@ int main() {
   const std::string batched_path = (dir / "batched.gpfs").string();
   const auto build = [&](const std::string& path, bool batched) {
     std::filesystem::remove(path);
-    store::ResultLog log(path, bench_meta(kRows + kAppendTail));
+    store::ResultLog log(path, bench_meta(kRows));
     const auto t0 = std::chrono::steady_clock::now();
     if (batched) {
       for (std::uint64_t lo = 0; lo < kRows; lo += kBatchRecords) {
@@ -171,31 +169,14 @@ int main() {
   const double crc_mb_per_s = static_cast<double>(kCrcBytes) / 1e6 / crc_seconds;
   std::printf("crc32: %.0f MB/s (checksum %08x)\n", crc_mb_per_s, crc_sink);
 
-  // One-shot compaction.
-  const auto tc0 = std::chrono::steady_clock::now();
-  warehouse::CompactStats cst = warehouse::compact_stores({store_path}, seg_path);
-  const double compact_seconds = seconds_since(tc0);
-  std::cout << "compact: " << cst.rows << " rows -> "
+  // Compaction: one full scan of the log, rollups and the footer write.
+  std::uint64_t compacted_rows = 0;
+  const double compact_seconds = median_seconds(5, [&] {
+    compacted_rows = warehouse::compact_stores({store_path}, seg_path).rows;
+  });
+  std::cout << "compact: " << compacted_rows << " rows -> "
             << std::filesystem::file_size(seg_path) << " bytes in "
             << compact_seconds << " s\n";
-
-  // Incremental refresh after a small append (the live-fleet steady state).
-  {
-    store::ResultLog log(store_path, bench_meta(kRows + kAppendTail));
-    for (std::uint64_t id = kRows; id < kRows + kAppendTail; ++id)
-      log.append(id, payload_for(id));
-  }
-  const auto ti0 = std::chrono::steady_clock::now();
-  cst = warehouse::compact_stores({store_path}, seg_path);
-  const double incremental_seconds = seconds_since(ti0);
-  if (!cst.incremental || cst.fresh_records != kAppendTail) {
-    std::cerr << "FAIL: expected incremental refresh of " << kAppendTail
-              << " records (got fresh=" << cst.fresh_records
-              << " incremental=" << cst.incremental << ")\n";
-    return 1;
-  }
-  std::cout << "incremental refresh (+" << kAppendTail
-            << " records): " << incremental_seconds << " s\n";
 
   // The contenders. Both produce the same EPR summary; the full scan decodes
   // every record, the query reads only the footer.
@@ -235,19 +216,18 @@ int main() {
                   "  \"append_batch_speedup\": %.2f,\n"
                   "  \"crc32_mb_per_s\": %.0f,\n"
                   "  \"compact_seconds\": %.6f,\n"
-                  "  \"incremental_refresh_seconds\": %.6f,\n"
                   "  \"full_scan_seconds\": %.6f,\n"
                   "  \"query_seconds\": %.6f,\n  \"speedup\": %.1f\n}\n",
                   kRounds, static_cast<unsigned long long>(kRows),
                   record_bytes, static_cast<unsigned long long>(kBatchRecords),
                   kCrcBytes,
-                  static_cast<unsigned long long>(kRows + kAppendTail),
+                  static_cast<unsigned long long>(compacted_rows),
                   static_cast<unsigned long long>(
                       std::filesystem::file_size(store_path)),
                   static_cast<unsigned long long>(
                       std::filesystem::file_size(seg_path)),
                   single_rate, batch_rate, batch_speedup, crc_mb_per_s,
-                  compact_seconds, incremental_seconds, full_scan_seconds,
+                  compact_seconds, full_scan_seconds,
                   query_seconds, speedup);
     os << buf;
     std::cout << "wrote " << json_path << "\n";

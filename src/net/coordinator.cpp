@@ -482,6 +482,13 @@ Frame CoordinatorCore::on_submit(const SubmitCampaign& msg) {
     res.message = "invalid campaign name '" + msg.name + "'";
     return encode(res);
   }
+  if (msg.meta.total > kMaxSubmitIds) {
+    res.message = "campaign '" + msg.name + "' names " +
+                  std::to_string(msg.meta.total) +
+                  " ids; a submit may name at most " +
+                  std::to_string(kMaxSubmitIds);
+    return encode(res);
+  }
   if (const Campaign* existing = find_campaign(msg.name)) {
     if (existing->ckpt->meta() == msg.meta && !existing->removing) {
       res.ok = true;  // idempotent resubmission

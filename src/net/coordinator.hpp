@@ -54,6 +54,14 @@
 
 namespace gpf::net {
 
+/// The most ids one SubmitCampaign may name. The id count is an unchecked
+/// u64 off the wire, and the new campaign's LeaseDispatcher keeps about
+/// 100 B per id on the loop thread, so one submit could otherwise exhaust
+/// gpfd's memory. 2^20 ids (about 100 MB) is far above any campaign a
+/// bench, test or CI job submits, which name a few thousand ids at most.
+/// Campaigns gpfd opens from its own flags or stores are not bounded.
+constexpr std::uint64_t kMaxSubmitIds = std::uint64_t{1} << 20;
+
 struct CoordinatorConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;     ///< 0 = kernel-assigned (read back via port())

@@ -73,6 +73,17 @@ class ByteReader {
     while (len < width && b[len] != 0) ++len;
     return std::string(reinterpret_cast<const char*>(b.data()), len);
   }
+  /// Reads a u32 element count and checks that that many elements of
+  /// `elem_bytes` each fit in the bytes left, so a corrupt count cannot size
+  /// an allocation. `what` names the field in the error.
+  std::size_t count(std::size_t elem_bytes, const std::string& what) {
+    const std::uint32_t n = u32();
+    if (n > remaining() / elem_bytes)
+      throw std::runtime_error(what + ": count " + std::to_string(n) +
+                               " exceeds the " + std::to_string(remaining()) +
+                               " bytes left");
+    return n;
+  }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
 

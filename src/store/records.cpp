@@ -63,12 +63,16 @@ std::vector<std::uint8_t> encode(const RtlRecord& r) {
 RtlRecord decode_rtl(std::span<const std::uint8_t> payload) {
   ByteReader rd(payload);
   RtlRecord r;
-  r.outcome = static_cast<RtlOutcome>(rd.u8());
+  const std::uint8_t outcome = rd.u8();
+  if (outcome > static_cast<std::uint8_t>(RtlOutcome::Due))
+    throw std::runtime_error("rtl record: unknown outcome " +
+                             std::to_string(outcome));
+  r.outcome = static_cast<RtlOutcome>(outcome);
   r.corrupted = rd.u32();
   r.per_warp_corrupted = rd.f64();
-  r.rel_errors.resize(rd.u32());
+  r.rel_errors.resize(rd.count(8, "rtl record rel_errors"));
   for (auto& e : r.rel_errors) e = rd.f64();
-  r.corrupted_idx.resize(rd.u32());
+  r.corrupted_idx.resize(rd.count(4, "rtl record corrupted_idx"));
   for (auto& i : r.corrupted_idx) i = rd.u32();
   if (!rd.done()) throw std::runtime_error("rtl record: trailing bytes");
   return r;
@@ -97,7 +101,11 @@ std::vector<std::uint8_t> encode(const PerfiRecord& r) {
 PerfiRecord decode_perfi(std::span<const std::uint8_t> payload) {
   ByteReader rd(payload);
   PerfiRecord r;
-  r.outcome = static_cast<PerfiOutcome>(rd.u8());
+  const std::uint8_t outcome = rd.u8();
+  if (outcome > static_cast<std::uint8_t>(PerfiOutcome::DueOther))
+    throw std::runtime_error("perfi record: unknown outcome " +
+                             std::to_string(outcome));
+  r.outcome = static_cast<PerfiOutcome>(outcome);
   if (!rd.done()) throw std::runtime_error("perfi record: trailing bytes");
   return r;
 }

@@ -2,6 +2,9 @@
 // The store layer deliberately does not depend on the gate/rtl/perfi
 // libraries — campaign drivers convert their native result structs to these
 // plain records, and export/status re-derive summaries from them alone.
+// Payloads can come from a worker or a damaged file, so every decode_*
+// throws std::runtime_error on a payload that is cut short, has trailing
+// bytes, names an unknown outcome or carries a count its bytes cannot hold.
 #pragma once
 
 #include <array>

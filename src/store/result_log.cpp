@@ -58,35 +58,6 @@ std::size_t parse_records(std::span<const std::uint8_t> bytes,
   return pos;
 }
 
-/// Reads `path` from byte `from` to EOF. Throws when the file cannot be
-/// opened or is shorter than `from`.
-std::vector<std::uint8_t> read_file_from(const std::string& path,
-                                         std::size_t from) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (!in)
-    throw std::runtime_error("store: cannot open " + path + ": " +
-                             std::strerror(errno));
-  std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 65536> buf;
-  std::size_t skipped = 0;
-  while (skipped < from) {
-    const std::size_t n =
-        std::fread(buf.data(), 1, std::min(buf.size(), from - skipped), in);
-    if (n == 0) break;
-    skipped += n;
-  }
-  if (skipped < from) {
-    std::fclose(in);
-    throw std::runtime_error("store: " + path + " is shorter than offset " +
-                             std::to_string(from) +
-                             " (log truncated since the watermark was taken)");
-  }
-  for (std::size_t n; (n = std::fread(buf.data(), 1, buf.size(), in)) > 0;)
-    bytes.insert(bytes.end(), buf.begin(), buf.begin() + static_cast<long>(n));
-  std::fclose(in);
-  return bytes;
-}
-
 // Slice-by-8 tables: kCrcTables[k][b] is the CRC register contribution of
 // byte b followed by k zero bytes, so eight bytes fold in with eight lookups
 // and no serial dependency between them. kCrcTables[0] is the classic
@@ -257,7 +228,7 @@ void ResultLog::open_existing(const CampaignMeta* expect) {
   // complete trimmed copy — and the leftover is just deleted.
   std::remove(recovery_tmp_path(path_).c_str());
 
-  const std::vector<std::uint8_t> bytes = read_file_from(path_, 0);
+  const std::vector<std::uint8_t> bytes = read_file(path_);
 
   meta_ = decode_meta(bytes);
   if (expect && !(*expect == meta_))
@@ -344,12 +315,24 @@ void ResultLog::sync() {
   unsynced_bytes_ = 0;
 }
 
-ScannedTail scan_records(const std::string& path, std::size_t from_offset) {
-  if (from_offset < ResultLog::kHeaderSize)
-    throw std::runtime_error("store: scan offset inside the header");
-  ScannedTail out;
-  const std::vector<std::uint8_t> bytes = read_file_from(path, from_offset);
-  out.end_offset = from_offset + parse_records(bytes, out.records);
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (!in)
+    throw std::runtime_error("store: cannot open " + path + ": " +
+                             std::strerror(errno));
+  std::vector<std::uint8_t> bytes;
+  std::array<std::uint8_t, 65536> buf;
+  for (std::size_t n; (n = std::fread(buf.data(), 1, buf.size(), in)) > 0;)
+    bytes.insert(bytes.end(), buf.begin(), buf.begin() + static_cast<long>(n));
+  std::fclose(in);
+  return bytes;
+}
+
+std::vector<Record> scan_records(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  ResultLog::decode_meta(bytes);
+  std::vector<Record> out;
+  parse_records(std::span(bytes).subspan(ResultLog::kHeaderSize), out);
   return out;
 }
 

@@ -153,25 +153,18 @@ class ResultLog {
   std::size_t unsynced_bytes_ = 0;
 };
 
-/// Result of a pure read-only record scan (see scan_records).
-struct ScannedTail {
-  std::vector<Record> records;   ///< valid records found, in file order
-  std::size_t end_offset = 0;    ///< one past the last valid record's bytes
-};
-
-/// Scans the records of a store file starting at byte `from_offset`
-/// (ResultLog::kHeaderSize for the first record), stopping at the first torn
-/// or CRC-failing record. Unlike opening a ResultLog, this never truncates
-/// or rewrites the file, so it is safe on a store another process is
-/// actively appending to — a mid-append torn tail just ends the scan. The
-/// returned end_offset is the warehouse's incremental-compaction watermark.
-/// Throws when the file cannot be opened or `from_offset` lies beyond it
-/// (e.g. the log was truncated by a torn-tail recovery since the caller's
-/// watermark was taken).
-ScannedTail scan_records(const std::string& path, std::size_t from_offset);
+/// Reads every valid record of a store file, in file order, stopping at the
+/// first torn or CRC-failing record. Unlike opening a ResultLog, this never
+/// truncates or rewrites the file, so it is safe on a store another process
+/// is actively appending to — a mid-append torn tail just ends the scan.
+/// Throws when the file cannot be opened or its header is invalid.
+std::vector<Record> scan_records(const std::string& path);
 
 /// Reads and validates only the 80-byte header of a store file.
 CampaignMeta read_store_meta(const std::string& path);
+
+/// Reads the whole of `path`. Throws when the file cannot be opened.
+std::vector<std::uint8_t> read_file(const std::string& path);
 
 /// Creates the missing parent directories of `path` (no-op when they already
 /// exist). Every file-producing path calls this (a new ResultLog, so run,

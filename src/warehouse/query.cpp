@@ -296,36 +296,33 @@ void render_workers(const Footer& f, QueryFormat format, std::ostream& os) {
            << ", \"coverage\": " << dbl(owned ? static_cast<double>(s.rows) /
                                                     static_cast<double>(owned)
                                               : 0.0)
-           << ", \"scanned_records\": " << s.scanned_records
-           << ", \"watermark\": " << s.watermark << "}";
+           << ", \"scanned_records\": " << s.scanned_records << "}";
       }
       os << "\n  ]\n}\n";
       return;
     }
     case QueryFormat::Csv:
-      os << "shard_index,shard_count,rows,owned,scanned_records,watermark\n";
+      os << "shard_index,shard_count,rows,owned,scanned_records\n";
       for (const SourceTally& s : f.sources)
         os << s.shard_index << "," << s.shard_count << "," << s.rows << ","
-           << owned_ids(f.meta, s) << "," << s.scanned_records << ","
-           << s.watermark << "\n";
+           << owned_ids(f.meta, s) << "," << s.scanned_records << "\n";
       return;
     case QueryFormat::Table:
       os << "sources: " << f.sources.size() << "  rows: " << f.rows << " / "
          << f.meta.total << "\n";
-      os << "  shard   rows/owned        retired  scanned  watermark\n";
+      os << "  shard   rows/owned        retired  scanned\n";
       for (const SourceTally& s : f.sources) {
         const std::uint64_t owned = owned_ids(f.meta, s);
         char line[160];
         std::snprintf(line, sizeof(line),
-                      "  %2u/%-2u  %8llu/%-8llu  %5.1f%%  %7llu  %9llu\n",
+                      "  %2u/%-2u  %8llu/%-8llu  %5.1f%%  %7llu\n",
                       s.shard_index, s.shard_count,
                       static_cast<unsigned long long>(s.rows),
                       static_cast<unsigned long long>(owned),
                       owned ? 100.0 * static_cast<double>(s.rows) /
                                   static_cast<double>(owned)
                             : 0.0,
-                      static_cast<unsigned long long>(s.scanned_records),
-                      static_cast<unsigned long long>(s.watermark));
+                      static_cast<unsigned long long>(s.scanned_records));
         os << line;
       }
       return;

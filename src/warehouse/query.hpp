@@ -17,7 +17,7 @@ enum class Metric : std::uint8_t {
   Epr,       ///< outcome/error-rate summary (kind-specific, matches export)
   Classes,   ///< gate: per-net stuck-at-0/1 class tallies; others: outcomes
   Syndromes, ///< error-magnitude histogram
-  Workers,   ///< per-source (shard) rows, coverage and scan watermarks
+  Workers,   ///< per-source (shard) rows, coverage and records scanned
 };
 enum class QueryFormat : std::uint8_t { Json, Csv, Table };
 

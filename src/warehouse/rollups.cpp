@@ -33,6 +33,9 @@ std::uint64_t syndrome_bucket_limit(std::size_t b) {
 
 namespace {
 
+/// Encoded bytes of one NetTally: the net and both class-count arrays.
+constexpr std::size_t kNetTallyBytes = 4 + 2 * 4 * kGateClasses;
+
 /// Class index of a gate record, matching store export's GateSummary order.
 std::size_t gate_class_of(const store::GateRecord& r) {
   if (r.any_error()) return 3;
@@ -187,7 +190,7 @@ Rollups decode_rollups(store::ByteReader& rd) {
   for (auto& c : r.gate_classes) c = rd.u64();
   for (auto& c : r.model_faults) c = rd.u64();
   for (auto& c : r.model_occurrences) c = rd.u64();
-  r.nets.resize(rd.u32());
+  r.nets.resize(rd.count(kNetTallyBytes, "warehouse rollups nets"));
   for (NetTally& t : r.nets) {
     t.net = rd.u32();
     for (auto& c : t.sa0) c = rd.u32();

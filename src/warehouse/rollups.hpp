@@ -6,8 +6,8 @@
 // totals — so `gpfctl query` and gpfd's /v1/query answer without touching
 // raw records. Two independent construction paths exist on purpose:
 //
-//  * Rollups::add(): the incremental builder the compactor feeds record by
-//    record (in ascending id order, which makes the floating-point sums
+//  * Rollups::add(): the builder compaction folds records through one by
+//    one (in ascending id order, which makes the floating-point sums
 //    bit-deterministic);
 //  * compute_rollups(): a separately written full-log-scan reference.
 //
@@ -74,7 +74,7 @@ struct Rollups {
   std::uint64_t syndrome_sum = 0;
 
   /// Folds one record in. Callers must feed records in ascending id order
-  /// for bit-deterministic floating-point sums (the compactor iterates its
+  /// for bit-deterministic floating-point sums (compaction iterates its
   /// id-sorted map, so this holds by construction).
   void add(std::uint64_t id, std::span<const std::uint8_t> payload);
 

@@ -1,30 +1,22 @@
-// On-disk columnar warehouse segment (.gpfw): the compacted form of one
-// campaign store (or of a group of shard stores merged into one view).
+// On-disk warehouse segment (.gpfw): the rollups of one campaign store (or
+// of a group of shard stores merged into one view). A segment is one
+// CRC32-framed block, little-endian via store/bytes.hpp:
 //
-//   [header]   u64 magic "GPFWARE1" | u32 version | 80-byte campaign meta |
-//              u32 column count | u32 CRC over the preceding bytes
-//   [columns]  per column: u32 column id | u64 rows | u64 byte length |
-//              data | u32 CRC over (id..data) — one block per record field,
-//              so a future analytical scan reads only the columns it needs
-//   [footer]   80-byte meta (again, so the footer is self-contained) |
-//              u64 rows | rollups | source watermarks | u32 CRC
-//   [trailer]  u64 footer byte offset | u64 end magic "GPFWEND1"
+//   u64 magic "GPFWARE1" | u32 version | 80-byte campaign meta | u64 rows |
+//   rollups | u32 source count | per source: u32 shard_index |
+//   u32 shard_count | u64 scanned_records | u64 rows |
+//   u32 CRC over everything before it
 //
-// Everything is little-endian via store/bytes.hpp and carries no timestamps
-// or paths, so a segment is a pure function of (meta, record set, source
-// tallies): re-compacting the same records always reproduces identical
-// bytes — the property the idempotence and incremental-equals-one-shot
-// tests assert. Files are written to a temp name and renamed into place, so
-// readers never observe a half-written segment; any CRC/trailer mismatch
-// (external truncation/corruption) throws SegmentError, which the compactor
-// treats as "no segment" and rebuilds from the logs.
-//
-// The query path never touches the columns: read_footer() seeks to the
-// trailer, then the footer — O(rollup size), not O(rows).
+// A segment carries no timestamps, paths or offsets, so it is a pure
+// function of (meta, deduped record set, per-source tallies): compacting the
+// same logs again reproduces identical bytes. Files are written to a temp
+// name and renamed into place, so readers never observe a half-written
+// segment; read_footer reads and checks the whole (small) file and throws
+// SegmentError on any mismatch, which `gpfctl query` answers by recompacting
+// from the logs.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,58 +26,39 @@
 
 namespace gpf::warehouse {
 
-constexpr std::uint64_t kSegmentMagic = 0x3145524157465047ULL;     // "GPFWARE1"
-constexpr std::uint64_t kSegmentEndMagic = 0x31444E4557465047ULL;  // "GPFWEND1"
-constexpr std::uint32_t kSegmentVersion = 1;
+constexpr std::uint64_t kSegmentMagic = 0x3145524157465047ULL;  // "GPFWARE1"
+/// Version 1 segments, which also held column blocks, fail to read, so
+/// `gpfctl query` recompacts them.
+constexpr std::uint32_t kSegmentVersion = 2;
 
-/// A segment file that fails validation (bad magic/version/CRC, truncated
-/// mid-block). The compactor catches this and falls back to a full rebuild.
+/// A segment file that fails validation (bad magic/version/CRC, truncated,
+/// malformed rollups).
 struct SegmentError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Compaction watermark for one source store file, keyed by its shard slice.
+/// What compaction read from one source store, keyed by its shard slice.
 struct SourceTally {
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
-  std::uint64_t scanned_records = 0;  ///< raw log records consumed (pre-dedup)
-  std::uint64_t watermark = 0;        ///< log byte offset consumed so far
+  std::uint64_t scanned_records = 0;  ///< raw log records read (pre-dedup)
   std::uint64_t rows = 0;             ///< deduped rows owned by this slice
   bool operator==(const SourceTally&) const = default;
 };
 
-/// Fully decoded segment (columns reconstructed back into canonical record
-/// payloads). The compactor round-trips through this; queries use Footer.
-struct Segment {
-  store::CampaignMeta meta;
-  std::map<std::uint64_t, std::vector<std::uint8_t>> records;  ///< id-sorted
-  Rollups rollups;
-  std::vector<SourceTally> sources;  ///< sorted by (shard_count, shard_index)
-};
-
-/// The O(ms) query view: everything the serving layer needs, without the
-/// column data.
+/// A segment's contents: everything the serving layer needs.
 struct Footer {
   store::CampaignMeta meta;
   std::uint64_t rows = 0;
   Rollups rollups;
-  std::vector<SourceTally> sources;
+  std::vector<SourceTally> sources;  ///< sorted by (shard_count, shard_index)
 };
 
-/// Serializes `meta` + `records` + `sources` into a segment at `path`
-/// (atomically: temp + rename). Rollups are rebuilt from the records in
-/// ascending id order, so the footer always matches the columns. Returns
-/// the rollups written.
-Rollups write_segment(
-    const std::string& path, const store::CampaignMeta& meta,
-    const std::map<std::uint64_t, std::vector<std::uint8_t>>& records,
-    const std::vector<SourceTally>& sources);
+/// Serializes `f` into a segment at `path` atomically (temp + rename),
+/// creating missing parent directories.
+void write_footer(const std::string& path, const Footer& f);
 
-/// Full read: header, every column block (CRC-checked), footer. Throws
-/// SegmentError on any validation failure.
-Segment read_segment(const std::string& path);
-
-/// Footer-only read (trailer seek + footer CRC check). Throws SegmentError.
+/// Reads and validates a whole segment. Throws SegmentError naming `path`.
 Footer read_footer(const std::string& path);
 
 }  // namespace gpf::warehouse

@@ -33,6 +33,7 @@
 #include "store/checkpoint.hpp"
 #include "store/result_log.hpp"
 #include "workloads/workload.hpp"
+#include "mutants.hpp"
 
 namespace gpf::net {
 namespace {
@@ -155,54 +156,16 @@ TEST(CoordinatorCore, SessionRowsTtlEvictIntoAggregates) {
 
 // --- mutation fuzzing --------------------------------------------------------
 
-/// Frames as (type, payload) bytes, so a mutation can hit the type too.
-std::vector<std::uint8_t> to_bytes(const Frame& f) {
-  std::vector<std::uint8_t> b = {static_cast<std::uint8_t>(f.type),
-                                 static_cast<std::uint8_t>(f.type >> 8)};
-  b.insert(b.end(), f.payload.begin(), f.payload.end());
-  return b;
-}
-
-Frame from_bytes(const std::vector<std::uint8_t>& b) {
-  Frame f;
-  f.type = static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  f.payload.assign(b.begin() + 2, b.end());
-  return f;
-}
-
-/// Mutants of one valid frame: bit flips, truncations of the payload at
-/// every length up to 64 bytes, appended bytes, and each 4-byte window
-/// (every count or length field among them) set to 0xFFFFFFFF.
+/// Mutants of one valid frame: the payload's byte mutants (bit flips,
+/// truncations, appended bytes, 0xFFFFFFFF windows), and the frame type
+/// with each of its bits flipped.
 std::vector<Frame> mutants(const Frame& seed, std::mt19937_64& rng) {
-  const std::vector<std::uint8_t> base = to_bytes(seed);
   std::vector<Frame> out;
-  for (int i = 0; i < 48; ++i) {
-    std::vector<std::uint8_t> b = base;
-    const int flips = 1 + static_cast<int>(rng() % 3);
-    for (int k = 0; k < flips; ++k) {
-      const std::size_t bit = rng() % (b.size() * 8);
-      b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    }
-    out.push_back(from_bytes(b));
-  }
-  for (std::size_t len = 0; len < std::min<std::size_t>(seed.payload.size(), 64);
-       ++len) {
-    Frame f = seed;
-    f.payload.resize(len);
-    out.push_back(f);
-  }
-  for (int extra = 1; extra <= 8; ++extra) {
-    Frame f = seed;
-    for (int k = 0; k < extra; ++k)
-      f.payload.push_back(static_cast<std::uint8_t>(rng()));
-    out.push_back(f);
-  }
-  for (std::size_t at = 0; at + 4 <= seed.payload.size(); ++at) {
-    Frame f = seed;
-    std::fill(f.payload.begin() + static_cast<std::ptrdiff_t>(at),
-              f.payload.begin() + static_cast<std::ptrdiff_t>(at + 4), 0xFF);
-    out.push_back(f);
-  }
+  for (std::vector<std::uint8_t>& p : test::byte_mutants(seed.payload, rng))
+    out.push_back(Frame{seed.type, std::move(p)});
+  for (int bit = 0; bit < 16; ++bit)
+    out.push_back(Frame{static_cast<std::uint16_t>(seed.type ^ (1u << bit)),
+                        seed.payload});
   return out;
 }
 
@@ -359,6 +322,61 @@ TEST(CoordinatorCore, MutatedHttpHeadsParseOrRefuse) {
   EXPECT_LT(parsed, fed);
 }
 
+// A SubmitCampaign's id count is a u64 off the wire. One naming more than
+// kMaxSubmitIds ids is refused with a reply that names the bound, before a
+// store or any per-id state exists, and the core goes on serving the
+// campaigns it has.
+TEST(CoordinatorCore, SubmitOverTheIdBoundIsRefused) {
+  NoFsync nofsync;
+  const std::string dir = fresh_dir("bound");
+  store::CampaignCheckpoint work(dir + "/bd-work.gpfs", perfi_meta(6, 7));
+  CoordinatorConfig cfg;
+  cfg.unit_size = 4;
+  cfg.status_interval_ms = 0;
+  cfg.store_dir = dir;
+  CoordinatorCore core(cfg);
+  core.add_campaign(work);
+  core.start(kT0);
+
+  const std::uint64_t admin = core.on_connect();
+  SubmitCampaign submit;
+  submit.name = "bd-huge";
+  submit.meta = perfi_meta(kMaxSubmitIds + 1, 8);
+  const OpResult res = decode_op_result(exchange(core, admin, encode(submit), kT0));
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.message.find(std::to_string(kMaxSubmitIds)), std::string::npos)
+      << res.message;
+  EXPECT_FALSE(std::filesystem::exists(dir + "/bd-huge.gpfs"));
+  const CampaignList list =
+      decode_campaign_list(exchange(core, admin, encode_list_campaigns(), kT0));
+  ASSERT_EQ(list.campaigns.size(), 1u);
+  EXPECT_EQ(list.campaigns[0].name, "bd-work");
+  core.on_close(admin);
+
+  const std::uint64_t w = core.on_connect();
+  Hello worker;
+  worker.worker_name = "w";
+  decode_hello_ack(exchange(core, w, encode(worker), kT0));
+  for (int units = 0;; ++units) {
+    ASSERT_LT(units, 4);
+    const Frame reply = exchange(core, w, encode(LeaseRequest{}), kT0);
+    if (static_cast<MsgType>(reply.type) == MsgType::NoWork) break;
+    const LeaseGrant g = decode_lease_grant(reply);
+    ResultMsg r;
+    r.campaign_id = g.campaign_id;
+    r.unit_id = g.unit_id;
+    for (const std::uint64_t id : g.ids) r.records.push_back({id, oracle("k", id)});
+    std::vector<std::uint8_t> out;
+    core.on_frame(w, encode(r), kT0, out);
+    core.flush_appends(w, out);
+    exchange(core, w, encode(UnitDone{g.campaign_id, g.unit_id}), kT0);
+  }
+  core.on_close(w);
+  core.finish();
+  EXPECT_EQ(store::load_store(dir + "/bd-work.gpfs").records.size(), 6u);
+  std::filesystem::remove_all(dir);
+}
+
 // --- bounded schedule explorer -------------------------------------------------
 
 /// One scheduling decision. Deliver, Flush, Crash and Dup name a worker;
@@ -410,8 +428,7 @@ class World {
     core_->add_campaign(*xa_);
     core_->add_campaign(*xb_);
     core_->start(now());
-    scanned_ = {{"xa", store::ResultLog::kHeaderSize},
-                {"xb", store::ResultLog::kHeaderSize}};
+    scanned_ = {{"xa", 0}, {"xb", 0}};
     for (int w = 0; w < kWorkers; ++w) connect(w);
   }
 
@@ -497,7 +514,7 @@ class World {
         Frame req;
         if (c.act == 'S') {
           submitted_ = true;
-          scanned_["xc"] = store::ResultLog::kHeaderSize;
+          scanned_["xc"] = 0;
           SubmitCampaign msg;
           msg.name = "xc";
           msg.meta = perfi_meta(2, 3);
@@ -541,7 +558,7 @@ class World {
       if (removed_ && row.name == "xb") fail("removal of xb never finished");
     scan_stores();
     std::uint64_t stored_total = 0;
-    for (const auto& [name, offset] : scanned_) {
+    for (const auto& [name, seen] : scanned_) {
       const std::set<std::uint64_t>& ids = stored_[name];
       stored_total += ids.size();
       const bool complete = ids.size() == totals_.at(name);
@@ -786,16 +803,17 @@ class World {
   /// Reads what each store gained since the last scan: every id once, with
   /// the oracle's payload, and only ids some admitted Result retired.
   void scan_stores() {
-    for (auto& [name, offset] : scanned_) {
-      const store::ScannedTail tail =
-          store::scan_records(dir_ + "/" + name + ".gpfs", offset);
-      offset = tail.end_offset;
-      for (const store::Record& r : tail.records) {
+    for (auto& [name, seen] : scanned_) {
+      const std::vector<store::Record> records =
+          store::scan_records(dir_ + "/" + name + ".gpfs");
+      for (std::size_t i = seen; i < records.size(); ++i) {
+        const store::Record& r = records[i];
         const std::string where = name + "/" + std::to_string(r.id);
         if (!stored_[name].insert(r.id).second) fail(where + " stored twice");
         if (r.payload != oracle(name, r.id)) fail(where + " has a wrong payload");
         if (!claimed_[name].count(r.id)) fail(where + " stored but never admitted");
       }
+      seen = records.size();
     }
   }
 
@@ -814,7 +832,7 @@ class World {
   bool submitted_ = false, removed_ = false, drained_ = false;
   std::map<std::string, std::set<std::uint64_t>> claimed_;
   std::map<std::string, std::set<std::uint64_t>> stored_;
-  std::map<std::string, std::size_t> scanned_;  ///< store -> next offset
+  std::map<std::string, std::size_t> scanned_;  ///< store -> records read
   CoordinatorCore::Stats stats_;
   std::size_t appended_on_close_ = 0;
   std::vector<std::string> failures_;

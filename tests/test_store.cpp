@@ -1,5 +1,6 @@
 // Store-layer tests: log round-trip, CRC torn-tail recovery, meta
-// validation, record codecs, merge semantics, and export determinism.
+// validation, record codecs, merge semantics, export determinism, and
+// mutation fuzzing of the record decoders and the log readers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <span>
 #include <sstream>
 
@@ -19,6 +21,7 @@
 #include "store/merge.hpp"
 #include "store/records.hpp"
 #include "store/result_log.hpp"
+#include "mutants.hpp"
 
 using namespace gpf;
 
@@ -428,29 +431,18 @@ TEST_F(StoreTest, RecordCodecsRoundTrip) {
   EXPECT_THROW(store::decode_gate(store::encode(p)), std::runtime_error);
 }
 
-TEST_F(StoreTest, ScanRecordsIsReadOnlyAndResumable) {
+TEST_F(StoreTest, ScanRecordsIsReadOnly) {
   const std::string p = path("scan.gpfs");
   {
     store::ResultLog log(p, gate_meta());
     log.append(1, gate_payload(1, false));
     log.append(2, gate_payload(2, false));
-  }
-  const auto before = std::filesystem::file_size(p);
-
-  store::ScannedTail t1 = store::scan_records(p, store::ResultLog::kHeaderSize);
-  ASSERT_EQ(t1.records.size(), 2u);
-  EXPECT_EQ(t1.records[0].id, 1u);
-  EXPECT_EQ(t1.end_offset, before);
-
-  // Resuming from the watermark sees only what was appended after it.
-  {
-    store::ResultLog log(p, gate_meta());
     log.append(3, gate_payload(3, true));
   }
-  const store::ScannedTail t2 = store::scan_records(p, t1.end_offset);
-  ASSERT_EQ(t2.records.size(), 1u);
-  EXPECT_EQ(t2.records[0].id, 3u);
-  EXPECT_EQ(t2.end_offset, std::filesystem::file_size(p));
+  const std::vector<store::Record> all = store::scan_records(p);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].id, 1u);
+  EXPECT_EQ(all[2].payload, gate_payload(3, true));
 
   // A torn tail ends the scan without touching the file (unlike ResultLog's
   // open-time recovery, which rewrites it).
@@ -459,16 +451,151 @@ TEST_F(StoreTest, ScanRecordsIsReadOnlyAndResumable) {
     out.write("torn!", 5);
   }
   const auto torn_size = std::filesystem::file_size(p);
-  const store::ScannedTail t3 =
-      store::scan_records(p, store::ResultLog::kHeaderSize);
-  EXPECT_EQ(t3.records.size(), 3u);
-  EXPECT_EQ(t3.end_offset, torn_size - 5);
+  EXPECT_EQ(store::scan_records(p).size(), 3u);
   EXPECT_EQ(std::filesystem::file_size(p), torn_size);
 
-  // Offsets inside the header or beyond EOF are caller bugs (a stale
-  // watermark against a truncated log) and throw instead of misparsing.
-  EXPECT_THROW(store::scan_records(p, 0), std::runtime_error);
-  EXPECT_THROW(store::scan_records(p, torn_size + 1), std::runtime_error);
+  // A file whose header is not a store's is refused.
+  const std::string bogus = path("bogus.gpfs");
+  {
+    std::ofstream out(bogus, std::ios::binary);
+    out << std::string(200, 'x');
+  }
+  EXPECT_THROW(store::scan_records(bogus), std::runtime_error);
+}
+
+// A count field sizes a vector only after it is checked against the bytes
+// left, so a payload claiming 50 M or 2^32-1 elements is a clean error
+// instead of a 400 MB allocation or std::bad_alloc. Outcome bytes outside
+// their enum are refused too.
+TEST_F(StoreTest, DecodersRefuseCountsTheirBytesCannotHold) {
+  store::RtlRecord r;
+  r.outcome = store::RtlOutcome::SdcMultiple;
+  r.corrupted = 3;
+  r.rel_errors = {0.5, 0.25};
+  r.corrupted_idx = {7};
+  const std::vector<std::uint8_t> valid = store::encode(r);
+  // Offsets of the two counts: outcome u8, corrupted u32, per-warp f64.
+  const std::size_t rel_at = 1 + 4 + 8;
+  const std::size_t idx_at = rel_at + 4 + 8 * r.rel_errors.size();
+  for (const std::size_t at : {rel_at, idx_at}) {
+    for (const std::uint32_t count : {50000000u, 0xFFFFFFFFu}) {
+      std::vector<std::uint8_t> bad = valid;
+      for (int k = 0; k < 4; ++k)
+        bad[at + k] = static_cast<std::uint8_t>(count >> (8 * k));
+      try {
+        store::decode_rtl(bad);
+        ADD_FAILURE() << "count " << count << " at " << at << " accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("rtl record"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The 17-byte payload that claims 50 M rel_errors.
+  std::vector<std::uint8_t> short_claim(valid.begin(), valid.begin() + 17);
+  short_claim[rel_at] = 0x80;
+  short_claim[rel_at + 1] = 0xF0;
+  short_claim[rel_at + 2] = 0xFA;
+  short_claim[rel_at + 3] = 0x02;
+  EXPECT_THROW(store::decode_rtl(short_claim), std::runtime_error);
+
+  std::vector<std::uint8_t> rtl_outcome = valid;
+  rtl_outcome[0] = 4;
+  EXPECT_THROW(store::decode_rtl(rtl_outcome), std::runtime_error);
+  EXPECT_THROW(store::decode_perfi(std::vector<std::uint8_t>{7}),
+               std::runtime_error);
+  EXPECT_EQ(store::decode_perfi(std::vector<std::uint8_t>{6}).outcome,
+            store::PerfiOutcome::DueOther);
+}
+
+// Mutation fuzzing of the record decoders on valid payloads of each kind:
+// every mutant decodes or throws std::runtime_error (a std::bad_alloc or a
+// crash fails the test), and a decoded rtl or perfi record re-encodes to
+// the mutant's bytes.
+TEST_F(StoreTest, MutatedRecordPayloadsDecodeOrRefuse) {
+  store::RtlRecord rtl;
+  rtl.outcome = store::RtlOutcome::SdcSingle;
+  rtl.corrupted = 2;
+  rtl.per_warp_corrupted = 0.75;
+  rtl.rel_errors = {1e-3, 2.5};
+  rtl.corrupted_idx = {1, 9, 40};
+  store::PerfiRecord perfi;
+  perfi.outcome = store::PerfiOutcome::DueHang;
+  std::mt19937_64 rng(0x5EED);
+  std::size_t fed = 0, refused = 0;
+  const auto feed = [&](const std::vector<std::uint8_t>& valid, auto decode,
+                        bool canonical) {
+    for (const std::vector<std::uint8_t>& m : test::byte_mutants(valid, rng)) {
+      ++fed;
+      try {
+        const auto rec = decode(m);
+        if (canonical) {
+          EXPECT_EQ(store::encode(rec), m);
+        }
+      } catch (const std::runtime_error&) {
+        ++refused;
+      }
+    }
+  };
+  feed(gate_payload(77, true), store::decode_gate, false);
+  feed(store::encode(rtl), store::decode_rtl, true);
+  feed(store::encode(perfi), store::decode_perfi, true);
+  EXPECT_GT(fed, 300u);
+  EXPECT_GT(refused, 100u);
+  EXPECT_LT(refused, fed);
+}
+
+// Mutation fuzzing of the log readers: for each mutant of a valid log,
+// scan_records and ResultLog's open-time torn-tail recovery either both
+// refuse it (a bad header) or both read the same records, scan_records
+// leaves the file as it was, and recovery leaves exactly those records.
+TEST_F(StoreTest, MutatedLogsRecoverOrRefuse) {
+  const std::string valid_path = path("valid.gpfs");
+  {
+    store::ResultLog log(valid_path, gate_meta());
+    for (std::uint32_t id = 0; id < 6; ++id)
+      log.append(id, gate_payload(id, id % 2 == 0));
+  }
+  const std::vector<std::uint8_t> valid = read_bytes(valid_path);
+  const std::string p = path("mutant.gpfs");
+  std::mt19937_64 rng(0x106);
+  std::size_t fed = 0, refused = 0, recovered = 0;
+  for (const std::vector<std::uint8_t>& m : test::byte_mutants(valid, rng)) {
+    ++fed;
+    {
+      std::ofstream out(p, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(m.data()),
+                static_cast<std::streamsize>(m.size()));
+    }
+    std::vector<store::Record> scanned;
+    bool scan_refused = false;
+    try {
+      scanned = store::scan_records(p);
+    } catch (const std::runtime_error&) {
+      scan_refused = true;
+    }
+    ASSERT_EQ(read_bytes(p), m) << "scan_records changed mutant " << fed;
+    try {
+      store::ResultLog log(p);
+      ASSERT_FALSE(scan_refused) << "mutant " << fed;
+      const std::vector<store::Record>& got = log.recovered();
+      ASSERT_EQ(got.size(), scanned.size()) << "mutant " << fed;
+      std::size_t bytes = store::ResultLog::kHeaderSize;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, scanned[i].id);
+        EXPECT_EQ(got[i].payload, scanned[i].payload);
+        bytes += store::RecordBatch::kFrameBytes + got[i].payload.size();
+      }
+      if (log.torn_bytes_dropped()) ++recovered;
+      EXPECT_EQ(std::filesystem::file_size(p), bytes) << "mutant " << fed;
+    } catch (const std::runtime_error&) {
+      EXPECT_TRUE(scan_refused) << "mutant " << fed;
+      ++refused;
+    }
+  }
+  EXPECT_GT(fed, 400u);
+  EXPECT_GT(refused, 50u);
+  EXPECT_GT(recovered, 50u);
 }
 
 TEST_F(StoreTest, MergeCreatesMissingOutputDirectories) {

@@ -1,7 +1,7 @@
 // Warehouse tests: the rollup-vs-full-scan invariant on single, resumed and
-// shard-merged stores, segment round-trip and CRC validation, idempotent and
-// incremental compaction (byte-identical to one-shot), torn-segment
-// recovery, and query rendering.
+// shard-merged stores, idempotent compaction, compaction of live and torn
+// logs, segment validation (torn, old-version and mutated segments, counts
+// their bytes cannot hold), and query rendering.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "store/checkpoint.hpp"
@@ -20,6 +21,7 @@
 #include "warehouse/query.hpp"
 #include "warehouse/rollups.hpp"
 #include "warehouse/segment.hpp"
+#include "mutants.hpp"
 
 using namespace gpf;
 
@@ -112,6 +114,43 @@ class WarehouseTest : public ::testing::Test {
                                      std::istreambuf_iterator<char>());
   }
 
+  static void write_bytes(const std::string& p,
+                          const std::vector<std::uint8_t>& bytes) {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Rewrites a segment's trailing CRC to match its (edited) body, so an
+  /// edit reaches the decoders behind the CRC check.
+  static void reseal(std::vector<std::uint8_t>& seg) {
+    const std::uint32_t crc =
+        store::crc32(std::span(seg).first(seg.size() - 4));
+    for (int k = 0; k < 4; ++k)
+      seg[seg.size() - 4 + k] = static_cast<std::uint8_t>(crc >> (8 * k));
+  }
+
+  static void put_u32(std::vector<std::uint8_t>& b, std::size_t at,
+                      std::uint32_t v) {
+    for (int k = 0; k < 4; ++k) b[at + k] = static_cast<std::uint8_t>(v >> (8 * k));
+  }
+
+  /// A compacted segment of `n` records of one kind, as file bytes.
+  std::vector<std::uint8_t> segment_of(const std::string& name,
+                                       const store::CampaignMeta& meta,
+                                       std::vector<std::uint8_t> (*payload)(
+                                           std::uint64_t),
+                                       std::uint64_t n) const {
+    const std::string p = path(name + ".gpfs");
+    {
+      store::ResultLog log(p, meta);
+      for (std::uint64_t id = 0; id < n; ++id) log.append(id, payload(id));
+    }
+    const std::string seg = warehouse::warehouse_path_for(p);
+    warehouse::compact_stores({p}, seg);
+    return file_bytes(seg);
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -123,13 +162,15 @@ TEST_F(WarehouseTest, RollupsMatchFullScanSingleGateStore) {
   }
   const std::string seg = warehouse::warehouse_path_for(p);
   EXPECT_EQ(seg, path("gate.gpfw"));
-  const warehouse::CompactStats st = warehouse::compact_stores({p}, seg);
-  EXPECT_EQ(st.rows, 120u);
-  EXPECT_EQ(st.fresh_records, 120u);
-  EXPECT_TRUE(st.wrote);
+  const warehouse::Footer wrote = warehouse::compact_stores({p}, seg);
+  EXPECT_EQ(wrote.rows, 120u);
+  ASSERT_EQ(wrote.sources.size(), 1u);
+  EXPECT_EQ(wrote.sources[0].scanned_records, 120u);
 
   const warehouse::Footer f = warehouse::read_footer(seg);
   EXPECT_EQ(f.rows, 120u);
+  EXPECT_TRUE(f.rollups == wrote.rollups);
+  EXPECT_TRUE(f.sources == wrote.sources);
   // The invariant: footer rollups equal an independently coded full scan.
   const warehouse::Rollups ref = warehouse::compute_rollups(store::load_store(p));
   EXPECT_TRUE(ref == f.rollups);
@@ -155,9 +196,9 @@ TEST_F(WarehouseTest, RollupsMatchFullScanOnFourShardMergedStore) {
     shards.push_back(p);
   }
   const std::string seg = path("g-merged.gpfw");
-  const warehouse::CompactStats st = warehouse::compact_stores(shards, seg);
-  EXPECT_EQ(st.rows, 120u);
-  EXPECT_EQ(st.sources, 4u);
+  const warehouse::Footer wrote = warehouse::compact_stores(shards, seg);
+  EXPECT_EQ(wrote.rows, 120u);
+  EXPECT_EQ(wrote.sources.size(), 4u);
 
   // Reference: a real merged store, fully rescanned.
   const std::string merged = path("g-merged.gpfs");
@@ -229,56 +270,42 @@ TEST_F(WarehouseTest, RecompactionIsIdempotentByteForByte) {
   const auto first = file_bytes(seg);
   ASSERT_FALSE(first.empty());
 
-  // Unchanged logs: the refresh must not rewrite the file (and if it did,
-  // the bytes would be identical anyway).
-  const warehouse::CompactStats again = warehouse::compact_stores({p}, seg);
-  EXPECT_EQ(again.fresh_records, 0u);
-  EXPECT_TRUE(again.incremental);
-  EXPECT_FALSE(again.wrote);
+  // Unchanged logs: compacting again rewrites the same bytes.
+  warehouse::compact_stores({p}, seg);
   EXPECT_EQ(file_bytes(seg), first);
 
-  // A from-scratch compaction to a different path is also byte-identical.
+  // A compaction to a different path is also byte-identical.
   const std::string seg2 = path("copy.gpfw");
   warehouse::compact_stores({p}, seg2);
   EXPECT_EQ(file_bytes(seg2), first);
 }
 
-TEST_F(WarehouseTest, IncrementalCompactionEqualsOneShotByteForByte) {
+TEST_F(WarehouseTest, ResumedStoreRollupsMatchFullScan) {
   const std::string p = path("grow.gpfs");
   {
     store::ResultLog log(p, perfi_meta());
     for (std::uint64_t id = 0; id < 30; ++id) log.append(id, perfi_payload(id));
   }
   const std::string seg = warehouse::warehouse_path_for(p);
-  const warehouse::CompactStats st1 = warehouse::compact_stores({p}, seg);
-  EXPECT_EQ(st1.rows, 30u);
+  EXPECT_EQ(warehouse::compact_stores({p}, seg).rows, 30u);
 
   // The campaign resumes: more records arrive, including a re-append of an
-  // already-compacted id with a *different* payload (last wins, and the
-  // incremental pass must apply the overwrite even though id 5 sits below
-  // the watermark).
+  // already-compacted id with a *different* payload, which wins.
   {
     store::ResultLog log(p, perfi_meta());
     for (std::uint64_t id = 30; id < 90; ++id) log.append(id, perfi_payload(id));
     log.append(5, perfi_payload(6));
   }
-  const warehouse::CompactStats st2 = warehouse::compact_stores({p}, seg);
-  EXPECT_TRUE(st2.incremental);
-  EXPECT_EQ(st2.fresh_records, 61u);  // only the tail was scanned
-  EXPECT_EQ(st2.rows, 90u);
-
-  const std::string oneshot = path("oneshot.gpfw");
-  const warehouse::CompactStats st3 = warehouse::compact_stores({p}, oneshot);
-  EXPECT_FALSE(st3.incremental);
-  EXPECT_EQ(file_bytes(seg), file_bytes(oneshot));
-
-  // And the overwrite is reflected: the rollups match a full scan (which
-  // dedups last-wins), not the stale first payload.
+  const warehouse::Footer f = warehouse::compact_stores({p}, seg);
+  EXPECT_EQ(f.rows, 90u);
+  ASSERT_EQ(f.sources.size(), 1u);
+  EXPECT_EQ(f.sources[0].scanned_records, 91u);
   const warehouse::Rollups ref = warehouse::compute_rollups(store::load_store(p));
+  EXPECT_TRUE(ref == f.rollups);
   EXPECT_TRUE(ref == warehouse::read_footer(seg).rollups);
 }
 
-TEST_F(WarehouseTest, TornSegmentFallsBackToFullRebuild) {
+TEST_F(WarehouseTest, TornSegmentFailsToReadAndRecompacts) {
   const std::string p = path("t.gpfs");
   {
     store::ResultLog log(p, perfi_meta());
@@ -288,67 +315,82 @@ TEST_F(WarehouseTest, TornSegmentFallsBackToFullRebuild) {
   warehouse::compact_stores({p}, seg);
   const auto good = file_bytes(seg);
 
-  // Truncate the segment mid-file: reads must fail loudly, compaction must
-  // silently rebuild.
-  std::filesystem::resize_file(seg, good.size() / 2);
-  EXPECT_THROW(warehouse::read_footer(seg), warehouse::SegmentError);
-  EXPECT_THROW(warehouse::read_segment(seg), warehouse::SegmentError);
-
-  const warehouse::CompactStats st = warehouse::compact_stores({p}, seg);
-  EXPECT_FALSE(st.incremental);
-  EXPECT_EQ(st.rows, 50u);
-  EXPECT_EQ(file_bytes(seg), good);
+  // A torn segment fails to read loudly; compaction rewrites it from the
+  // logs without reading it.
+  for (const std::size_t keep : {std::size_t{10}, good.size() / 2, good.size() - 1}) {
+    std::filesystem::resize_file(seg, keep);
+    EXPECT_THROW(warehouse::read_footer(seg), warehouse::SegmentError) << keep;
+    EXPECT_EQ(warehouse::compact_stores({p}, seg).rows, 50u);
+    EXPECT_EQ(file_bytes(seg), good);
+  }
 }
 
-TEST_F(WarehouseTest, ShrunkenLogBelowWatermarkTriggersFullRebuild) {
-  const std::string p = path("shrink.gpfs");
-  {
-    store::ResultLog log(p, perfi_meta());
-    for (std::uint64_t id = 0; id < 60; ++id) log.append(id, perfi_payload(id));
-  }
-  const std::string seg = warehouse::warehouse_path_for(p);
-  warehouse::compact_stores({p}, seg);
-
-  // Replace the log with a shorter one (same campaign): the recorded
-  // watermark now lies beyond EOF, which must degrade to a rescan, not an
-  // error or stale data.
-  std::filesystem::remove(p);
-  {
-    store::ResultLog log(p, perfi_meta());
-    for (std::uint64_t id = 0; id < 10; ++id) log.append(id, perfi_payload(id));
-  }
-  const warehouse::CompactStats st = warehouse::compact_stores({p}, seg);
-  EXPECT_EQ(st.rows, 10u);
-  const warehouse::Rollups ref = warehouse::compute_rollups(store::load_store(p));
-  EXPECT_TRUE(ref == warehouse::read_footer(seg).rollups);
-}
-
-TEST_F(WarehouseTest, RtlSegmentRoundTripsVariableLengthColumns) {
-  const std::string p = path("rtl.gpfs");
-  store::LoadedStore expect;
-  {
-    store::ResultLog log(p, rtl_meta());
-    for (std::uint64_t id = 0; id < 40; ++id) {
-      const auto payload = rtl_payload(id);
-      log.append(id, payload);
-      expect.records[id] = payload;
+// A segment from an older build (version 1, which also held column blocks)
+// is refused by version, so it is recompacted rather than misread.
+TEST_F(WarehouseTest, OtherSegmentVersionsAreRefused) {
+  std::vector<std::uint8_t> seg =
+      segment_of("v", perfi_meta(), perfi_payload, 20);
+  const std::string p = path("old.gpfw");
+  for (const std::uint32_t version : {1u, 3u}) {
+    std::vector<std::uint8_t> old = seg;
+    put_u32(old, 8, version);
+    reseal(old);
+    write_bytes(p, old);
+    try {
+      warehouse::read_footer(p);
+      ADD_FAILURE() << "version " << version << " accepted";
+    } catch (const warehouse::SegmentError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported segment version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(p), std::string::npos) << e.what();
     }
   }
+}
+
+// gpfd compacts stores it is still appending to: compaction reads a live
+// log without disturbing it, and a torn tail (a write in flight) just ends
+// the scan — the log is never truncated.
+TEST_F(WarehouseTest, CompactionReadsALiveLogAndNeverTruncatesIt) {
+  const std::string p = path("live.gpfs");
+  const std::string seg = warehouse::warehouse_path_for(p);
+  store::ResultLog log(p, perfi_meta());
+  for (std::uint64_t id = 0; id < 20; ++id) log.append(id, perfi_payload(id));
+  EXPECT_EQ(warehouse::compact_stores({p}, seg).rows, 20u);
+
+  for (std::uint64_t id = 20; id < 90; ++id) log.append(id, perfi_payload(id));
+  const warehouse::Footer f = warehouse::compact_stores({p}, seg);
+  EXPECT_EQ(f.rows, 90u);
+  EXPECT_TRUE(warehouse::compute_rollups(store::load_store(p)) == f.rollups);
+
+  const std::string torn = path("torn.gpfs");
+  std::filesystem::copy_file(p, torn);
+  {
+    std::ofstream out(torn, std::ios::binary | std::ios::app);
+    out.write("\x05\0\0\0\0\0\0\0\x09", 9);  // a record frame cut short
+  }
+  const auto torn_size = std::filesystem::file_size(torn);
+  EXPECT_EQ(warehouse::compact_stores({torn}, path("torn.gpfw")).rows, 90u);
+  EXPECT_EQ(std::filesystem::file_size(torn), torn_size);
+}
+
+TEST_F(WarehouseTest, RtlRollupsMatchFullScan) {
+  const std::string p = path("rtl.gpfs");
+  {
+    store::ResultLog log(p, rtl_meta());
+    for (std::uint64_t id = 0; id < 40; ++id) log.append(id, rtl_payload(id));
+  }
   const std::string seg = warehouse::warehouse_path_for(p);
   warehouse::compact_stores({p}, seg);
 
-  const warehouse::Segment s = warehouse::read_segment(seg);
-  ASSERT_EQ(s.records.size(), 40u);
-  // Columnar round-trip reproduces every canonical payload byte-for-byte,
-  // vectors included.
-  for (const auto& [id, payload] : expect.records)
-    EXPECT_EQ(s.records.at(id), payload) << "id " << id;
-
-  expect.meta = s.meta;
-  const warehouse::Rollups ref = warehouse::compute_rollups(expect);
-  EXPECT_TRUE(ref == s.rollups);
-  EXPECT_TRUE(ref == warehouse::read_footer(seg).rollups);
-  EXPECT_DOUBLE_EQ(s.rollups.per_warp_sum, ref.per_warp_sum);
+  const warehouse::Footer f = warehouse::read_footer(seg);
+  EXPECT_EQ(f.rows, 40u);
+  const warehouse::Rollups ref = warehouse::compute_rollups(store::load_store(p));
+  EXPECT_TRUE(ref == f.rollups);
+  // Exact, not approximate: both sum per-warp ratios in ascending id order.
+  EXPECT_EQ(f.rollups.per_warp_sum, ref.per_warp_sum);
+  EXPECT_GT(ref.per_warp_sum, 0.0);
 }
 
 TEST_F(WarehouseTest, RollupsEncodeDecodeRoundTrip) {
@@ -376,8 +418,7 @@ TEST_F(WarehouseTest, EmptyStoreCompactsAndQueries) {
   const std::string p = path("empty.gpfs");
   { store::ResultLog log(p, perfi_meta()); }
   const std::string seg = warehouse::warehouse_path_for(p);
-  const warehouse::CompactStats st = warehouse::compact_stores({p}, seg);
-  EXPECT_EQ(st.rows, 0u);
+  EXPECT_EQ(warehouse::compact_stores({p}, seg).rows, 0u);
   const warehouse::Footer f = warehouse::read_footer(seg);
   EXPECT_EQ(f.rows, 0u);
   const std::string out = warehouse::render_metric(
@@ -409,14 +450,14 @@ TEST_F(WarehouseTest, QueryJsonSummaryMatchesExportFieldNames) {
   const std::string csv = warehouse::render_metric(
       f, warehouse::Metric::Workers, warehouse::QueryFormat::Csv);
   EXPECT_NE(csv.find("shard_index,shard_count,rows,owned"), std::string::npos);
-  EXPECT_NE(csv.find("0,1,90,90,90,"), std::string::npos);
+  EXPECT_NE(csv.find("0,1,90,90,90\n"), std::string::npos);
 
   const std::string table = warehouse::render_metric(
       f, warehouse::Metric::Syndromes, warehouse::QueryFormat::Table);
   EXPECT_NE(table.find("syndrome"), std::string::npos);
 }
 
-TEST_F(WarehouseTest, CompactorRejectsMixedCampaigns) {
+TEST_F(WarehouseTest, CompactionRejectsMixedCampaigns) {
   const std::string a = path("a.gpfs");
   const std::string b = path("b.gpfs");
   { store::ResultLog log(a, perfi_meta()); }
@@ -430,26 +471,115 @@ TEST_F(WarehouseTest, CompactorRejectsMixedCampaigns) {
                std::runtime_error);
 }
 
-TEST_F(WarehouseTest, LiveCompactorServesFooterWhileLogGrows) {
-  // gpfd's usage pattern: one Compactor object, periodic refresh while the
-  // log is appended to by the same process, footer() between refreshes.
-  const std::string p = path("live.gpfs");
-  store::ResultLog log(p, perfi_meta());
-  for (std::uint64_t id = 0; id < 20; ++id) log.append(id, perfi_payload(id));
+// Counts in a segment size nothing before they are checked against the
+// bytes left: a footer whose nets or sources count claims 50 M or 2^32-1
+// entries (CRC resealed, so the count is what the decoder sees) is a clean
+// SegmentError, not a huge allocation or std::bad_alloc.
+TEST_F(WarehouseTest, SegmentCountsTheirBytesCannotHoldAreRefused) {
+  const std::vector<std::uint8_t> gate =
+      segment_of("g", gate_meta(), gate_payload, 120);
+  // magic, version, meta, rows; then the rollups' kind, rows and arrays.
+  const std::size_t nets_at =
+      8 + 4 + store::ResultLog::kHeaderSize + 8 + 1 + 8 +
+      8 * (warehouse::kGateClasses + 2 * errmodel::kNumErrorModels);
+  // One source row (24 bytes) and the CRC follow the source count.
+  const std::size_t sources_at = gate.size() - 4 - 24 - 4;
+  {
+    std::vector<std::uint8_t> b(gate.begin() + static_cast<long>(nets_at),
+                                gate.begin() + static_cast<long>(nets_at + 4));
+    ASSERT_EQ(store::ByteReader(b).u32(), 7u);  // nets 0..6
+    std::vector<std::uint8_t> c(gate.begin() + static_cast<long>(sources_at),
+                                gate.begin() + static_cast<long>(sources_at + 4));
+    ASSERT_EQ(store::ByteReader(c).u32(), 1u);
+  }
+  const std::string p = path("counts.gpfw");
+  const std::vector<std::uint8_t> roll =
+      warehouse::encode(warehouse::read_footer(path("g.gpfw")).rollups);
+  const std::size_t roll_nets_at =
+      nets_at - (8 + 4 + store::ResultLog::kHeaderSize + 8);
+  for (const std::uint32_t count : {50000000u, 0xFFFFFFFFu}) {
+    for (const std::size_t at : {nets_at, sources_at}) {
+      std::vector<std::uint8_t> bad = gate;
+      put_u32(bad, at, count);
+      reseal(bad);
+      write_bytes(p, bad);
+      EXPECT_THROW(warehouse::read_footer(p), warehouse::SegmentError)
+          << "count " << count << " at " << at;
+    }
+    // decode_rollups on its own refuses the nets count too.
+    std::vector<std::uint8_t> bad = roll;
+    put_u32(bad, roll_nets_at, count);
+    EXPECT_THROW(warehouse::decode_rollups(bad), std::runtime_error) << count;
+  }
+}
 
-  warehouse::Compactor c({p}, warehouse::warehouse_path_for(p));
-  warehouse::CompactStats st = c.refresh();
-  EXPECT_EQ(st.rows, 20u);
-  EXPECT_EQ(c.footer().rows, 20u);
+// A source row's shard slice is checked like a store header's: shard count
+// 0 (which `--metric workers` would divide by) or an index outside the
+// count is refused.
+TEST_F(WarehouseTest, SegmentSourceSlicesAreChecked) {
+  const std::vector<std::uint8_t> seg =
+      segment_of("s", perfi_meta(), perfi_payload, 20);
+  // The one source row (shard_index, shard_count, two u64) precedes the CRC.
+  const std::size_t row_at = seg.size() - 4 - 24;
+  const std::string p = path("slice.gpfw");
+  for (const auto& [index, count] :
+       {std::pair{0u, 0u}, std::pair{1u, 1u}, std::pair{0xFFFFFFFFu, 4u}}) {
+    std::vector<std::uint8_t> bad = seg;
+    put_u32(bad, row_at, index);
+    put_u32(bad, row_at + 4, count);
+    reseal(bad);
+    write_bytes(p, bad);
+    EXPECT_THROW(warehouse::read_footer(p), warehouse::SegmentError)
+        << index << "/" << count;
+  }
+}
 
-  for (std::uint64_t id = 20; id < 90; ++id) log.append(id, perfi_payload(id));
-  st = c.refresh();
-  EXPECT_TRUE(st.incremental);
-  EXPECT_EQ(st.fresh_records, 70u);
-  const warehouse::Footer f = c.footer();
-  EXPECT_EQ(f.rows, 90u);
-  const warehouse::Rollups ref = warehouse::compute_rollups(store::load_store(p));
-  EXPECT_TRUE(ref == f.rollups);
+// Mutation fuzzing of read_footer on segments of each kind, as written and
+// with the CRC resealed after the mutation so the decoders behind it see
+// every mutant. Each mutant is either a clean SegmentError or a footer that
+// every metric renders.
+TEST_F(WarehouseTest, MutatedSegmentsReadOrRefuse) {
+  struct Kind {
+    const char* name;
+    store::CampaignMeta meta;
+    std::vector<std::uint8_t> (*payload)(std::uint64_t);
+  };
+  const Kind kinds[] = {{"gate", gate_meta(), gate_payload},
+                        {"perfi", perfi_meta(), perfi_payload},
+                        {"rtl", rtl_meta(), rtl_payload}};
+  const std::string p = path("mutant.gpfw");
+  std::mt19937_64 rng(0x6EF3);
+  std::size_t fed = 0, refused = 0, resealed_read = 0;
+  for (const Kind& k : kinds) {
+    const std::vector<std::uint8_t> valid =
+        segment_of(k.name, k.meta, k.payload, k.meta.total);
+    for (std::vector<std::uint8_t>& m : test::byte_mutants(valid, rng)) {
+      for (const bool resealed : {false, true}) {
+        if (resealed) {
+          if (m.size() < 4) continue;
+          reseal(m);
+        }
+        ++fed;
+        write_bytes(p, m);
+        try {
+          const warehouse::Footer f = warehouse::read_footer(p);
+          if (resealed) ++resealed_read;
+          for (const auto metric :
+               {warehouse::Metric::Epr, warehouse::Metric::Classes,
+                warehouse::Metric::Syndromes, warehouse::Metric::Workers})
+            for (const auto format :
+                 {warehouse::QueryFormat::Json, warehouse::QueryFormat::Csv,
+                  warehouse::QueryFormat::Table})
+              EXPECT_FALSE(warehouse::render_metric(f, metric, format).empty());
+        } catch (const warehouse::SegmentError&) {
+          ++refused;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fed, 3000u);
+  EXPECT_GT(refused, fed / 2);
+  EXPECT_GT(resealed_read, 100u);
 }
 
 }  // namespace

@@ -26,28 +26,29 @@ struct UsageError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Flag parser: --key value pairs plus positional arguments. Flags listed in
-/// `boolean` take no value (present = "1").
+/// Flag parser: --key value pairs plus positional arguments. `known` lists
+/// every flag the command reads; any other flag is a UsageError naming it,
+/// so a misspelt or removed flag is never silently ignored. Flags listed in
+/// `boolean` take no value (present = "1"); `-o FILE` is `--out FILE`.
 struct Args {
   std::map<std::string, std::string> flags;
   std::vector<std::string> positional;
 
   static Args parse(int argc, char** argv, int from,
+                    const std::set<std::string>& known,
                     const std::set<std::string>& boolean = {}) {
     Args a;
     for (int i = from; i < argc; ++i) {
       const std::string s = argv[i];
-      if (s.rfind("--", 0) == 0) {
-        const std::string key = s.substr(2);
+      if (s.rfind("--", 0) == 0 || s == "-o") {
+        const std::string key = s == "-o" ? "out" : s.substr(2);
         if (boolean.count(key)) {
           a.flags.insert_or_assign(key, std::string(1, '1'));
           continue;
         }
+        if (!known.count(key)) throw UsageError("unknown flag " + s);
         if (i + 1 >= argc) throw UsageError("missing value for " + s);
         a.flags[key] = argv[++i];
-      } else if (s == "-o") {
-        if (i + 1 >= argc) throw UsageError("missing value for -o");
-        a.flags["out"] = argv[++i];
       } else {
         a.positional.push_back(s);
       }
@@ -141,6 +142,18 @@ inline std::string campaign_name_for(const gpf::store::CampaignMeta& m) {
 inline std::string store_path_for(const gpf::store::CampaignMeta& m,
                                   const std::string& dir) {
   return dir + "/" + campaign_name_for(m) + ".gpfs";
+}
+
+/// The flags metas_from_flags reads.
+inline const std::set<std::string> kCampaignFlags = {
+    "campaign", "unit", "faults", "max-issues", "engine", "tile", "site",
+    "app", "model", "injections", "seed", "shard-index", "shard-count"};
+
+/// `more` plus kCampaignFlags: the flag set of a command that builds
+/// campaigns from flags.
+inline std::set<std::string> with_campaign_flags(std::set<std::string> more) {
+  more.insert(kCampaignFlags.begin(), kCampaignFlags.end());
+  return more;
 }
 
 /// Builds the campaign metas described by `run`-style flags (--campaign,

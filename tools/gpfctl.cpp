@@ -27,10 +27,11 @@
 //   gpfctl export FILE [--format json|csv] [-o FILE]
 //   gpfctl status [FILE...]          no files: scan the store dir, aggregate
 //   gpfctl compact [FILE...|DIR]     roll store(s) into .gpfw warehouse
-//                                    segments (incremental, watermark-based)
+//                                    segments (one full read-only scan)
 //   gpfctl query STORE|SEGMENT|DIR   answer from pre-aggregated rollups in
-//                                    O(ms); --verify cross-checks against a
-//                                    full log scan
+//                                    O(ms), recompacting a stale or unreadable
+//                                    segment; --verify cross-checks against
+//                                    a full log scan
 //   gpfctl top [--addr HOST:PORT] [--campaign NAME] [--interval-ms N]
 //              [--count N]          live fleet/worker view of a running gpfd
 #include <unistd.h>
@@ -45,6 +46,8 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -120,9 +123,8 @@ std::uint64_t owned_ids(const store::CampaignMeta& m) {
 void compact_campaign_store(const std::string& store_path) {
   try {
     const std::string seg = warehouse::warehouse_path_for(store_path);
-    const warehouse::CompactStats st = warehouse::compact_stores({store_path}, seg);
-    std::cout << "[gpfctl] warehouse: " << st.rows << " rows -> " << seg
-              << (st.incremental ? " (incremental)" : "") << "\n";
+    const warehouse::Footer f = warehouse::compact_stores({store_path}, seg);
+    std::cout << "[gpfctl] warehouse: " << f.rows << " rows -> " << seg << "\n";
   } catch (const std::exception& e) {
     std::cerr << "[gpfctl] warehouse compaction failed: " << e.what() << "\n";
   }
@@ -519,12 +521,12 @@ int cmd_compact(const Args& a) {
   for (const auto& group : groups) {
     const std::string seg =
         a.has("out") ? a.get("out") : segment_path_for_group(group);
-    const warehouse::CompactStats st = warehouse::compact_stores(group, seg);
+    const warehouse::Footer f = warehouse::compact_stores(group, seg);
+    std::uint64_t scanned = 0;
+    for (const warehouse::SourceTally& t : f.sources)
+      scanned += t.scanned_records;
     std::cout << "[gpfctl] compacted " << group.size() << " store(s) -> " << seg
-              << " (" << st.rows << " rows, " << st.fresh_records
-              << " fresh records"
-              << (st.incremental ? ", incremental" : "")
-              << (st.wrote ? "" : ", unchanged") << ")\n";
+              << " (" << f.rows << " rows from " << scanned << " records)\n";
   }
   return 0;
 }
@@ -543,9 +545,11 @@ int cmd_query(const Args& a) {
 
   // Resolve the input to (segment path, source store paths). A .gpfw is
   // served as-is; a .gpfs or directory goes through its canonical segment,
-  // compacted on the fly when missing or stale.
+  // compacted on the fly when missing or stale. Either is recompacted from
+  // its sources when it fails to read (torn, or written by an older build).
   std::string seg;
   std::vector<std::string> sources;
+  bool stale = false;
   if (input.size() > 5 && input.ends_with(".gpfw")) {
     seg = input;
     const std::string sibling = input.substr(0, input.size() - 5) + ".gpfs";
@@ -567,19 +571,27 @@ int cmd_query(const Args& a) {
                    "--unit TARGET");
     sources = groups.front();
     seg = segment_path_for_group(sources);
-    // Refresh the segment when missing or older than any source log. The
-    // mtime check is a cheap staleness heuristic; the compaction itself is
-    // incremental either way.
-    bool stale = !std::filesystem::exists(seg);
+    // Recompact when the segment is missing or older than any source log
+    // (a cheap mtime heuristic).
+    stale = !std::filesystem::exists(seg);
     if (!stale) {
       const auto seg_t = std::filesystem::last_write_time(seg);
       for (const std::string& s : sources)
         if (std::filesystem::last_write_time(s) > seg_t) stale = true;
     }
-    if (stale) warehouse::compact_stores(sources, seg);
   }
 
-  const warehouse::Footer footer = warehouse::read_footer(seg);
+  std::optional<warehouse::Footer> on_disk;
+  if (!stale) {
+    try {
+      on_disk = warehouse::read_footer(seg);
+    } catch (const warehouse::SegmentError& e) {
+      if (sources.empty()) throw;
+      std::cerr << "[gpfctl] " << e.what() << "; recompacting\n";
+    }
+  }
+  const warehouse::Footer footer =
+      on_disk ? std::move(*on_disk) : warehouse::compact_stores(sources, seg);
 
   if (a.has("verify")) {
     if (sources.empty())
@@ -706,25 +718,41 @@ int cmd_top(const Args& a) {
   }
 }
 
+/// A subcommand and the flags it reads (any other flag is refused).
+struct Command {
+  int (*run)(const Args&);
+  std::set<std::string> flags;
+  std::set<std::string> boolean = {};
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
+  const std::map<std::string, Command> commands = {
+      {"run",
+       {cmd_run, gpfcli::with_campaign_flags({"store", "limit", "jobs"})}},
+      {"worker",
+       {cmd_worker,
+        {"addr", "name", "jobs", "campaign", "backoff-ms", "max-failures"},
+        {"verbose"}}},
+      {"submit",
+       {cmd_submit, gpfcli::with_campaign_flags({"addr", "priority"})}},
+      {"campaigns", {cmd_campaigns, {"addr", "remove"}}},
+      {"resume", {cmd_resume, {"limit"}}},
+      {"merge", {cmd_merge, {"out"}}},
+      {"export", {cmd_export, {"format", "out"}}},
+      {"status", {cmd_status, {"store"}}},
+      {"compact", {cmd_compact, {"store", "out"}}},
+      {"query", {cmd_query, {"metric", "format", "unit"}, {"verify"}}},
+      {"top", {cmd_top, {"addr", "interval-ms", "count", "campaign"}}},
+  };
   const std::string cmd = argv[1];
+  const auto it = commands.find(cmd);
+  if (it == commands.end()) return usage(("unknown command: " + cmd).c_str());
   try {
-    const Args a = Args::parse(argc, argv, 2, /*boolean=*/{"verbose", "verify"});
-    if (cmd == "run") return cmd_run(a);
-    if (cmd == "worker") return cmd_worker(a);
-    if (cmd == "submit") return cmd_submit(a);
-    if (cmd == "campaigns") return cmd_campaigns(a);
-    if (cmd == "resume") return cmd_resume(a);
-    if (cmd == "merge") return cmd_merge(a);
-    if (cmd == "export") return cmd_export(a);
-    if (cmd == "status") return cmd_status(a);
-    if (cmd == "compact") return cmd_compact(a);
-    if (cmd == "query") return cmd_query(a);
-    if (cmd == "top") return cmd_top(a);
-    return usage(("unknown command: " + cmd).c_str());
+    const Command& c = it->second;
+    return c.run(Args::parse(argc, argv, 2, c.flags, c.boolean));
   } catch (const UsageError& e) {
     return usage(e.what());
   } catch (const std::exception& e) {

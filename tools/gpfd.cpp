@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,24 +84,11 @@ int usage(const char* msg = nullptr) {
   return 2;
 }
 
-/// One warehouse compactor per store path, made on first use. Everything
-/// here runs on the coordinator's loop thread or after serve() returns.
-class Compactors {
- public:
-  /// Rolls every record appended to `store_path` so far into its segment.
-  warehouse::Compactor& refresh(const std::string& store_path) {
-    std::unique_ptr<warehouse::Compactor>& c = by_path_[store_path];
-    if (!c)
-      c = std::make_unique<warehouse::Compactor>(
-          std::vector<std::string>{store_path},
-          warehouse::warehouse_path_for(store_path));
-    c->refresh();
-    return *c;
-  }
-
- private:
-  std::map<std::string, std::unique_ptr<warehouse::Compactor>> by_path_;
-};
+/// Rolls every record appended to `store_path` so far into its segment.
+warehouse::Footer compact_store(const std::string& store_path) {
+  return warehouse::compact_stores({store_path},
+                                   warehouse::warehouse_path_for(store_path));
+}
 
 /// Routes gpfd's observability endpoints: /v1/stats (live coordinator view,
 /// ?campaign= scopes it), /v1/campaigns (the registry), and /v1/query
@@ -110,8 +96,7 @@ class Compactors {
 /// ?metric=epr|classes|syndromes|workers, ?format=json|csv|table,
 /// ?campaign= picks the store when the registry has held several).
 net::HttpResponse handle_http(const net::HttpRequest& req,
-                              const net::Coordinator& coordinator,
-                              Compactors& compactors) {
+                              const net::Coordinator& coordinator) {
   const auto campaign_param = [&req]() -> std::string {
     const auto it = req.params.find("campaign");
     return it == req.params.end() ? "" : it->second;
@@ -150,7 +135,7 @@ net::HttpResponse handle_http(const net::HttpRequest& req,
     return {200,
             format == warehouse::QueryFormat::Json ? "application/json"
                                                    : "text/plain",
-            render_metric(compactors.refresh(path).footer(), metric, format)};
+            render_metric(compact_store(path), metric, format)};
   }
   return {404, "application/json", "{\"error\": \"no such endpoint\"}\n"};
 }
@@ -159,7 +144,12 @@ net::HttpResponse handle_http(const net::HttpRequest& req,
 
 int main(int argc, char** argv) {
   try {
-    const Args a = Args::parse(argc, argv, 1, /*boolean=*/{"verbose"});
+    const Args a = Args::parse(
+        argc, argv, 1,
+        gpfcli::with_campaign_flags({"resume", "store", "addr", "lease-ms",
+                                     "unit-size", "status-ms", "priority",
+                                     "http"}),
+        /*boolean=*/{"verbose"});
 
     dump_env(std::cout);
 
@@ -226,12 +216,11 @@ int main(int argc, char** argv) {
 
     // HTTP observability endpoint (off unless --http / GPF_HTTP_ADDR),
     // served from the coordinator's own loop.
-    Compactors compactors;
     const std::string http_bind = a.get("http", http_addr());
     if (!http_bind.empty()) {
       const std::uint16_t http_port = coordinator.serve_http(
-          http_bind, [&coordinator, &compactors](const net::HttpRequest& req) {
-            return handle_http(req, coordinator, compactors);
+          http_bind, [&coordinator](const net::HttpRequest& req) {
+            return handle_http(req, coordinator);
           });
       std::cout << "[gpfd] http on " << http_bind << " (port " << http_port
                 << "): GET /v1/stats, /v1/campaigns, /v1/query\n";
@@ -246,8 +235,9 @@ int main(int argc, char** argv) {
     // Warehouse: every store the registry held, removed campaigns included.
     for (const std::string& p : coordinator.store_paths()) {
       try {
+        compact_store(p);
         std::cout << "[gpfd] warehouse: " << p << " -> "
-                  << compactors.refresh(p).segment_path() << "\n";
+                  << warehouse::warehouse_path_for(p) << "\n";
       } catch (const std::exception& e) {
         std::cerr << "[gpfd] compaction " << p << ": " << e.what() << "\n";
       }

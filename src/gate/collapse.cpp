@@ -1,5 +1,7 @@
 #include "gate/collapse.hpp"
 
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "gate/compiled.hpp"
@@ -99,6 +101,16 @@ FaultCollapse::FaultCollapse(const Netlist& nl) {
     for (const bool hi : {false, true})
       if (is_representative(StuckFault{static_cast<Net>(i), hi})) ++class_count_;
   }
+}
+
+const FaultCollapse& unit_collapse(UnitKind u) {
+  static std::once_flag once[3];
+  static std::unique_ptr<const FaultCollapse> col[3];
+  const auto i = static_cast<std::size_t>(u);
+  if (i >= 3) throw std::invalid_argument("unit_collapse: unknown unit");
+  std::call_once(once[i],
+                 [&] { col[i] = std::make_unique<FaultCollapse>(*unit_netlist(u)); });
+  return *col[i];
 }
 
 }  // namespace gpf::gate

@@ -24,6 +24,7 @@
 
 #include "gate/netlist.hpp"
 #include "gate/sim.hpp"
+#include "gate/units.hpp"
 
 namespace gpf::gate {
 
@@ -56,5 +57,10 @@ class FaultCollapse {
   std::size_t class_count_ = 0;
   std::size_t fault_count_ = 0;
 };
+
+/// The collapse map of unit_netlist(u), built once per process and shared
+/// read-only by every campaign (runners, representative counts, the
+/// coordinator's lease units). Thread-safe.
+const FaultCollapse& unit_collapse(UnitKind u);
 
 }  // namespace gpf::gate

@@ -10,22 +10,16 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <stdexcept>
 #include <utility>
 
 #include "gate/batchsim.hpp"
 #include "obs/metrics.hpp"
+#include "report/gate_experiments.hpp"
 
 namespace gpf::net {
 
 namespace {
-
-std::set<std::uint64_t> done_ids(const store::CampaignCheckpoint& ckpt) {
-  std::set<std::uint64_t> ids;
-  for (const auto& [id, payload] : ckpt.done()) ids.insert(id);
-  return ids;
-}
 
 std::uint64_t ms_between(LeaseDispatcher::Clock::time_point a,
                          LeaseDispatcher::Clock::time_point b) {
@@ -108,18 +102,23 @@ void CoordinatorCore::register_campaign(
   c.ckpt = &ckpt;
   c.owned = std::move(owned);
   c.done_at_open = ckpt.done().size();
-  const std::size_t unit_size = unit_size_for(ckpt.meta());
-  c.dispatcher = std::make_unique<LeaseDispatcher>(ckpt.meta(), unit_size,
-                                                   done_ids(ckpt));
+  const store::CampaignMeta& meta = ckpt.meta();
+  const std::size_t unit_size = unit_size_for(meta);
+  std::vector<std::uint64_t> ids = pending_ids(meta, ckpt.done());
+  const std::vector<std::size_t> ends =
+      counts_representatives(meta)
+          ? report::gate_unit_ends(meta, ids, unit_size)
+          : even_unit_ends(ids.size(), unit_size);
+  c.dispatcher = std::make_unique<LeaseDispatcher>(std::move(ids), ends);
   c.rate.idle_reset_ms = cfg_.idle_reset_ms;
   const std::uint64_t cid = c.cid;
   if (cfg_.verbose)
     std::fprintf(stderr,
                  "[gpfd] campaign '%s' registered (cid %llu, %llu ids, "
-                 "unit size %zu, prio %u)\n",
+                 "%zu units of at most %zu %s, prio %u)\n",
                  c.name.c_str(), static_cast<unsigned long long>(cid),
                  static_cast<unsigned long long>(c.dispatcher->id_count()),
-                 unit_size, c.priority);
+                 ends.size(), unit_size, unit_size_noun(meta), c.priority);
   if (std::find(store_paths_.begin(), store_paths_.end(), ckpt.path()) ==
       store_paths_.end())
     store_paths_.push_back(ckpt.path());
@@ -130,6 +129,16 @@ std::size_t CoordinatorCore::unit_size_for(
     const store::CampaignMeta& meta) const {
   if (cfg_.unit_size != 0) return cfg_.unit_size;
   return meta.kind == store::CampaignKind::Gate ? gate::kWidestBatchLanes : 64;
+}
+
+bool CoordinatorCore::counts_representatives(
+    const store::CampaignMeta& meta) const {
+  return cfg_.unit_size == 0 && meta.kind == store::CampaignKind::Gate;
+}
+
+const char* CoordinatorCore::unit_size_noun(
+    const store::CampaignMeta& meta) const {
+  return counts_representatives(meta) ? "representatives" : "ids";
 }
 
 void CoordinatorCore::add_campaign(store::CampaignCheckpoint& ckpt,
@@ -488,6 +497,18 @@ Frame CoordinatorCore::on_submit(const SubmitCampaign& msg) {
                   " ids; a submit may name at most " +
                   std::to_string(kMaxSubmitIds);
     return encode(res);
+  }
+  // A gate header this build cannot resolve (no such unit or engine, or an
+  // id count its fault list does not have) would register and then fail on
+  // every worker it is leased to: refuse it before anything is created.
+  if (msg.meta.kind == store::CampaignKind::Gate) {
+    try {
+      report::gate_campaign_engine(msg.meta);
+      report::gate_campaign_faults(msg.meta);
+    } catch (const std::runtime_error& e) {
+      res.message = "campaign '" + msg.name + "': " + e.what();
+      return encode(res);
+    }
   }
   if (const Campaign* existing = find_campaign(msg.name)) {
     if (existing->ckpt->meta() == msg.meta && !existing->removing) {

@@ -56,18 +56,20 @@ namespace gpf::net {
 
 /// The most ids one SubmitCampaign may name. The id count is an unchecked
 /// u64 off the wire, and the new campaign's LeaseDispatcher keeps about
-/// 100 B per id on the loop thread, so one submit could otherwise exhaust
-/// gpfd's memory. 2^20 ids (about 100 MB) is far above any campaign a
-/// bench, test or CI job submits, which name a few thousand ids at most.
-/// Campaigns gpfd opens from its own flags or stores are not bounded.
+/// 8 B per id on the loop thread (the id and a retired bit), so one submit
+/// could otherwise exhaust gpfd's memory. 2^20 ids (about 8 MB) is far
+/// above any campaign a bench, test or CI job submits, which name a few
+/// thousand ids at most. Campaigns gpfd opens from its own flags or stores
+/// are not bounded.
 constexpr std::uint64_t kMaxSubmitIds = std::uint64_t{1} << 20;
 
 struct CoordinatorConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;     ///< 0 = kernel-assigned (read back via port())
-  /// Fault ids per work unit. 0 (the default) sizes units by campaign
-  /// kind (see CoordinatorCore::unit_size_for); any other value pins every
-  /// campaign to it.
+  /// Work-unit size. 0 (the default) sizes units by campaign kind (see
+  /// CoordinatorCore::unit_size_for): a gate unit then counts collapse
+  /// representatives, a perfi or rtl unit ids. Any other value pins every
+  /// campaign to that many ids per unit.
   std::size_t unit_size = 0;
   std::uint32_t lease_ms = 10000;
   bool verbose = false;       ///< per-event log lines on stderr
@@ -135,12 +137,15 @@ class CoordinatorCore {
   /// which is what workers pin to and what exports key on.
   void add_campaign(store::CampaignCheckpoint& ckpt, std::uint32_t priority = 1);
 
-  /// Fault ids per work unit for a campaign with this meta: cfg.unit_size
-  /// when pinned, else gate::kWidestBatchLanes for gate campaigns (a unit
-  /// then fills whole batches at any worker's dispatched lane width) and
-  /// 64 for perfi and rtl ones (milliseconds per injection keep such a
-  /// unit short). Every registration path sizes its units here.
+  /// Work-unit size for a campaign with this meta: cfg.unit_size ids when
+  /// pinned, else gate::kWidestBatchLanes collapse representatives for gate
+  /// campaigns (report::gate_unit_ends cuts the ids so that a unit, once
+  /// collapsed, fills whole batches at any worker's dispatched lane width)
+  /// and 64 ids for perfi and rtl ones (milliseconds per injection keep
+  /// such a unit short). Every registration path sizes its units here.
   std::size_t unit_size_for(const store::CampaignMeta& meta) const;
+  /// What unit_size_for counts for this meta: "representatives" or "ids".
+  const char* unit_size_noun(const store::CampaignMeta& meta) const;
 
   /// Serving starts: elapsed time and the progress log count from `now`.
   void start(TimePoint now);
@@ -226,6 +231,9 @@ class CoordinatorCore {
     bool connected = false;
   };
 
+  /// True when this meta's units are cut by representatives (an unpinned
+  /// gate campaign), not by ids.
+  bool counts_representatives(const store::CampaignMeta& meta) const;
   void register_campaign(store::CampaignCheckpoint& ckpt,
                          std::unique_ptr<store::CampaignCheckpoint> owned,
                          std::uint32_t priority);
@@ -276,6 +284,9 @@ class Coordinator {
   }
   std::size_t unit_size_for(const store::CampaignMeta& meta) const {
     return core_.unit_size_for(meta);
+  }
+  const char* unit_size_noun(const store::CampaignMeta& meta) const {
+    return core_.unit_size_noun(meta);
   }
 
   std::uint16_t port() const { return port_; }

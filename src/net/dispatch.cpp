@@ -2,25 +2,49 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace gpf::net {
 
-LeaseDispatcher::LeaseDispatcher(const store::CampaignMeta& meta,
-                                 std::size_t unit_size,
-                                 const std::set<std::uint64_t>& already_retired) {
-  if (unit_size == 0) throw std::runtime_error("dispatch: unit_size must be > 0");
-  Unit unit;
-  for (std::uint64_t id = 0; id < meta.total; ++id) {
-    if (!meta.owns(id) || already_retired.count(id)) continue;
-    unit.outstanding.insert(id);
-    id_unit_[id] = units_.size();
-    ++id_count_;
-    if (unit.outstanding.size() == unit_size) {
-      units_.push_back(std::move(unit));
-      unit = Unit();
-    }
+std::vector<std::uint64_t> pending_ids(
+    const store::CampaignMeta& meta,
+    const std::map<std::uint64_t, std::vector<std::uint8_t>>& done) {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(static_cast<std::size_t>(meta.total / meta.shard_count + 1));
+  auto d = done.begin();
+  for (std::uint64_t id = meta.shard_index; id < meta.total;
+       id += meta.shard_count) {
+    while (d != done.end() && d->first < id) ++d;
+    if (d == done.end() || d->first != id) ids.push_back(id);
   }
-  if (!unit.outstanding.empty()) units_.push_back(std::move(unit));
+  return ids;
+}
+
+std::vector<std::size_t> even_unit_ends(std::size_t n, std::size_t unit_size) {
+  if (unit_size == 0) throw std::runtime_error("dispatch: unit_size must be > 0");
+  std::vector<std::size_t> ends;
+  ends.reserve(n / unit_size + 1);
+  for (std::size_t end = unit_size; end < n; end += unit_size) ends.push_back(end);
+  if (n != 0) ends.push_back(n);
+  return ends;
+}
+
+LeaseDispatcher::LeaseDispatcher(std::vector<std::uint64_t> ids,
+                                 std::span<const std::size_t> unit_ends)
+    : ids_(std::move(ids)), retired_bit_(ids_.size(), false) {
+  std::size_t lo = 0;
+  for (const std::size_t hi : unit_ends) {
+    if (hi <= lo || hi > ids_.size())
+      throw std::runtime_error("dispatch: unit ends must ascend within the ids");
+    Unit u;
+    u.lo = lo;
+    u.hi = hi;
+    u.outstanding = hi - lo;
+    units_.push_back(u);
+    lo = hi;
+  }
+  if (lo != ids_.size())
+    throw std::runtime_error("dispatch: unit ends must cover every id");
   for (std::uint64_t u = 0; u < units_.size(); ++u) queue_.push_back(u);
 }
 
@@ -35,7 +59,9 @@ std::optional<LeaseDispatcher::Grant> LeaseDispatcher::lease(
   u.deadline = now + lease_len;
   Grant g;
   g.unit_id = unit_id;
-  g.ids.assign(u.outstanding.begin(), u.outstanding.end());
+  g.ids.reserve(u.outstanding);
+  for (std::size_t i = u.lo; i < u.hi; ++i)
+    if (!retired_bit_[i]) g.ids.push_back(ids_[i]);
   return g;
 }
 
@@ -52,16 +78,22 @@ bool LeaseDispatcher::renew(std::uint64_t unit_id, std::uint64_t session,
 }
 
 bool LeaseDispatcher::mark_retired(std::uint64_t id) {
-  const auto it = id_unit_.find(id);
-  if (it == id_unit_.end()) return false;  // duplicate or foreign id
-  Unit& u = units_[it->second];
-  if (u.outstanding.erase(id) == 0) return false;
+  const auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
+  if (it == ids_.end() || *it != id) return false;  // foreign id
+  const auto i = static_cast<std::size_t>(it - ids_.begin());
+  if (retired_bit_[i]) return false;  // duplicate
+  retired_bit_[i] = true;
   ++retired_;
-  if (u.outstanding.empty() && u.state != State::Done) {
+  const auto unit = std::upper_bound(
+      units_.begin(), units_.end(), i,
+      [](std::size_t index, const Unit& u) { return index < u.hi; });
+  Unit& u = *unit;
+  if (--u.outstanding == 0 && u.state != State::Done) {
     const State was = u.state;
     u.state = State::Done;
     if (was == State::Pending) {
-      const auto q = std::find(queue_.begin(), queue_.end(), it->second);
+      const auto unit_id = static_cast<std::uint64_t>(unit - units_.begin());
+      const auto q = std::find(queue_.begin(), queue_.end(), unit_id);
       if (q != queue_.end()) queue_.erase(q);
     }
   }
@@ -123,7 +155,7 @@ std::uint64_t DrrScheduler::pick(
 
 void LeaseDispatcher::requeue(std::uint64_t unit_id) {
   Unit& u = units_[unit_id];
-  if (u.outstanding.empty()) {
+  if (u.outstanding == 0) {
     u.state = State::Done;
     return;
   }

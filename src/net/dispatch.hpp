@@ -2,7 +2,8 @@
 // which slice of the fault-id space.
 //
 // The shard's pending ids (owned ids minus anything already in the store)
-// are partitioned into contiguous work units. A unit moves through
+// are held once, ascending, and cut into units of consecutive ids; a unit
+// is a [lo, hi) range over that vector. A unit moves through
 //
 //          lease                    complete / last id retired
 //   Pending -----> Leased(session) ---------------------------> Done
@@ -14,18 +15,20 @@
 // Result / Heartbeat / UnitDone from the owning session. An expired or
 // released lease returns the unit to Pending with only its still-outstanding
 // ids, so a reassigned unit never re-runs work that already landed. Each id
-// retires at most once (mark_retired dedups), which is what keeps the fleet
-// export byte-identical to a single-process run.
+// retires at most once (mark_retired dedups against a retired bitmap), which
+// is what keeps the fleet export byte-identical to a single-process run.
+// Per id the dispatcher keeps its 8-byte id and one retired bit; id -> unit
+// is a binary search.
 //
-// Not thread-safe: the coordinator serializes access with one mutex.
+// Not thread-safe: the coordinator drives it from its one loop thread.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <optional>
-#include <set>
-#include <string>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -33,15 +36,26 @@
 
 namespace gpf::net {
 
+/// The ids of `meta`'s shard slice that `done` (a store's retired records,
+/// by id) does not hold, ascending: the id space a dispatcher leases.
+std::vector<std::uint64_t> pending_ids(
+    const store::CampaignMeta& meta,
+    const std::map<std::uint64_t, std::vector<std::uint8_t>>& done);
+
+/// Unit ends for plain `unit_size`-id units over `n` ids (the last unit
+/// takes the remainder); unit_size must be > 0.
+std::vector<std::size_t> even_unit_ends(std::size_t n, std::size_t unit_size);
+
 class LeaseDispatcher {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Partitions the shard's pending ids into units of at most `unit_size`
-  /// ids. `already_retired` (the store's recovered ids) are excluded from
-  /// the id space up front.
-  LeaseDispatcher(const store::CampaignMeta& meta, std::size_t unit_size,
-                  const std::set<std::uint64_t>& already_retired);
+  /// Leases `ids` (ascending and distinct) in units of consecutive ids:
+  /// unit u holds ids[unit_ends[u - 1], unit_ends[u]) (unit 0 starts at 0).
+  /// `unit_ends` must ascend strictly and end at ids.size(); throws
+  /// std::runtime_error otherwise.
+  LeaseDispatcher(std::vector<std::uint64_t> ids,
+                  std::span<const std::size_t> unit_ends);
 
   struct Grant {
     std::uint64_t unit_id = 0;
@@ -71,9 +85,9 @@ class LeaseDispatcher {
   /// Expires all leases whose deadline has passed; returns how many.
   std::size_t expire_stale(Clock::time_point now);
 
-  bool all_done() const { return retired_ == id_count_; }
+  bool all_done() const { return retired_ == ids_.size(); }
   std::uint64_t retired() const { return retired_; }
-  std::uint64_t id_count() const { return id_count_; }
+  std::uint64_t id_count() const { return ids_.size(); }
   std::size_t pending_units() const { return queue_.size(); }
   std::size_t leased_units() const;
   /// Units currently leased by `session` (the per-worker stats row).
@@ -85,7 +99,8 @@ class LeaseDispatcher {
   enum class State : std::uint8_t { Pending, Leased, Done };
 
   struct Unit {
-    std::set<std::uint64_t> outstanding;  ///< ids not yet retired
+    std::size_t lo = 0, hi = 0;   ///< the unit's ids are ids_[lo, hi)
+    std::size_t outstanding = 0;  ///< of those, not yet retired
     State state = State::Pending;
     std::uint64_t session = 0;
     Clock::time_point deadline{};
@@ -93,10 +108,10 @@ class LeaseDispatcher {
 
   void requeue(std::uint64_t unit_id);
 
-  std::vector<Unit> units_;
+  std::vector<std::uint64_t> ids_;  ///< pending at construction, ascending
+  std::vector<bool> retired_bit_;   ///< by index into ids_
+  std::vector<Unit> units_;         ///< ascending ranges tiling ids_
   std::deque<std::uint64_t> queue_;  ///< pending unit ids, FIFO
-  std::unordered_map<std::uint64_t, std::uint64_t> id_unit_;
-  std::uint64_t id_count_ = 0;  ///< ids pending at construction
   std::uint64_t retired_ = 0;   ///< ids retired since construction
 };
 

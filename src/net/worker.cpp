@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -63,8 +64,8 @@ struct UnitOutcome {
 /// streams Result / Heartbeat messages. Throws on connection loss (caller
 /// reconnects) or a compute error (fatal).
 UnitOutcome work_unit(const Socket& sock, const LeaseGrant& grant,
-                      const UnitFn& fn, const WorkerConfig& cfg,
-                      std::uint32_t lease_ms, WorkerStats& stats) {
+                      const UnitFn& fn, std::uint32_t lease_ms,
+                      WorkerStats& stats) {
   const auto heartbeat_every =
       std::chrono::milliseconds(heartbeat_interval_ms(lease_ms));
 
@@ -101,11 +102,12 @@ UnitOutcome work_unit(const Socket& sock, const LeaseGrant& grant,
         std::unique_lock<std::mutex> lock(mu);
         cv.wait_for(lock, heartbeat_every,
                     [&] { return !queue.empty() || compute_done; });
-        while (!queue.empty() && batch.size() < cfg.batch_records) {
-          batch.push_back(std::move(queue.front()));
-          queue.pop_front();
-        }
-        finished = compute_done && queue.empty() && batch.empty();
+        // Everything queued goes in one Result: a unit bounds it, and the
+        // coordinator admits one oversized Result on an empty append queue.
+        batch.assign(std::make_move_iterator(queue.begin()),
+                     std::make_move_iterator(queue.end()));
+        queue.clear();
+        finished = compute_done && batch.empty();
       }
 
       Ack ack;
@@ -269,8 +271,8 @@ WorkerStats run_worker(const WorkerConfig& cfg, const UnitFnFactory& make_fn) {
                        cfg.name.c_str(), grant.campaign.c_str(),
                        static_cast<unsigned long long>(grant.unit_id),
                        grant.ids.size());
-        const UnitOutcome out = work_unit(sock, grant, fns.at(grant.campaign),
-                                          cfg, lease_ms, stats);
+        const UnitOutcome out =
+            work_unit(sock, grant, fns.at(grant.campaign), lease_ms, stats);
         if (out.drain) {
           stats.drained = true;
           return stats;

@@ -2,13 +2,14 @@
 // ids through a campaign-specific work function, and streams the results
 // back.
 //
-// The compute runs in a background thread feeding a queue; the connection
-// thread drains the queue into Result messages and falls back to Heartbeat
-// when the queue is empty, so the lease is renewed at a steady cadence even
-// while a single slow injection is in flight. A lost lease (the Ack says the
-// unit was reassigned) aborts the compute via its stop callback; a lost
-// connection triggers exponential-backoff reconnection, giving up after a
-// bounded run of consecutive failures (a finished coordinator simply goes
+// The compute runs in a background thread feeding a queue; each time the
+// connection thread wakes it sends everything queued as one Result (at most
+// one unit's records), and falls back to Heartbeat when the queue is empty,
+// so the lease is renewed at a steady cadence even while a single slow
+// injection is in flight. A lost lease (the Ack says the unit was
+// reassigned) aborts the compute via its stop callback; a lost connection
+// triggers exponential-backoff reconnection, giving up after a bounded run
+// of consecutive failures (a finished coordinator simply goes
 // away — workers must not spin forever).
 //
 // Since protocol v3 a worker serves whatever campaign each LeaseGrant names
@@ -38,7 +39,6 @@ struct WorkerConfig {
   std::string campaign;             ///< pin to one campaign ("" = serve any)
   std::uint32_t backoff_ms = 500;   ///< initial reconnect backoff (doubles, capped at 64x)
   int max_connect_failures = 8;     ///< consecutive failures before giving up
-  std::size_t batch_records = 16;   ///< max records per Result message
   bool verbose = false;
 };
 

@@ -7,7 +7,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "gate/collapse.hpp"
 #include "gate/profiler.hpp"
@@ -28,16 +27,17 @@ struct Representatives {
 };
 
 Representatives collapse_representatives(
-    const gate::Netlist& nl, std::span<const gate::StuckFault> faults) {
-  const gate::FaultCollapse col(nl);
+    gate::UnitKind unit, std::span<const gate::StuckFault> faults) {
+  const gate::FaultCollapse& col = gate::unit_collapse(unit);
   Representatives reps;
   reps.of_id.reserve(faults.size());
-  std::unordered_set<std::uint32_t> seen;
+  std::vector<std::uint8_t> seen(2 * gate::unit_netlist(unit)->num_nets(), 0);
   for (const gate::StuckFault& f : faults) {
     reps.of_id.push_back(col.representative(f));
-    seen.insert(gate::FaultCollapse::node(reps.of_id.back()));
+    std::uint8_t& s = seen[gate::FaultCollapse::node(reps.of_id.back())];
+    reps.count += s == 0;
+    s = 1;
   }
-  reps.count = seen.size();
   return reps;
 }
 
@@ -169,17 +169,57 @@ gate::UnitKind gate_campaign_unit(const store::CampaignMeta& meta) {
                            "1 = fetch or 2 = WSC)");
 }
 
+std::vector<gate::StuckFault> gate_campaign_faults(
+    const store::CampaignMeta& meta) {
+  const gate::UnitKind unit = gate_campaign_unit(meta);
+  std::vector<gate::StuckFault> faults = gate::sampled_fault_list(
+      *gate::unit_netlist(unit), unit, meta.param0, meta.seed);
+  if (faults.size() != meta.total)
+    throw std::runtime_error(
+        "gate campaign: the header names " + std::to_string(meta.total) +
+        " ids but the unit's fault list holds " +
+        std::to_string(faults.size()) +
+        " (store built against different code?)");
+  return faults;
+}
+
+std::vector<std::size_t> gate_unit_ends(const store::CampaignMeta& meta,
+                                        std::span<const std::uint64_t> ids,
+                                        std::size_t max_reps) {
+  if (max_reps == 0)
+    throw std::invalid_argument("gate_unit_ends: max_reps must be > 0");
+  const gate::UnitKind unit = gate_campaign_unit(meta);
+  const std::vector<gate::StuckFault> faults = gate_campaign_faults(meta);
+  const bool collapse = collapse_enabled();
+  const gate::FaultCollapse& col = gate::unit_collapse(unit);
+  // unit_of[node]: the last unit that took in representative `node`.
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::vector<std::size_t> unit_of(2 * gate::unit_netlist(unit)->num_nets(),
+                                   kNone);
+  std::vector<std::size_t> ends;
+  std::size_t reps = 0;  // distinct representatives in the open unit
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const gate::StuckFault& f = faults.at(ids[k]);
+    const std::uint32_t node =
+        gate::FaultCollapse::node(collapse ? col.representative(f) : f);
+    if (unit_of[node] == ends.size()) continue;  // already in the open unit
+    if (reps == max_reps) {
+      ends.push_back(k);
+      reps = 0;
+    }
+    unit_of[node] = ends.size();
+    ++reps;
+  }
+  if (!ids.empty()) ends.push_back(ids.size());
+  return ends;
+}
+
 GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
                                const store::CampaignMeta& meta)
     : traces_(traces),
       engine_(gate_campaign_engine(meta)),
-      replayer_(gate_campaign_unit(meta)) {
-  faults_ = gate::sampled_fault_list(replayer_.netlist(), replayer_.kind(),
-                                     meta.param0, meta.seed);
-  if (faults_.size() != meta.total)
-    throw std::runtime_error(
-        "gate campaign: store fault-id space does not match the netlist "
-        "(store built against different code?)");
+      replayer_(gate_campaign_unit(meta)),
+      faults_(gate_campaign_faults(meta)) {
   full_fault_list_size_ = gate::full_fault_list(replayer_.netlist()).size();
   goldens_ = replayer_.compute_goldens(traces);
   words_ = replayer_.word_diff_table(traces, goldens_);
@@ -187,8 +227,7 @@ GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
   collapse_ = collapse_enabled();
   rep_count_ = faults_.size();
   if (collapse_) {
-    Representatives reps =
-        collapse_representatives(replayer_.netlist(), faults_);
+    Representatives reps = collapse_representatives(replayer_.kind(), faults_);
     rep_of_id_ = std::move(reps.of_id);
     rep_count_ = reps.count;
     act_ = gate::ActivationSummary(replayer_.netlist().num_nets());
@@ -208,11 +247,10 @@ GateUnitRunner::GateUnitRunner(const std::vector<gate::UnitTraces>& traces,
 std::size_t gate_campaign_representatives(const store::CampaignMeta& meta) {
   const gate::UnitKind unit = gate_campaign_unit(meta);
   if (!collapse_enabled()) return meta.total;
-  const std::shared_ptr<const gate::Netlist> nl = gate::unit_netlist(unit);
-  const std::vector<gate::StuckFault> faults =
-      gate::sampled_fault_list(*nl, unit, meta.param0, meta.seed);
+  const std::vector<gate::StuckFault> faults = gate::sampled_fault_list(
+      *gate::unit_netlist(unit), unit, meta.param0, meta.seed);
   if (faults.size() != meta.total) return meta.total;  // stale store: no map
-  return collapse_representatives(*nl, faults).count;
+  return collapse_representatives(unit, faults).count;
 }
 
 void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,

@@ -99,6 +99,28 @@ void apply_gate_record(const store::GateRecord& r,
 /// it.
 std::size_t gate_campaign_representatives(const store::CampaignMeta& meta);
 
+/// The fault list a gate campaign's ids index: fault id i is element i of
+/// the unit's sampled list (meta.param0 faults, or the full list, drawn with
+/// meta.seed). Throws std::runtime_error when the header names no unit or
+/// when meta.total is not that list's size; the list is bounded by the
+/// netlist, never by a header field.
+std::vector<gate::StuckFault> gate_campaign_faults(
+    const store::CampaignMeta& meta);
+
+/// Lease units over a gate campaign's `ids` (ascending campaign fault ids):
+/// the end index in `ids` of each unit, in order. Walking the ids, a unit
+/// closes just before the id that would bring in a (max_reps + 1)-th
+/// distinct collapse representative, so each unit holds at most max_reps
+/// representatives and every unit but the last exactly that many: a unit
+/// of max_reps = gate::kWidestBatchLanes fills whole batches at any lane
+/// width once GateUnitRunner collapses it. With GPF_COLLAPSE off every id
+/// is its own representative and units are max_reps ids. The class map is
+/// the one GateUnitRunner uses (gate_campaign_faults, gate::unit_collapse);
+/// throws like gate_campaign_faults.
+std::vector<std::size_t> gate_unit_ends(const store::CampaignMeta& meta,
+                                        std::span<const std::uint64_t> ids,
+                                        std::size_t max_reps);
+
 /// Work-unit adapter for lease-based dispatch: resolves a gate campaign's
 /// fault-id space once (netlist, sampled fault list, golden traces), then
 /// evaluates arbitrary id subsets on demand. Because fault id -> StuckFault

@@ -19,6 +19,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -26,8 +27,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.hpp"
 #include "errmodel/models.hpp"
 #include "gate/batchsim.hpp"
+#include "gate/collapse.hpp"
 #include "gate/jit.hpp"
 #include "net/coordinator.hpp"
 #include "net/dispatch.hpp"
@@ -418,9 +421,21 @@ TEST(NetProtocol, StatsSnapshotRoundTrip) {
 using Clock = LeaseDispatcher::Clock;
 constexpr auto kLease = std::chrono::milliseconds(100);
 
+/// A dispatcher over `meta`'s owned ids minus `retired`, cut into plain
+/// `unit_size`-id units (how the coordinator cuts a perfi campaign).
+LeaseDispatcher plain_dispatcher(const store::CampaignMeta& meta,
+                                 std::size_t unit_size,
+                                 const std::set<std::uint64_t>& retired = {}) {
+  std::map<std::uint64_t, std::vector<std::uint8_t>> done;
+  for (const std::uint64_t id : retired) done[id];
+  std::vector<std::uint64_t> ids = pending_ids(meta, done);
+  const std::vector<std::size_t> ends = even_unit_ends(ids.size(), unit_size);
+  return LeaseDispatcher(std::move(ids), ends);
+}
+
 TEST(NetDispatch, PartitionsPendingIds) {
   store::CampaignMeta meta = perfi_meta(10, 1);
-  LeaseDispatcher d(meta, 4, /*already_retired=*/{2, 3});
+  LeaseDispatcher d = plain_dispatcher(meta, 4, /*retired=*/{2, 3});
   EXPECT_EQ(d.id_count(), 8u);  // 10 ids minus 2 already retired
   EXPECT_EQ(d.pending_units(), 2u);
 
@@ -438,7 +453,7 @@ TEST(NetDispatch, ShardSliceOnly) {
   store::CampaignMeta meta = perfi_meta(10, 1);
   meta.shard_index = 1;
   meta.shard_count = 3;  // owns 1, 4, 7
-  LeaseDispatcher d(meta, 64, {});
+  LeaseDispatcher d = plain_dispatcher(meta, 64);
   EXPECT_EQ(d.id_count(), 3u);
   auto g = d.lease(1, Clock::now(), kLease);
   ASSERT_TRUE(g);
@@ -446,7 +461,7 @@ TEST(NetDispatch, ShardSliceOnly) {
 }
 
 TEST(NetDispatch, ExpiredLeaseIsReassignedWithOutstandingIdsOnly) {
-  LeaseDispatcher d(perfi_meta(4, 1), 4, {});
+  LeaseDispatcher d = plain_dispatcher(perfi_meta(4, 1), 4);
   const auto t0 = Clock::now();
   auto g = d.lease(/*session=*/1, t0, kLease);
   ASSERT_TRUE(g);
@@ -469,7 +484,7 @@ TEST(NetDispatch, ExpiredLeaseIsReassignedWithOutstandingIdsOnly) {
 }
 
 TEST(NetDispatch, RenewalPreventsExpiry) {
-  LeaseDispatcher d(perfi_meta(4, 1), 4, {});
+  LeaseDispatcher d = plain_dispatcher(perfi_meta(4, 1), 4);
   const auto t0 = Clock::now();
   auto g = d.lease(1, t0, kLease);
   ASSERT_TRUE(g);
@@ -479,7 +494,7 @@ TEST(NetDispatch, RenewalPreventsExpiry) {
 }
 
 TEST(NetDispatch, UnitCompletesWhenLastIdRetires) {
-  LeaseDispatcher d(perfi_meta(3, 1), 4, {});
+  LeaseDispatcher d = plain_dispatcher(perfi_meta(3, 1), 4);
   auto g = d.lease(1, Clock::now(), kLease);
   ASSERT_TRUE(g);
   EXPECT_FALSE(d.all_done());
@@ -494,7 +509,7 @@ TEST(NetDispatch, UnitCompletesWhenLastIdRetires) {
 }
 
 TEST(NetDispatch, ReleaseSessionRequeuesItsUnits) {
-  LeaseDispatcher d(perfi_meta(8, 1), 4, {});
+  LeaseDispatcher d = plain_dispatcher(perfi_meta(8, 1), 4);
   const auto now = Clock::now();
   ASSERT_TRUE(d.lease(1, now, kLease));
   ASSERT_TRUE(d.lease(1, now, kLease));
@@ -502,6 +517,36 @@ TEST(NetDispatch, ReleaseSessionRequeuesItsUnits) {
   d.release_session(1);
   EXPECT_EQ(d.leased_units(), 0u);
   EXPECT_EQ(d.pending_units(), 2u);
+}
+
+// A unit is a range over the sorted pending ids: the ends must ascend
+// strictly and cover every id, an id absent from the vector (between two
+// pending ids or past the last) is foreign, and a requeued unit carries only
+// its unretired ids.
+TEST(NetDispatch, RangeUnitsTileThePendingIds) {
+  const std::vector<std::uint64_t> ids = {1, 4, 5, 9};
+  const std::vector<std::vector<std::size_t>> bad = {
+      {2}, {0, 4}, {3, 3, 4}, {2, 5}, {}};
+  for (const auto& ends : bad)
+    EXPECT_THROW(LeaseDispatcher(ids, ends), std::runtime_error);
+  EXPECT_TRUE(LeaseDispatcher({}, {}).all_done());
+
+  LeaseDispatcher d(ids, std::vector<std::size_t>{1, 4});
+  EXPECT_EQ(d.pending_units(), 2u);
+  EXPECT_FALSE(d.mark_retired(2));   // between pending ids
+  EXPECT_FALSE(d.mark_retired(10));  // past the last
+  EXPECT_TRUE(d.mark_retired(1));    // unit 0 completes while still pending
+  EXPECT_EQ(d.pending_units(), 1u);
+  auto g = d.lease(1, Clock::now(), kLease);
+  ASSERT_TRUE(g);
+  EXPECT_EQ(g->unit_id, 1u);
+  EXPECT_EQ(g->ids, (std::vector<std::uint64_t>{4, 5, 9}));
+  EXPECT_TRUE(d.mark_retired(5));
+  d.release_session(1);
+  g = d.lease(2, Clock::now(), kLease);
+  ASSERT_TRUE(g);
+  EXPECT_EQ(g->ids, (std::vector<std::uint64_t>{4, 9}));
+  EXPECT_EQ(d.retired(), 2u);
 }
 
 // --- deficit-round-robin fair share ----------------------------------------
@@ -621,13 +666,42 @@ store::CampaignMeta rtl_meta(std::size_t injections) {
                                  injections, /*seed=*/3);
 }
 
-// Work units are sized per campaign. By default a gate unit spans the
-// widest lane word (or the whole campaign when smaller) and perfi and rtl
-// units stay at 64 ids; a campaign submitted over the wire is sized by its
-// own kind, not by the registry it joins; a nonzero unit_size pins every
-// kind.
+/// The collapse representative GateUnitRunner simulates for each id of a
+/// gate campaign, as a fault node (each id its own when collapsing is off).
+std::vector<std::uint32_t> representative_nodes(const store::CampaignMeta& meta) {
+  const gate::FaultCollapse& col =
+      gate::unit_collapse(report::gate_campaign_unit(meta));
+  std::vector<std::uint32_t> nodes;
+  for (const gate::StuckFault& f : report::gate_campaign_faults(meta))
+    nodes.push_back(gate::FaultCollapse::node(
+        collapse_enabled() ? col.representative(f) : f));
+  return nodes;
+}
+
+/// Ids in the first default lease unit of an unsharded gate campaign: the
+/// longest prefix of its ids with at most kWidestBatchLanes distinct
+/// representatives.
+std::size_t first_gate_unit(const store::CampaignMeta& meta) {
+  const std::vector<std::uint32_t> nodes = representative_nodes(meta);
+  std::set<std::uint32_t> reps;
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    if (!reps.count(nodes[id]) && reps.size() == gate::kWidestBatchLanes)
+      return id;
+    reps.insert(nodes[id]);
+  }
+  return nodes.size();
+}
+
+// Work units are sized per campaign. By default a gate unit holds up to the
+// widest lane word of collapse representatives (703 ids of the 1200-fault
+// decoder list with collapsing on, the whole campaign when it has fewer) and
+// perfi and rtl units stay at 64 ids; a campaign submitted over the wire is
+// sized by its own kind, not by the registry it joins; a nonzero unit_size
+// pins every kind to that many ids.
 TEST(NetCoordinator, UnitSizeFollowsCampaignKindUnlessPinned) {
-  const std::size_t kGate = gate::kWidestBatchLanes;
+  const store::CampaignMeta decoder = gate_meta(gate::UnitKind::Decoder, 1200);
+  const std::size_t gate_unit = first_gate_unit(decoder);
+  EXPECT_EQ(gate_unit, collapse_enabled() ? 703u : gate::kWidestBatchLanes);
   struct Case {
     std::size_t unit_size;
     std::vector<store::CampaignMeta> registered;
@@ -637,18 +711,14 @@ TEST(NetCoordinator, UnitSizeFollowsCampaignKindUnlessPinned) {
   };
   const Case cases[] = {
       {0,
-       {gate_meta(gate::UnitKind::Decoder, 1200),
-        gate_meta(gate::UnitKind::Fetch, 100), perfi_meta(200, 5),
+       {decoder, gate_meta(gate::UnitKind::Fetch, 100), perfi_meta(200, 5),
         rtl_meta(100)},
-       {kGate, 100, 64, 64},
+       {gate_unit, 100, 64, 64},
        std::nullopt},
-      {0, {perfi_meta(200, 5)}, {64},
-       gate_meta(gate::UnitKind::Decoder, 1200), kGate},
-      {0, {gate_meta(gate::UnitKind::Decoder, 1200)}, {kGate},
-       perfi_meta(200, 6), 64},
+      {0, {perfi_meta(200, 5)}, {64}, decoder, gate_unit},
+      {0, {decoder}, {gate_unit}, perfi_meta(200, 6), 64},
       {8,
-       {gate_meta(gate::UnitKind::Decoder, 1200), perfi_meta(200, 5),
-        rtl_meta(100)},
+       {decoder, perfi_meta(200, 5), rtl_meta(100)},
        {8, 8, 8}, gate_meta(gate::UnitKind::WSC, 100), 8},
   };
   for (std::size_t ci = 0; ci < std::size(cases); ++ci) {
@@ -694,6 +764,81 @@ TEST(NetCoordinator, UnitSizeFollowsCampaignKindUnlessPinned) {
       }
     }
     std::filesystem::remove_all(dir);
+  }
+}
+
+// The gate lease-unit rule over three id spaces: the three units' full
+// lists, a 600-fault sample, and shard 1 of 3. Leasing a fresh registration
+// to exhaustion (no results) grants every owned id exactly once, each unit
+// is an ascending run of the owned ids that continues where the previous one
+// ended, and each unit holds at most kWidestBatchLanes distinct collapse
+// representatives, every unit but the last exactly that many.
+TEST(NetCoordinator, GateUnitsHoldOneBatchOfRepresentatives) {
+  const std::size_t kReps = gate::kWidestBatchLanes;
+  const auto meta_of = [](gate::UnitKind unit, std::size_t faults,
+                          std::uint32_t shard_index, std::uint32_t shard_count) {
+    return report::gate_campaign_meta(unit, faults, /*max_issues=*/30,
+                                      /*seed=*/5, EngineKind::Batch,
+                                      shard_index, shard_count);
+  };
+  const std::pair<const char*, store::CampaignMeta> cases[] = {
+      {"decoder full", meta_of(gate::UnitKind::Decoder, 0, 0, 1)},
+      {"fetch full", meta_of(gate::UnitKind::Fetch, 0, 0, 1)},
+      {"wsc full", meta_of(gate::UnitKind::WSC, 0, 0, 1)},
+      {"wsc 600", meta_of(gate::UnitKind::WSC, 600, 0, 1)},
+      {"wsc shard 1/3", meta_of(gate::UnitKind::WSC, 0, 1, 3)},
+  };
+  for (const auto& [label, meta] : cases) {
+    SCOPED_TRACE(label);
+    const std::string path = temp_store_path("gate_units");
+    std::vector<std::vector<std::uint64_t>> grants;
+    {
+      store::CampaignCheckpoint ckpt(path, meta);
+      CoordinatorConfig cfg;
+      cfg.status_interval_ms = 0;
+      CoordinatorCore core(cfg);
+      core.add_campaign(ckpt);
+      const auto t0 = Clock::now();
+      core.start(t0);
+      const std::uint64_t s = core.on_connect();
+      std::vector<std::uint8_t> out;
+      Hello hello;
+      hello.worker_name = "probe";
+      core.on_frame(s, encode(hello), t0, out);
+      while (true) {
+        out.clear();
+        core.on_frame(s, encode(LeaseRequest{}), t0, out);
+        std::size_t off = 0;
+        Frame reply;
+        ASSERT_TRUE(extract_frame(out, off, reply));
+        if (static_cast<MsgType>(reply.type) == MsgType::NoWork) break;
+        grants.push_back(decode_lease_grant(reply).ids);
+      }
+      core.on_close(s);
+    }
+    std::remove(path.c_str());
+
+    std::vector<std::uint64_t> owned;
+    for (std::uint64_t id = 0; id < meta.total; ++id)
+      if (meta.owns(id)) owned.push_back(id);
+    std::vector<std::uint64_t> leased;
+    for (const auto& g : grants) leased.insert(leased.end(), g.begin(), g.end());
+    EXPECT_EQ(leased, owned);  // each owned id once, units in ascending runs
+
+    const std::vector<std::uint32_t> nodes = representative_nodes(meta);
+    ASSERT_FALSE(grants.empty());
+    for (std::size_t u = 0; u < grants.size(); ++u) {
+      std::set<std::uint32_t> reps;
+      for (const std::uint64_t id : grants[u]) reps.insert(nodes.at(id));
+      if (u + 1 < grants.size()) {
+        EXPECT_EQ(reps.size(), kReps) << "unit " << u;
+      } else {
+        EXPECT_LE(reps.size(), kReps) << "last unit";
+      }
+    }
+    if (collapse_enabled() && meta.param0 == 0) {  // a full list collapses
+      EXPECT_GT(grants.front().size(), kReps);
+    }
   }
 }
 
@@ -753,21 +898,26 @@ void run_solo(const store::CampaignMeta& meta, const std::string& path) {
 // Every store a two-worker fleet writes exports the same bytes as its
 // single-process reference: a perfi campaign split into 4-id units, and a
 // default-config registry (units sized by kind) serving a gate campaign of
-// more than one 512-id unit next to a small perfi campaign.
+// more than one default unit (1200 decoder faults: two units of at most 512
+// representatives) next to a small perfi campaign.
 TEST(NetE2E, FleetExportMatchesSingleProcessByteForByte) {
   struct Case {
     const char* name;
     std::vector<store::CampaignMeta> metas;
     std::size_t unit_size;
   };
+  const store::CampaignMeta decoder = report::gate_campaign_meta(
+      gate::UnitKind::Decoder, /*faults_per_unit=*/1200, /*max_issues=*/30,
+      /*seed=*/5, EngineKind::Batch);
+  {
+    std::vector<std::uint64_t> ids(decoder.total);
+    std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+    ASSERT_GT(report::gate_unit_ends(decoder, ids, gate::kWidestBatchLanes).size(),
+              1u);
+  }
   const Case cases[] = {
       {"perfi@4", {perfi_meta(40, 2026)}, 4},
-      {"by-kind",
-       {report::gate_campaign_meta(gate::UnitKind::Decoder,
-                                   /*faults_per_unit=*/600, /*max_issues=*/30,
-                                   /*seed=*/5, EngineKind::Batch),
-        perfi_meta(24, 2028)},
-       0},
+      {"by-kind", {decoder, perfi_meta(24, 2028)}, 0},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);

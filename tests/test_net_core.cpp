@@ -30,6 +30,7 @@
 #include "net/http.hpp"
 #include "net/protocol.hpp"
 #include "perfi/campaign.hpp"
+#include "report/gate_experiments.hpp"
 #include "store/checkpoint.hpp"
 #include "store/result_log.hpp"
 #include "workloads/workload.hpp"
@@ -60,6 +61,12 @@ store::CampaignMeta perfi_meta(std::uint64_t total, std::uint64_t seed) {
   const workloads::Workload* w = workloads::find("vectoradd");
   EXPECT_NE(w, nullptr);
   return perfi::epr_campaign_meta(*w, errmodel::ErrorModel::IOC, total, seed);
+}
+
+store::CampaignMeta decoder_meta(std::size_t faults) {
+  return report::gate_campaign_meta(gate::UnitKind::Decoder, faults,
+                                    /*max_issues=*/30, /*seed=*/5,
+                                    EngineKind::Batch);
 }
 
 std::vector<Frame> frames_of(const std::vector<std::uint8_t>& bytes) {
@@ -197,6 +204,9 @@ TEST(CoordinatorCore, MutatedFramesCloseOnlyTheirSession) {
   submit.name = "fz-sub";
   submit.priority = 2;
   submit.meta = perfi_meta(8, 6);
+  SubmitCampaign gate_submit;
+  gate_submit.name = "fz-gate";
+  gate_submit.meta = decoder_meta(64);
   const std::vector<Frame> seeds = {
       encode(hello),
       encode(pinned),
@@ -212,6 +222,7 @@ TEST(CoordinatorCore, MutatedFramesCloseOnlyTheirSession) {
       Frame{static_cast<std::uint16_t>(MsgType::HelloAck), {1, 0, 0, 0}},
       Frame{18, {0xFF, 0xFF, 0xFF, 0xFF}},
       Frame{0xFFFF, {}},
+      encode(gate_submit),
   };
 
   const std::uint64_t observer = core.on_connect();
@@ -374,6 +385,116 @@ TEST(CoordinatorCore, SubmitOverTheIdBoundIsRefused) {
   core.on_close(w);
   core.finish();
   EXPECT_EQ(store::load_store(dir + "/bd-work.gpfs").records.size(), 6u);
+  std::filesystem::remove_all(dir);
+}
+
+// A gate SubmitCampaign whose header this build cannot resolve (a unit or
+// engine byte naming nothing, an id count its sampled fault list does not
+// have) used to register and then fail on every worker it was leased to.
+// It is refused with a reply naming the field, before a store or any per-id
+// state exists. Mutants of a valid gate submit, fed to a core that sizes
+// gate units by representatives, are each refused or registered, and every
+// campaign registered among them leases each owned id exactly once.
+TEST(CoordinatorCore, UnresolvableGateSubmitIsRefused) {
+  NoFsync nofsync;
+  const std::string dir = fresh_dir("gate");
+  CoordinatorConfig cfg;
+  cfg.status_interval_ms = 0;
+  cfg.store_dir = dir;
+  CoordinatorCore core(cfg);
+  core.start(kT0);
+  const std::uint64_t admin = core.on_connect();
+
+  const store::CampaignMeta good = decoder_meta(600);
+  const auto with = [&good](const auto& edit) {
+    store::CampaignMeta m = good;
+    edit(m);
+    return m;
+  };
+  struct Bad {
+    const char* name;
+    store::CampaignMeta meta;
+    const char* says;
+  };
+  const Bad bad[] = {
+      {"unit3", with([](auto& m) { m.target = 3; }), "unit byte 3"},
+      {"unit255", with([](auto& m) { m.target = 255; }), "unit byte 255"},
+      {"engine7", with([](auto& m) { m.engine = 7; }), "engine byte 7"},
+      {"total599", with([](auto& m) { m.total = 599; }), "599 ids"},
+      {"total601", with([](auto& m) { m.total = 601; }), "601 ids"},
+      // The full list, while total still says 600.
+      {"fulllist", with([](auto& m) { m.param0 = 0; }), "600 ids"},
+  };
+  for (const Bad& b : bad) {
+    SCOPED_TRACE(b.name);
+    SubmitCampaign submit;
+    submit.name = b.name;
+    submit.meta = b.meta;
+    const OpResult res =
+        decode_op_result(exchange(core, admin, encode(submit), kT0));
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.message.find(b.says), std::string::npos) << res.message;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + b.name + ".gpfs"));
+  }
+  EXPECT_TRUE(
+      decode_campaign_list(exchange(core, admin, encode_list_campaigns(), kT0))
+          .campaigns.empty());
+
+  SubmitCampaign seed;
+  seed.name = "gate-ok";
+  seed.meta = good;
+  const OpResult ok = decode_op_result(exchange(core, admin, encode(seed), kT0));
+  EXPECT_TRUE(ok.ok) << ok.message;
+
+  std::mt19937_64 rng(0x6A7E);
+  std::size_t registered = 0;
+  for (const Frame& m : mutants(encode(seed), rng)) {
+    const std::uint64_t s = core.on_connect();
+    std::vector<std::uint8_t> out;
+    core.on_frame(s, encode(Hello{}), kT0, out);
+    try {
+      core.on_frame(s, m, kT0, out);
+    } catch (const std::runtime_error&) {
+    }
+    const std::vector<Frame> replies = frames_of(out);
+    if (replies.size() == 2 &&
+        static_cast<MsgType>(replies[1].type) == MsgType::OpResult &&
+        decode_op_result(replies[1]).message == "registered")
+      ++registered;
+    core.on_close(s);
+  }
+  EXPECT_GT(registered, 0u);
+
+  // Each registered campaign, leased to exhaustion by a pinned session,
+  // grants exactly its owned ids, in ascending runs.
+  const CampaignList list =
+      decode_campaign_list(exchange(core, admin, encode_list_campaigns(), kT0));
+  EXPECT_EQ(list.campaigns.size(), registered + 1);
+  for (const CampaignRow& row : list.campaigns) {
+    SCOPED_TRACE(row.name);
+    const std::uint64_t w = core.on_connect();
+    Hello pinned;
+    pinned.worker_name = "w";
+    pinned.campaign = row.name;
+    decode_hello_ack(exchange(core, w, encode(pinned), kT0));
+    std::vector<std::uint64_t> leased;
+    store::CampaignMeta meta;
+    while (true) {
+      const Frame reply = exchange(core, w, encode(LeaseRequest{}), kT0);
+      if (static_cast<MsgType>(reply.type) == MsgType::NoWork) break;
+      const LeaseGrant g = decode_lease_grant(reply);
+      meta = g.meta;
+      leased.insert(leased.end(), g.ids.begin(), g.ids.end());
+    }
+    core.on_close(w);
+    std::vector<std::uint64_t> owned;
+    for (std::uint64_t id = 0; id < meta.total; ++id)
+      if (meta.owns(id)) owned.push_back(id);
+    EXPECT_EQ(leased, owned);
+    EXPECT_EQ(leased.size(), row.total_ids);
+  }
+  core.on_close(admin);
+  core.finish();
   std::filesystem::remove_all(dir);
 }
 

@@ -78,8 +78,9 @@ int usage(const char* msg = nullptr) {
       "            [--priority N] [--seed S] [--store DIR] [--shard-index I]\n"
       "            [--shard-count K] [--status-ms N] [--verbose]\n"
       "            [--http HOST:PORT]\n"
-      "    --unit-size N: fault ids per work unit; 0 (default) = by campaign\n"
-      "            kind (gate 512, perfi and rtl 64), N > 0 pins every campaign\n"
+      "    --unit-size N: work-unit size; 0 (default) = by campaign kind\n"
+      "            (gate 512 collapse representatives, perfi and rtl 64 ids),\n"
+      "            N > 0 pins every campaign to N ids\n"
       "    more campaigns can be added while serving: gpfctl submit\n";
   return 2;
 }
@@ -212,7 +213,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < paths.size(); ++i)
       std::cout << "[gpfd]   " << paths[i] << " (" << ckpts[i]->done().size()
                 << "/" << metas[i].total << " already retired, unit size "
-                << coordinator.unit_size_for(metas[i]) << ")\n";
+                << coordinator.unit_size_for(metas[i]) << " "
+                << coordinator.unit_size_noun(metas[i]) << ")\n";
 
     // HTTP observability endpoint (off unless --http / GPF_HTTP_ADDR),
     // served from the coordinator's own loop.

@@ -2,13 +2,13 @@
 // scalar oracle vs bit-parallel (PPSFP) word simulation, the latter both
 // bare and with the two structural optimizations layered on top — stuck-at
 // equivalence collapsing (GPF_COLLAPSE) and fanout-cone pruning (GPF_CONE) —
-// interpreted and JIT-compiled, and the tuned engine again at every SIMD
-// lane width this build and CPU support (64-lane scalar words, 256-lane
-// AVX2, 512-lane AVX-512). Every row runs report::GateUnitRunner, the path
-// stores and fleets run: the engine rows as report::run_unit_campaign, one
-// serial run() over the whole fault list, and the runner rows as a serial
-// run() per lease-sized slice (64 or 512 ids) at the dispatched width, which
-// is what a fleet worker computes for a campaign's work units back to back.
+// and the tuned engine again at every SIMD lane width this build and CPU
+// support (64-lane scalar words, 256-lane AVX2, 512-lane AVX-512). Every
+// row runs report::GateUnitRunner, the path stores and fleets run: the
+// engine rows as report::run_unit_campaign, one serial run() over the whole
+// fault list, and the runner rows as a serial run() per lease-sized slice
+// (64 or 512 ids) at the dispatched width, which is what a fleet worker
+// computes for a campaign's work units back to back.
 // All rows produce identical classifications (checked here against the
 // brute row and asserted in test_batchsim); this bench measures throughput
 // in faults*cycles/sec, the figure of merit for exhaustive stuck-at sweeps.
@@ -36,7 +36,6 @@
 #include "common/table.hpp"
 #include "gate/batchsim.hpp"
 #include "gate/collapse.hpp"
-#include "gate/jit.hpp"
 #include "obs/metrics.hpp"
 #include "report/gate_experiments.hpp"
 
@@ -149,7 +148,7 @@ struct SetupRow {
 struct JsonRow {
   std::string unit, engine;
   std::size_t faults = 0, simulated = 0, cycles = 0, lanes = 0, unit_ids = 0;
-  bool collapse = false, cone = false, jit = false;
+  bool collapse = false, cone = false;
   double collapse_ratio = 1.0, mean_cone_fraction = 1.0;
   double wall_seconds = 0.0, speedup_vs_brute = 1.0, speedup_vs_batch_base = 1.0;
   double speedup_vs_lanes64 = 1.0, speedup_vs_64ids = 1.0;
@@ -174,17 +173,13 @@ void write_bench_json(const std::vector<JsonRow>& rows,
     std::snprintf(buf, sizeof(buf), fmt, v);
     return std::string(buf);
   };
-  // Self-describing header: the engine/jit/lane configuration this process
+  // Self-describing header: the lane and knob configuration this process
   // resolved from the environment, so a JSON consumer never has to guess
   // which code path produced the numbers.
   const std::size_t lanes = gate::batch_lane_width();
   os << "{\n  \"bench\": \"gate_batch\",\n  \"config\": {"
      << "\"lanes\": " << lanes << ", \"simd_path\": \""
-     << gate::batch_simd_path(lanes) << "\", \"engine\": \""
-     << gate::batch_engine_tag() << "\", \"jit_mode\": \""
-     << jit_mode_name(jit_mode()) << "\", \"jit_compiler\": "
-     << (gate::jit_compiler_available() ? "true" : "false")
-     << ", \"fuse\": " << (fuse_enabled() ? "true" : "false")
+     << gate::batch_simd_path(lanes) << "\""
      << ", \"collapse\": " << (collapse_enabled() ? "true" : "false")
      << ", \"cone\": " << (cone_enabled() ? "true" : "false")
      << ", \"min_rounds\": " << kMinRounds << ", \"max_rounds\": " << kRounds
@@ -199,7 +194,6 @@ void write_bench_json(const std::vector<JsonRow>& rows,
        << ", \"unit_ids\": " << r.unit_ids
        << ", \"collapse\": " << (r.collapse ? "true" : "false")
        << ", \"cone\": " << (r.cone ? "true" : "false")
-       << ", \"jit\": " << (r.jit ? "true" : "false")
        << ", \"collapse_ratio\": " << num(r.collapse_ratio, "%.3f")
        << ", \"mean_cone_fraction\": " << num(r.mean_cone_fraction, "%.3f")
        << ", \"wall_seconds\": " << num(r.wall_seconds, "%.6f")
@@ -276,33 +270,27 @@ int main(int argc, char** argv) {
     EngineKind engine;
     int collapse, cone;     // set_*_override values
     std::size_t lanes = 0;  // batch rows: pinned width (0 = brute)
-    int jit = 0;            // set_jit_override value for batch rows
-    std::string base;       // label without the @width suffix (row pairing)
     std::size_t unit_ids = 0;  // runner rows: ids per run() (0 = campaign)
   };
   std::vector<Row> rows = {
-      {"brute", EngineKind::Brute, 0, 0, 0, 0, "brute"},
-      {"batch", EngineKind::Batch, 0, 0, 64, 0, "batch"},
-      {"batch+c+c", EngineKind::Batch, 1, 1, 64, 0, "batch+c+c"},
-      {"batch+c+c+jit", EngineKind::Batch, 1, 1, 64, 1, "batch+c+c+jit"},
+      {"brute", EngineKind::Brute, 0, 0, 0},
+      {"batch", EngineKind::Batch, 0, 0, 64},
+      {"batch+c+c", EngineKind::Batch, 1, 1, 64},
   };
-  // The interpreted and jit engines again at each wider SIMD path the
-  // build/CPU can run: vs-64-lane is the payoff of widening.
+  // The tuned engine again at each wider SIMD path the build/CPU can run:
+  // vs-64-lane is the payoff of widening.
   for (const std::size_t w : {std::size_t{256}, std::size_t{512}}) {
     if (!gate::batch_width_supported(w)) continue;
-    const std::string at = "@" + std::to_string(w);
-    rows.push_back({"batch+c+c" + at, EngineKind::Batch, 1, 1, w, 0,
-                    "batch+c+c"});
-    rows.push_back({"batch+c+c+jit" + at, EngineKind::Batch, 1, 1, w, 1,
-                    "batch+c+c+jit"});
+    rows.push_back({"batch+c+c@" + std::to_string(w), EngineKind::Batch, 1, 1,
+                    w});
   }
-  // The store/fleet path at the dispatched width and default JIT mode:
-  // GateUnitRunner over 64-id slices (a unit that fills a 64-lane word) and
-  // 512-id slices (one that fills the widest word). vs-64-ids is the payoff
-  // of lane-filling leases on this CPU.
+  // The store/fleet path at the dispatched width: GateUnitRunner over 64-id
+  // slices (a unit that fills a 64-lane word) and 512-id slices (one that
+  // fills the widest word). vs-64-ids is the payoff of lane-filling leases
+  // on this CPU.
   for (const std::size_t ids : {std::size_t{64}, gate::kWidestBatchLanes})
     rows.push_back({"runner@" + std::to_string(ids) + "ids", EngineKind::Batch,
-                    1, 1, gate::batch_lane_width(), -1, "runner", ids});
+                    1, 1, gate::batch_lane_width(), ids});
 
   for (gate::UnitKind unit : units) {
     const std::size_t cycles = unit_cycles(unit, traces);
@@ -315,12 +303,10 @@ int main(int argc, char** argv) {
     const double work = static_cast<double>(faults) * static_cast<double>(cycles);
     const auto reps = representatives(replayer.netlist(), list);
     std::map<std::size_t, double> cone_frac;
-    set_jit_override(0);  // jit full-eval batches would report fraction 1.0
     for (const Row& row : rows)
       if (row.lanes && !cone_frac.count(row.lanes))
         cone_frac[row.lanes] = mean_cone_fraction(replayer.netlist(), reps,
                                                   row.lanes);
-    set_jit_override(-1);
 
     // The runner rows' campaign: the same full fault list as the others.
     set_collapse_override(1);
@@ -331,10 +317,8 @@ int main(int argc, char** argv) {
     // Runner rows' cone fraction, as the engine's own cone counters saw it
     // (their batches are made of per-slice representatives).
     std::map<std::size_t, double> runner_cone;  // row index -> fraction
-    bool runner_jit = false;
 
-    double brute_s = 0.0, batch_base_s = 0.0, ids64_s = 0.0;
-    std::map<std::string, double> base64_s;  // base label -> 64-lane secs
+    double brute_s = 0.0, batch_base_s = 0.0, tuned64_s = 0.0, ids64_s = 0.0;
 
     // Measure first, report after. Each round times every row once, so the
     // host's slow phases (seconds-scale frequency / steal-time drift) hit
@@ -388,17 +372,6 @@ int main(int argc, char** argv) {
         set_collapse_override(row.collapse);
         set_cone_override(row.cone);
         gate::set_batch_lanes_override(row.lanes);
-        set_jit_override(row.jit);
-        // Warm the jit cache outside the timed region: the one-time compile
-        // is reported separately (gate.jit.compile_us), not charged to
-        // throughput.
-        if (round == 0 && row.jit != 0 && row.lanes) {
-          const auto sim = gate::make_batch_sim(replayer.netlist(), row.lanes);
-          // GPF_JIT=auto rows: whether the engine loaded native code.
-          if (row.jit == -1)
-            runner_jit = std::string(sim->engine_desc()).find("jit") !=
-                         std::string::npos;
-        }
         // Sub-0.1s rows (decoder at any width) jitter ±10% even as a
         // min-of-rounds; stretch each timing sample to ~0.2s of work by
         // repeating the campaign and dividing.
@@ -433,7 +406,6 @@ int main(int argc, char** argv) {
     set_collapse_override(-1);
     set_cone_override(-1);
     gate::set_batch_lanes_override(0);
-    set_jit_override(-1);
     golden_rows.push_back(golden);
 
     gate::UnitCampaignResult reference;
@@ -467,13 +439,11 @@ int main(int argc, char** argv) {
       if (row.engine == EngineKind::Batch && !tuned) batch_base_s = secs;
       if (row.engine == EngineKind::Batch && tuned && row.lanes == 64 &&
           !row.unit_ids)
-        base64_s[row.base] = secs;
+        tuned64_s = secs;
       if (row.unit_ids == 64) ids64_s = secs;
       const double vs_batch = batch_base_s > 0.0 ? batch_base_s / secs : 1.0;
       const double vs_64 =
-          tuned && !row.unit_ids && base64_s.count(row.base)
-              ? base64_s[row.base] / secs
-              : 1.0;
+          tuned && !row.unit_ids && tuned64_s > 0.0 ? tuned64_s / secs : 1.0;
       const double vs_64ids =
           row.unit_ids && ids64_s > 0.0 ? ids64_s / secs : 1.0;
 
@@ -495,7 +465,6 @@ int main(int argc, char** argv) {
       jr.unit_ids = row.unit_ids;
       jr.collapse = row.collapse != 0;
       jr.cone = row.cone != 0;
-      jr.jit = row.jit == 1 || (row.jit == -1 && runner_jit);
       jr.collapse_ratio =
           static_cast<double>(faults) / static_cast<double>(simulated);
       jr.mean_cone_fraction = cone;
@@ -577,9 +546,7 @@ int main(int argc, char** argv) {
                "speedup of 512-id over 64-id slices (gpfd's gate units are\n"
                "512 ids, so they fill whole words at any lane width).\n"
                "The batch rows interpret the fused/folded gate program with\n"
-               "sparse force fixups (GPF_FUSE, default on); +jit rows\n"
-               "compile the program to native code per level (GPF_JIT=auto,\n"
-               "cached under GPF_JIT_CACHE_DIR). Select an engine with\n"
+               "sparse force fixups. Select an engine with\n"
                "GPF_ENGINE=brute|batch, pin a lane width with\n"
                "GPF_LANES=64|256|512 (default: the widest the CPU runs), and\n"
                "size the pool with GPF_THREADS.\n";

@@ -7,11 +7,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
+
+#include <unistd.h>
 
 namespace gpf {
 
@@ -143,70 +144,6 @@ bool cone_enabled() {
 void set_collapse_override(int v) { g_collapse_override = v < 0 ? -1 : (v ? 1 : 0); }
 void set_cone_override(int v) { g_cone_override = v < 0 ? -1 : (v ? 1 : 0); }
 
-namespace {
-std::atomic<int> g_fuse_override{-1};
-std::atomic<int> g_jit_override{-1};  // -1 defer, else JitMode value
-std::mutex g_jit_cache_dir_mu;
-std::string g_jit_cache_dir_override;  // guarded by g_jit_cache_dir_mu
-}  // namespace
-
-bool fuse_enabled() {
-  const int o = g_fuse_override.load();
-  if (o >= 0) return o != 0;
-  static const bool on = env_flag("GPF_FUSE", true);
-  return on;
-}
-
-void set_fuse_override(int v) { g_fuse_override = v < 0 ? -1 : (v ? 1 : 0); }
-
-const char* jit_mode_name(JitMode m) {
-  switch (m) {
-    case JitMode::Off: return "off";
-    case JitMode::On: return "on";
-    case JitMode::Auto: return "auto";
-  }
-  return "?";
-}
-
-JitMode jit_mode() {
-  const int o = g_jit_override.load();
-  if (o >= 0) return static_cast<JitMode>(o);
-  static const JitMode mode = [] {
-    const char* s = std::getenv("GPF_JIT");
-    if (!s || !*s) return JitMode::Auto;
-    const std::string v(s);
-    if (v == "off" || v == "0" || v == "false" || v == "no") return JitMode::Off;
-    if (v == "on" || v == "1" || v == "true" || v == "yes") return JitMode::On;
-    if (v == "auto") return JitMode::Auto;
-    std::fprintf(stderr,
-                 "[gpf] ignoring GPF_JIT=\"%s\": expected on|off|auto; "
-                 "using auto\n",
-                 s);
-    return JitMode::Auto;
-  }();
-  return mode;
-}
-
-void set_jit_override(int v) {
-  g_jit_override = (v < 0 || v > 2) ? -1 : v;
-}
-
-std::string jit_cache_dir() {
-  {
-    std::lock_guard<std::mutex> lk(g_jit_cache_dir_mu);
-    if (!g_jit_cache_dir_override.empty()) return g_jit_cache_dir_override;
-  }
-  const char* s = std::getenv("GPF_JIT_CACHE_DIR");
-  if (s && *s) return std::string(s);
-  const char* tmp = std::getenv("TMPDIR");
-  return std::string(tmp && *tmp ? tmp : "/tmp") + "/gpf-jit";
-}
-
-void set_jit_cache_dir_override(const std::string& dir) {
-  std::lock_guard<std::mutex> lk(g_jit_cache_dir_mu);
-  g_jit_cache_dir_override = dir;
-}
-
 std::size_t lanes_request() {
   static const std::size_t lanes = [] {
     const unsigned long long v =
@@ -315,6 +252,26 @@ std::string http_addr() {
   return addr;
 }
 
+std::vector<std::string> unread_env_knobs(char** envp) {
+  // The knobs above, plus the benches' output directory.
+  static constexpr std::string_view kRead[] = {
+      "GPF_SCALE",      "GPF_SEED",          "GPF_ENGINE",
+      "GPF_COLLAPSE",   "GPF_CONE",          "GPF_LANES",
+      "GPF_THREADS",    "GPF_STORE_DIR",     "GPF_COORD_ADDR",
+      "GPF_LEASE_MS",   "GPF_FSYNC",         "GPF_WORKER_BACKOFF_MS",
+      "GPF_METRICS",    "GPF_TRACE",         "GPF_STATUS_MS",
+      "GPF_HTTP_ADDR",  "GPF_BENCH_JSON_DIR"};
+  std::vector<std::string> unread;
+  for (char** e = envp; e && *e; ++e) {
+    const std::string_view kv(*e);
+    const std::string_view var = kv.substr(0, kv.find('='));
+    if (var.starts_with("GPF_") &&
+        std::find(std::begin(kRead), std::end(kRead), var) == std::end(kRead))
+      unread.emplace_back(var);
+  }
+  return unread;
+}
+
 void dump_env(std::ostream& os) {
   const auto line = [&os](const char* var, const std::string& value) {
     os << "# " << var << "=" << value
@@ -331,22 +288,6 @@ void dump_env(std::ostream& os) {
     os << "# GPF_CONE=" << (cone_enabled() ? "1" : "0") << " (override)\n";
   else
     line("GPF_CONE", cone_enabled() ? "1" : "0");
-  if (g_fuse_override.load() >= 0)
-    os << "# GPF_FUSE=" << (fuse_enabled() ? "1" : "0") << " (override)\n";
-  else
-    line("GPF_FUSE", fuse_enabled() ? "1" : "0");
-  if (g_jit_override.load() >= 0)
-    os << "# GPF_JIT=" << jit_mode_name(jit_mode()) << " (override)\n";
-  else
-    line("GPF_JIT", jit_mode_name(jit_mode()));
-  const bool cache_overridden = [] {
-    std::lock_guard<std::mutex> lk(g_jit_cache_dir_mu);
-    return !g_jit_cache_dir_override.empty();
-  }();
-  if (cache_overridden)
-    os << "# GPF_JIT_CACHE_DIR=" << jit_cache_dir() << " (override)\n";
-  else
-    line("GPF_JIT_CACHE_DIR", jit_cache_dir());
   line("GPF_LANES", lanes_request() ? std::to_string(lanes_request())
                                     : "0 (auto: widest cpuid width)");
   if (const std::size_t o = g_threads_override.load())
@@ -370,6 +311,11 @@ void dump_env(std::ostream& os) {
   line("GPF_TRACE", trace_path().empty() ? "(off)" : trace_path());
   line("GPF_STATUS_MS", std::to_string(status_interval_ms()));
   line("GPF_HTTP_ADDR", http_addr().empty() ? "(off)" : http_addr());
+  for (const std::string& var : unread_env_knobs(environ))
+    std::fprintf(stderr,
+                 "[gpf] ignoring %s: no code reads it (a retired or "
+                 "misspelt knob)\n",
+                 var.c_str());
 }
 
 }  // namespace gpf

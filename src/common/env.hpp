@@ -9,9 +9,6 @@
 //   GPF_ENGINE            gate fault-simulation engine: brute | batch (default batch)
 //   GPF_COLLAPSE          structural stuck-at fault collapsing: 1 | 0 (default 1)
 //   GPF_CONE              batch-engine fanout-cone pruning: 1 | 0 (default 1)
-//   GPF_FUSE              gate-program optimizer (fold/fuse/DCE/vreg): 1 | 0 (default 1)
-//   GPF_JIT               native-code gate eval: on | off | auto (default auto)
-//   GPF_JIT_CACHE_DIR     compiled-netlist .so cache (default <tmp>/gpf-jit)
 //   GPF_LANES             batch-engine lane width: 64 | 256 | 512 (0 = widest the CPU runs)
 //   GPF_THREADS           campaign thread-pool width (0 = hardware threads)
 //   GPF_STORE_DIR         directory for persistent campaign stores (default ".")
@@ -27,7 +24,11 @@
 // Knobs are parsed strictly: a value that is not entirely a number (e.g.
 // GPF_THREADS=max) or not one of the listed names (e.g. GPF_ENGINE=fast) is
 // rejected with a warning on stderr and the documented default is used — it
-// never silently becomes 0 or some other setting.
+// never silently becomes 0 or some other setting. Likewise a GPF_* variable
+// that is set but read by nothing (a retired knob such as GPF_JIT, or a
+// typo) is named in a warning by dump_env(), not silently ignored.
+// GPF_BENCH_JSON_DIR, where the benches write their BENCH_*.json, is the one
+// GPF_* variable read outside this registry.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +37,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace gpf {
 
@@ -100,39 +102,6 @@ bool cone_enabled();
 /// re-execing): -1 = defer to the environment, 0 = off, 1 = on.
 void set_collapse_override(int v);
 void set_cone_override(int v);
-
-/// GPF_FUSE environment variable: when on (the default), the gate engines run
-/// the optimized gate program (constant folding, buf/not-chain and
-/// AND-OR-INVERT superop fusion, dead-gate elimination, virtual-register
-/// allocation — see gate/gateprog.hpp); when off they run the unoptimized 1:1
-/// program. Classifications and exports are identical either way. Same
-/// off-spellings as GPF_COLLAPSE. Override: -1 = defer to environment.
-bool fuse_enabled();
-void set_fuse_override(int v);
-
-/// GPF_JIT environment variable: whether the batch engine compiles the gate
-/// program to native code with the system C++ compiler (see gate/jit.hpp).
-///   off   never JIT; always use the interpreter
-///   on    JIT every netlist (even tiny ones; tests use this)
-///   auto  JIT netlists large enough to amortize the compile (the default);
-///         silently falls back to the interpreter when no compiler exists
-/// Unrecognized values warn on stderr and mean auto.
-enum class JitMode : std::uint8_t { Off, On, Auto };
-const char* jit_mode_name(JitMode m);
-JitMode jit_mode();
-
-/// Override for GPF_JIT: -1 = defer to environment, 0 = off, 1 = on,
-/// 2 = auto. Tests toggle this without re-execing.
-void set_jit_override(int v);
-
-/// GPF_JIT_CACHE_DIR environment variable: directory where JIT-compiled
-/// netlist shared objects are cached across processes, keyed by a
-/// netlist+width+codegen-version hash (default "<system temp>/gpf-jit").
-std::string jit_cache_dir();
-
-/// Override for GPF_JIT_CACHE_DIR (tests point it at a scratch dir without
-/// re-execing). An empty string defers to the environment.
-void set_jit_cache_dir_override(const std::string& dir);
 
 /// GPF_LANES environment variable: an exact batch lane width (64, 256 or
 /// 512). 0 / unset means the widest width this build and CPU support, which
@@ -199,9 +168,14 @@ std::uint32_t status_interval_ms();
 /// it; the gpfd --http flag overrides.
 std::string http_addr();
 
+/// The GPF_* variables set in `envp` (a null-terminated "NAME=value" array
+/// like `environ`) that no code reads, in `envp` order.
+std::vector<std::string> unread_env_knobs(char** envp);
+
 /// Print every GPF_* knob with its effective value and whether it came from
-/// the environment or a default. Campaign entry points call this once at
-/// start so logs record the exact configuration.
+/// the environment or a default, and warn on stderr once for each GPF_*
+/// variable of the environment that no code reads. Campaign entry points
+/// call this once at start so logs record the exact configuration.
 void dump_env(std::ostream& os);
 
 }  // namespace gpf

@@ -56,10 +56,6 @@ class BatchSim {
   virtual std::size_t width() const = 0;
   /// Human-readable SIMD path for logs: "scalar64" | "avx2x256" | "avx512x512".
   virtual const char* path_name() const = 0;
-  /// Resolved execution strategy of this instance: "full"/"fused"
-  /// (interpreted gate program), with "+jit" appended when a native
-  /// module is loaded for the stream.
-  virtual const char* engine_desc() const = 0;
 
   /// Install up to width() faults (lane k carries faults[k]) and reset state.
   virtual void begin(std::span<const StuckFault> faults) = 0;

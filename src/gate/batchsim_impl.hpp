@@ -6,18 +6,12 @@
 // runtime cpuid dispatch in batchsim.cpp, so a pre-AVX2 machine never
 // executes (or even links in statically-chosen copies of) ymm/zmm code.
 //
-// The engine runs the optimized gate program (gate/gateprog.hpp) in one of
-// two modes:
+// The engine interprets the fused gate program (gate/gateprog.hpp): the
+// folded/fused/DCE'd/vreg-renamed stream. The interpreter (gate/interp.hpp)
+// walks a batch's code as runs of same-opcode ops, cut once when the batch
+// plans the code: one switch per run, one loop per opcode.
 //
-//   full    GPF_FUSE=0: the 1:1 instruction stream, interpreted.
-//   fused   GPF_FUSE=1 (default): the folded/fused/DCE'd/vreg-renamed
-//           stream, interpreted or JIT-compiled to native code (GPF_JIT).
-//
-// The interpreter (gate/interp.hpp) walks a batch's code as runs of
-// same-opcode ops, cut once when the batch plans the code: one switch per
-// run, one loop per opcode.
-//
-// Per-cycle work outside the gate ops is kept off the hot path five ways,
+// Per-cycle work outside the gate ops is kept off the hot path four ways,
 // each exact by construction:
 //   - force ops: a batch's stuck-at overlays on gate outputs are ops of its
 //     own copy of the stream (and of its cone program), placed after the op
@@ -25,8 +19,7 @@
 //     interpreter call evaluates a whole cycle. The op is the And-Or superop
 //     (v & keep) | set over two per-site mask words stored past the vreg
 //     slots. Exact because the stream is levelized: every consumer of the
-//     forced net sits at a higher level. The JIT applies the same overlays
-//     between its per-level calls;
+//     forced net sits at a higher level;
 //   - source writers: a source net (input, constant, DFF output) is written
 //     only by the code that changes it, and that code applies the force: an
 //     input when set_inputs() rewrites it, a constant once per
@@ -44,7 +37,7 @@
 //     lanes need no particular values at all, which is also what lets the
 //     latch skip a group no live lane enables.
 //
-// Exactness of the fused mode under arbitrary fault sites, per batch:
+// Exactness of the fused stream under arbitrary fault sites, per batch:
 //   - a forced net the stream writes (own index or vreg slot) gets a force
 //     op after the writing instruction, before any higher-level op;
 //   - a forced interior of a fused superop re-expands that superop to its
@@ -56,9 +49,6 @@
 //     same Benign/Latent outcome the unoptimized engine computes.
 //   - an observed net the fused stream doesn't keep value-exact pins the
 //     instance to the full stream (only exotic tests observe non-bus nets).
-// JIT full evaluation is used for a batch when its fanout cone would not
-// prune enough to beat native straight-line code; patched batches always
-// interpret.
 #pragma once
 
 #include <algorithm>
@@ -72,7 +62,6 @@
 #include "gate/compiled.hpp"
 #include "gate/gateprog.hpp"
 #include "gate/interp.hpp"
-#include "gate/jit.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpf::gate {
@@ -82,21 +71,15 @@ class BatchFaultSimT final : public BatchSim {
  public:
   using W = LaneWord<N>;
   static constexpr std::size_t kLanes = N;
-  // Below this in-cone fraction the interpreted cone program beats JIT'd
-  // full evaluation; above it, native straight-line code wins.
-  static constexpr double kJitConeThreshold = 0.35;
-  // The interpreter keeps its cone longer than the JIT (its per-op cost is
-  // higher, so skipped ops are worth more), but once the union cone covers
-  // most of the netlist the per-cycle frontier refresh and cone-restricted
-  // bookkeeping cost more than the out-of-cone ops they avoid.
+  // Once the union cone covers this much of the netlist, the per-cycle
+  // frontier refresh and cone-restricted bookkeeping cost more than the
+  // out-of-cone ops they avoid, so the batch runs the plain stream.
   static constexpr double kInterpConeThreshold = 0.55;
 
   explicit BatchFaultSimT(const Netlist& nl)
       : nl_(nl),
         cn_(nl.compiled()),
         gp_(nl.program()),
-        mode_(gpf::fuse_enabled() ? Mode::Fused : Mode::Full),
-        base_(mode_ == Mode::Fused ? &gp_.fused : &gp_.full),
         num_nets_(nl.num_nets()),
         mask_base_(gp_.storage_size),
         val_(mask_base_ + 2 * kLanes, W::zero()),
@@ -105,7 +88,6 @@ class BatchFaultSimT final : public BatchSim {
         in_last_((num_nets_ + 63) / 64, 0),
         cone_enabled_(gpf::cone_enabled()) {
     if (!nl.finalized()) throw std::logic_error("netlist not finalized");
-    jit_ = jit_module(gp_, *base_, N);
     build_latch_groups();
     for (std::size_t n = 0; n < num_nets_; ++n) {
       if (nl.gate(static_cast<Net>(n)).kind != GateKind::Input) continue;
@@ -120,10 +102,6 @@ class BatchFaultSimT final : public BatchSim {
 
   std::size_t width() const override { return kLanes; }
   const char* path_name() const override { return batch_simd_path(kLanes); }
-  const char* engine_desc() const override {
-    if (mode_ == Mode::Fused) return jit_ ? "fused+jit" : "fused";
-    return jit_ ? "full+jit" : "full";
-  }
 
   void begin(std::span<const StuckFault> faults) override {
     if (faults.size() > kLanes)
@@ -189,9 +167,7 @@ class BatchFaultSimT final : public BatchSim {
       val_[static_cast<std::size_t>(n)] = W::broadcast(v);
     std::fill(in_last_.begin(), in_last_.end(), 0);
     apply_source_overlays();
-    static obs::Counter& jit_batches = obs::counter("gate.jit.batches");
     static obs::Counter& patch_batches = obs::counter("gate.patched_batches");
-    if (use_jit_) jit_batches.add(1);
     if (patched_) patch_batches.add(1);
   }
 
@@ -208,7 +184,7 @@ class BatchFaultSimT final : public BatchSim {
       if (!gp_.value_exact(n)) observed_exact_ = false;
   }
   bool cone_active() const override {
-    return cone_enabled_ && lane_mask_.any() && !use_jit_ && !skip_cone_;
+    return cone_enabled_ && lane_mask_.any() && !skip_cone_;
   }
 
   void load_broadcast(GoldenRow vals) override {
@@ -235,12 +211,8 @@ class BatchFaultSimT final : public BatchSim {
   }
 
   void eval() override {
-    if (use_jit_) {
-      jit_eval();
-    } else {
-      ensure_eval_code();
-      exec(eval_code_, eval_runs_, GoldenRow{});
-    }
+    ensure_eval_code();
+    exec(eval_code_, eval_runs_, GoldenRow{});
   }
 
   /// Refresh the out-of-cone values the cone code reads. Frontier nets are
@@ -318,7 +290,8 @@ class BatchFaultSimT final : public BatchSim {
   LaneMask diff_observed(GoldenRow golden) const override {
     // Divergence is confined to the fan-out cone no matter how values are
     // computed (forces only exist at in-cone sites), so the read restriction
-    // applies whenever the sets exist — even under full-stream JIT eval.
+    // applies whenever the sets exist — even when the batch skips the cone
+    // program and evaluates the whole stream.
     return diff_lanes(cone_built_ ? std::span<const Net>(observed_cone_)
                                   : std::span<const Net>(observed_),
                       golden);
@@ -354,7 +327,7 @@ class BatchFaultSimT final : public BatchSim {
   void retire_lane(unsigned lane) override { lane_mask_.clear(lane); }
 
   std::size_t cone_gate_count() override {
-    if (!cone_enabled_ || !lane_mask_.any() || use_jit_ || skip_cone_)
+    if (!cone_enabled_ || !lane_mask_.any() || skip_cone_)
       return cn_.num_slots();
     ensure_cone_program();
     return cone_covered_;
@@ -363,8 +336,6 @@ class BatchFaultSimT final : public BatchSim {
   std::size_t total_gate_count() const override { return cn_.num_slots(); }
 
  private:
-  enum class Mode : std::uint8_t { Full, Fused };
-
   static constexpr std::uint32_t kNoForce = 0xFFFFFFFFu;
 
   /// A stuck-at overlay of the active code: storage index `storage`, which
@@ -577,28 +548,25 @@ class BatchFaultSimT final : public BatchSim {
   // ---- per-batch execution plan ------------------------------------------
 
   void plan_batch() {
-    use_jit_ = false;
     patched_ = false;
     collect_dff_forces(latch_groups_, latch_members_, dff_forces_);
-    const Stream* S = base_;
-    if (mode_ == Mode::Fused) {
-      if (!observed_exact_) {
-        S = &gp_.full;  // exotic observed set: run the exact 1:1 stream
-      } else {
-        patch_ops_.clear();
-        bool fold_patch = false;
-        for (const Net n : forced_nets_) {
-          const std::uint8_t fl = gp_.net_flags[static_cast<std::size_t>(n)];
-          if (fl & kNetFoldedUse) fold_patch = true;
-          if (fl & kNetInterior)
-            patch_ops_.push_back(gp_.head_of[static_cast<std::size_t>(n)]);
-        }
-        if (fold_patch)
-          for (std::size_t i = 0; i < gp_.fused.meta.size(); ++i)
-            if (gp_.fused.meta[i].folded)
-              patch_ops_.push_back(static_cast<std::uint32_t>(i));
-        if (!patch_ops_.empty()) build_patch();
+    const Stream* S = &gp_.fused;
+    if (!observed_exact_) {
+      S = &gp_.full;  // exotic observed set: run the exact 1:1 stream
+    } else {
+      patch_ops_.clear();
+      bool fold_patch = false;
+      for (const Net n : forced_nets_) {
+        const std::uint8_t fl = gp_.net_flags[static_cast<std::size_t>(n)];
+        if (fl & kNetFoldedUse) fold_patch = true;
+        if (fl & kNetInterior)
+          patch_ops_.push_back(gp_.head_of[static_cast<std::size_t>(n)]);
       }
+      if (fold_patch)
+        for (std::size_t i = 0; i < gp_.fused.meta.size(); ++i)
+          if (gp_.fused.meta[i].folded)
+            patch_ops_.push_back(static_cast<std::uint32_t>(i));
+      if (!patch_ops_.empty()) build_patch();
     }
     active_stream_ = patched_ ? nullptr : S;
     if (!patched_) {
@@ -615,22 +583,10 @@ class BatchFaultSimT final : public BatchSim {
                 [](const Fixup& x, const Fixup& y) { return x.pos < y.pos; });
     }
     eval_code_ready_ = false;
-    // JIT'd full evaluation versus interpreted cone program: only the
-    // unpatched base stream has compiled code, and it only wins when the
-    // union cone is a large fraction of the netlist.
-    if (jit_ && !patched_ && S == base_) {
-      if (!cone_enabled_ || !lane_mask_.any()) {
-        use_jit_ = true;
-      } else {
-        ensure_cone_program();
-        use_jit_ = static_cast<double>(cone_covered_) >=
-                   kJitConeThreshold * static_cast<double>(cn_.num_slots());
-      }
-    }
-    // Same call for the interpreter at a higher threshold: a cone covering
-    // most of the netlist is pure overhead, so run the plain active stream.
+    // A cone covering most of the netlist is pure overhead, so run the plain
+    // active stream.
     skip_cone_ = false;
-    if (!use_jit_ && cone_enabled_ && lane_mask_.any()) {
+    if (cone_enabled_ && lane_mask_.any()) {
       ensure_cone_program();
       skip_cone_ = static_cast<double>(cone_covered_) >=
                    kInterpConeThreshold * static_cast<double>(cn_.num_slots());
@@ -676,7 +632,7 @@ class BatchFaultSimT final : public BatchSim {
   /// is exact anywhere from its writer to the first higher-level op; holding
   /// it until then turns each level's force ops into one run instead of
   /// breaking the level's same-opcode runs, which the interpreter's dispatch
-  /// branch predicts. (The JIT overlays at the same points.)
+  /// branch predicts.
   void release_forces(std::vector<Instr>& code, std::int32_t level) {
     std::size_t kept = 0;
     for (std::size_t h = 0; h < held_.size(); ++h) {
@@ -706,22 +662,6 @@ class BatchFaultSimT final : public BatchSim {
     }
     release_forces(eval_code_, std::numeric_limits<std::int32_t>::max());
     op_runs(eval_code_, eval_runs_);
-  }
-
-  void jit_eval() {
-    W* const v = val_.data();
-    std::size_t fi = 0;
-    const std::size_t nfix = fixups_.size();
-    // fixups_ is in stream order, which is level order.
-    for (std::size_t l = 1; l < jit_->levels.size(); ++l) {
-      if (const JitModule::LevelFn fn = jit_->levels[l]) fn(v);
-      while (fi < nfix &&
-             static_cast<std::size_t>(
-                 active_meta_[fixups_[fi].pos].level) == l) {
-        overlay(fixups_[fi].storage, fixups_[fi].slot);
-        ++fi;
-      }
-    }
   }
 
   // ---- interpreter --------------------------------------------------------
@@ -874,11 +814,8 @@ class BatchFaultSimT final : public BatchSim {
   const Netlist& nl_;
   const CompiledNetlist& cn_;
   const GateProgram& gp_;
-  const Mode mode_;          ///< full / fused, latched at ctor
-  const Stream* base_;       ///< the mode's default stream
   const std::size_t num_nets_;
   const std::size_t mask_base_;  ///< storage index of mask slot 0
-  std::shared_ptr<const JitModule> jit_;  ///< nullptr = interpret
   std::vector<W> val_;  ///< [storage] -> N fault lanes (nets, vregs, then
                         ///<   two force-mask words per possible site, sized
                         ///<   once so begin() never reallocates)
@@ -906,7 +843,6 @@ class BatchFaultSimT final : public BatchSim {
     Instr op;
   };
   std::vector<HeldForce> held_;  ///< release_forces scratch
-  bool use_jit_ = false;
   bool skip_cone_ = false;  ///< cone covers too much; run the full stream
   bool patched_ = false;
   bool plan_ready_ = false;  ///< plan below is valid for prev_faults_
@@ -922,7 +858,7 @@ class BatchFaultSimT final : public BatchSim {
   bool cone_built_ = false;  ///< cone sets/program built for current batch
   bool cone_eval_live_ = false;  ///< driver called eval_cone() this batch, so
                                  ///< clock() may latch in-cone DFFs only; any
-                                 ///< full-stream eval (plain eval(), JIT,
+                                 ///< whole-stream eval (plain eval(),
                                  ///< cone-skip) keeps full latching while the
                                  ///< sets keep restricting diff reads
   std::uint32_t cone_epoch_ = 0;

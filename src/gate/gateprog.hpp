@@ -8,9 +8,10 @@
 //   full   one Instr per compiled slot, same order, same semantics — every
 //          net written, no folding. The scalar Simulator (the oracle), the
 //          golden pass (UnitReplayer::compute_goldens, which needs every
-//          net's value because every net is a fault site) and the
-//          GPF_FUSE=0 batch path run this stream; it is the exact reference
-//          the optimized stream must match on every materialized net.
+//          net's value because every net is a fault site) and a batch
+//          whose observed set the fused stream does not keep value-exact
+//          run this stream; it is the exact reference the optimized stream
+//          must match on every materialized net.
 //
 //   fused  the optimizer pipeline's output:
 //            1. constant folding — operands driven by Const0/Const1 nets (and
@@ -138,7 +139,8 @@ struct OpMeta {
   std::uint32_t cover_begin = 0;       ///< range into Stream::cover: the
   std::uint32_t cover_count = 0;       ///<   compiled slots this op replaces
   bool folded = false;  ///< emitted form dropped a constant-valued operand
-  std::int32_t level = 0;  ///< levelization depth of out_net (JIT grouping)
+  std::int32_t level = 0;  ///< levelization depth of out_net (force-op
+                           ///<   placement)
 };
 
 /// An executable instruction stream plus the net -> storage maps the engine
@@ -183,9 +185,6 @@ struct GateProgram {
   std::size_t dead_gates = 0;   ///< gates eliminated as unobservable
   std::size_t folded_ops = 0;   ///< ops strength-reduced by constant folding
   std::size_t vreg_nets = 0;    ///< nets renamed into virtual registers
-
-  /// FNV-1a over the compiled structure + codegen version; the JIT cache key.
-  std::uint64_t struct_hash = 0;
 
   /// The fused stream computes this net's value somewhere (its own index or
   /// a vreg slot) — a force overlay can be fixed up after the writing op.

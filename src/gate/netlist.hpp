@@ -95,7 +95,7 @@ class Netlist {
   /// Optimized executable gate program (gate/gateprog.hpp) lowered from the
   /// compiled form by finalize(): the folded 1:1 `full` stream every engine
   /// shares, plus the fused/DCE'd/register-allocated `fused` stream the batch
-  /// engine and JIT run.
+  /// engine runs.
   const GateProgram& program() const;
 
   /// Total combinational + sequential cell count (excludes Input/Const).

@@ -6,7 +6,6 @@
 
 #include "common/threadpool.hpp"
 #include "gate/batchsim.hpp"
-#include "gate/jit.hpp"
 #include "perfi/campaign.hpp"
 #include "report/gate_experiments.hpp"
 #include "rtl/campaign.hpp"
@@ -27,9 +26,8 @@ UnitFn make_unit_fn(const store::CampaignMeta& meta) {
         std::fprintf(stderr, "[worker] gate campaign: %zu faults collapse to %zu representatives\n",
                      runner->faults().size(), runner->representative_count());
       const std::size_t lanes = gate::batch_lane_width();
-      std::fprintf(stderr, "[worker] gate campaign: batch lanes %zu (%s, %s)\n",
-                   lanes, gate::batch_simd_path(lanes),
-                   gate::batch_engine_tag());
+      std::fprintf(stderr, "[worker] gate campaign: batch lanes %zu (%s)\n",
+                   lanes, gate::batch_simd_path(lanes));
       auto pool = std::make_shared<ThreadPool>();
       return [runner, pool](std::span<const std::uint64_t> ids,
                             const EmitBytes& emit,

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -17,7 +16,6 @@
 #include "common/rng.hpp"
 #include "gate/batchsim.hpp"
 #include "gate/interp.hpp"
-#include "gate/jit.hpp"
 #include "gate/profiler.hpp"
 #include "gate/replay.hpp"
 #include "isa/encoding.hpp"
@@ -743,45 +741,37 @@ TEST_P(BatchSimEquivalence, KnobMatrixClassifiesIdentically) {
   }
 }
 
-// The gate-program engines are pure optimizations too: the optimized
-// streams with fusion on/off and the JIT'd native code must all characterize
-// every fault exactly like the brute oracle. JIT rows are skipped (not
-// failed) when the container has no C++ compiler.
+// The batch engine's knobs together: at every supported lane width, every
+// (GPF_COLLAPSE, GPF_CONE) combination must characterize every fault exactly
+// like the brute oracle, on a trace the matrices above do not replay.
 TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
   const std::vector<UnitTraces> traces = {trace_of("p_tiled_mxm", 250)};
   constexpr std::size_t kFaults = 130;
   KnobGuard guard;
-  struct EngineGuard {
-    ~EngineGuard() {
-      set_fuse_override(-1);
-      set_jit_override(-1);
-      set_jit_cache_dir_override("");
-      jit_reset_for_tests();
-    }
-  } engine_guard;
-  const std::string jit_dir = ::testing::TempDir() + "gpf-jit-knobmatrix";
-  set_jit_cache_dir_override(jit_dir);
+  LaneGuard lanes;
 
   const auto reference = run_campaign(GetParam(), traces, kFaults, 42,
                                       EngineKind::Brute);
   ASSERT_EQ(reference.faults.size(), kFaults);
 
-  for (const int fuse : {0, 1}) {
-    for (const int jit : {0, 1}) {
-      if (jit == 1 && !jit_compiler_available()) continue;
-      set_fuse_override(fuse);
-      set_jit_override(jit);
-      jit_reset_for_tests();
-      const auto res = run_campaign(GetParam(), traces, kFaults, 42,
-                                    EngineKind::Batch);
-      const std::string label = std::string("fuse=") + std::to_string(fuse) +
-                                " jit=" + std::to_string(jit) + " vs brute";
-      ASSERT_EQ(res.faults.size(), reference.faults.size()) << label;
-      for (std::size_t i = 0; i < kFaults; ++i)
-        expect_same(reference.faults[i], res.faults[i], label.c_str());
+  for (const std::size_t width : supported_widths()) {
+    for (const int collapse : {0, 1}) {
+      for (const int cone : {0, 1}) {
+        set_batch_lanes_override(width);
+        set_collapse_override(collapse);
+        set_cone_override(cone);
+        const auto res = run_campaign(GetParam(), traces, kFaults, 42,
+                                      EngineKind::Batch);
+        const std::string label =
+            "width=" + std::to_string(width) +
+            " collapse=" + std::to_string(collapse) +
+            " cone=" + std::to_string(cone) + " vs brute";
+        ASSERT_EQ(res.faults.size(), reference.faults.size()) << label;
+        for (std::size_t i = 0; i < kFaults; ++i)
+          expect_same(reference.faults[i], res.faults[i], label.c_str());
+      }
     }
   }
-  std::filesystem::remove_all(jit_dir);
 }
 
 // Hung lanes are retired and keep diverging unsnapped. A batch mixes

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -256,6 +257,40 @@ TEST(Env, UnknownEngineValueWarnsAndMeansBatch) {
               std::string::npos)
         << err;
   }
+}
+
+// A GPF_* variable that no code reads — a retired knob left in an old
+// script, or a typo — is named on stderr by dump_env, once, not silently
+// ignored. The registry's knobs, the benches' GPF_BENCH_JSON_DIR and
+// variables outside the GPF_ prefix stay quiet.
+TEST(Env, UnreadKnobsAreNamed) {
+  char scale[] = "GPF_SCALE=0.5";
+  char jit[] = "GPF_JIT=off";
+  char other[] = "XGPF_JIT=1";
+  char json_dir[] = "GPF_BENCH_JSON_DIR=out";
+  char warehouse[] = "GPF_WAREHOUSE=1";
+  char* envp[] = {scale, jit, other, json_dir, warehouse, nullptr};
+  EXPECT_EQ(unread_env_knobs(envp),
+            (std::vector<std::string>{"GPF_JIT", "GPF_WAREHOUSE"}));
+  EXPECT_TRUE(unread_env_knobs(nullptr).empty());
+
+  ::setenv("GPF_JIT", "off", 1);
+  ::setenv("GPF_WAREHOUSE", "1", 1);
+  std::ostringstream out;
+  ::testing::internal::CaptureStderr();
+  dump_env(out);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::unsetenv("GPF_JIT");
+  ::unsetenv("GPF_WAREHOUSE");
+  for (const char* var : {"GPF_JIT", "GPF_WAREHOUSE"}) {
+    const std::string warning = "[gpf] ignoring " + std::string(var) + ":";
+    const std::size_t at = err.find(warning);
+    EXPECT_NE(at, std::string::npos) << err;
+    EXPECT_EQ(err.find(warning, at + 1), std::string::npos) << err;
+  }
+  // The configuration dump lists knobs only.
+  EXPECT_EQ(out.str().find("GPF_JIT"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("GPF_SCALE"), std::string::npos) << out.str();
 }
 
 TEST(Env, FsyncAndMetricsOverrides) {

@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "gate/batchsim.hpp"
-#include "gate/jit.hpp"
 #include "gate/replay.hpp"
 #include "obs/metrics.hpp"
 #include "report/gate_experiments.hpp"
@@ -264,32 +263,28 @@ TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossLaneWidths) {
   }
 }
 
-// Acceptance: exports are also byte-identical across the gate ENGINE knobs —
-// the optimized streams with fusion on or off and the JIT'd native code all
-// retire exactly the same record for every fault as the interpreter with the
-// JIT off. JIT rows are skipped (not failed) without a system compiler. The
-// brute oracle's store must hold the same records too; its export names a
-// different engine, so only the records are compared there.
+// Acceptance: exports are also byte-identical across the gate engine's
+// knobs together — every supported lane width with collapsing and cone
+// pruning each on and off retires exactly the same record for every fault as
+// a default run. The brute oracle's store must hold the same records too; its
+// export names a different engine, so only the records are compared there.
 TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossEngineKnobs) {
   const auto unit = gate::UnitKind::Fetch;
   const auto meta = report::gate_campaign_meta(unit, kFaults, kMaxIssues, kSeed,
                                                EngineKind::Batch);
-  struct EngineGuard {
-    ~EngineGuard() {
-      set_fuse_override(-1);
-      set_jit_override(-1);
-      set_jit_cache_dir_override("");
-      gate::jit_reset_for_tests();
+  struct KnobGuard {
+    ~KnobGuard() {
+      gate::set_batch_lanes_override(0);
+      set_collapse_override(-1);
+      set_cone_override(-1);
     }
   } guard;
-  set_jit_cache_dir_override(path("jit-cache"));
 
-  set_jit_override(0);
   {
-    store::CampaignCheckpoint ckpt(path("interp.gpfs"), meta);
+    store::CampaignCheckpoint ckpt(path("default.gpfs"), meta);
     report::run_unit_campaign_store(traces(), ckpt);
   }
-  const std::string base_json = export_json(path("interp.gpfs"));
+  const std::string base_json = export_json(path("default.gpfs"));
 
   {
     store::CampaignCheckpoint ckpt(
@@ -298,21 +293,25 @@ TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossEngineKnobs) {
                                    EngineKind::Brute));
     report::run_unit_campaign_store(traces(), ckpt);
   }
-  EXPECT_EQ(records_of(path("brute.gpfs")), records_of(path("interp.gpfs")));
+  EXPECT_EQ(records_of(path("brute.gpfs")), records_of(path("default.gpfs")));
 
-  for (const int fuse : {0, 1}) {
-    for (const int jit : {0, 1}) {
-      if (jit == 1 && !gate::jit_compiler_available()) continue;
-      SCOPED_TRACE("fuse=" + std::to_string(fuse) +
-                   " jit=" + std::to_string(jit));
-      set_fuse_override(fuse);
-      set_jit_override(jit);
-      gate::jit_reset_for_tests();
-      const std::string p =
-          path("f" + std::to_string(fuse) + "j" + std::to_string(jit) + ".gpfs");
-      store::CampaignCheckpoint ckpt(p, meta);
-      report::run_unit_campaign_store(traces(), ckpt);
-      EXPECT_EQ(export_json(p), base_json);
+  for (const std::size_t w :
+       {std::size_t{64}, std::size_t{256}, std::size_t{512}}) {
+    if (!gate::batch_width_supported(w)) continue;
+    for (const int collapse : {0, 1}) {
+      for (const int cone : {0, 1}) {
+        const std::string knobs = "w" + std::to_string(w) + "c" +
+                                  std::to_string(collapse) + "p" +
+                                  std::to_string(cone);
+        SCOPED_TRACE(knobs);
+        gate::set_batch_lanes_override(w);
+        set_collapse_override(collapse);
+        set_cone_override(cone);
+        const std::string p = path(knobs + ".gpfs");
+        store::CampaignCheckpoint ckpt(p, meta);
+        report::run_unit_campaign_store(traces(), ckpt);
+        EXPECT_EQ(export_json(p), base_json);
+      }
     }
   }
 }

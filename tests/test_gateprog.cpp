@@ -1,25 +1,19 @@
 // The gate-program optimizer (gate/gateprog.hpp) must be a pure strength
 // reduction: every fusion rule rewrites structure without changing any
-// observable value, under any combination of the GPF_FUSE / GPF_JIT knobs,
-// at every lane width, for faults on every net — including sites the fused
-// stream no longer materializes (interior, folded, dead). These tests pin
-// the per-rule rewrites structurally, then drive randomized netlists through
-// the full knob matrix against the scalar Simulator oracle, and exercise the
-// JIT's disk cache invalidation path.
+// observable value, at every lane width, for faults on every net — including
+// sites the fused stream no longer materializes (interior, folded, dead).
+// These tests pin the per-rule rewrites structurally, then drive randomized
+// netlists through the batch engine at every width against the scalar
+// Simulator oracle.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "gate/batchsim.hpp"
 #include "gate/gateprog.hpp"
-#include "gate/jit.hpp"
 #include "gate/netlist.hpp"
 #include "gate/sim.hpp"
 
@@ -287,16 +281,6 @@ Netlist random_netlist(Rng& rng) {
   return nl;
 }
 
-/// Restores every engine knob this file touches, even on early ASSERT exit.
-struct EngineKnobGuard {
-  ~EngineKnobGuard() {
-    set_fuse_override(-1);
-    set_jit_override(-1);
-    set_jit_cache_dir_override("");
-    jit_reset_for_tests();
-  }
-};
-
 std::vector<std::size_t> supported_widths() {
   std::vector<std::size_t> widths;
   for (const std::size_t w :
@@ -305,12 +289,11 @@ std::vector<std::size_t> supported_widths() {
   return widths;
 }
 
-/// Drives `iters` random netlists through (fuse, jit) x widths, faulting
+/// Drives `iters` random netlists through every supported width, faulting
 /// EVERY net in both polarities (chunked into lane batches), and compares
 /// per-lane values on the classification read set (bus nets + DFF outputs)
 /// against a scalar Simulator carrying that lane's fault, cycle for cycle.
-void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
-  EngineKnobGuard guard;
+void run_width_matrix(std::uint64_t seed, int iters) {
   Rng rng(seed);
   for (int iter = 0; iter < iters; ++iter) {
     const Netlist nl = random_netlist(rng);
@@ -380,144 +363,16 @@ void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
           for (Simulator& sim : sims) sim.clock();
         }
 
-        for (const int fuse : {0, 1}) {
-          for (const int jit : with_jit ? std::vector<int>{0, 1}
-                                        : std::vector<int>{0}) {
-            set_fuse_override(fuse);
-            set_jit_override(jit ? 1 : 0);
-            const std::vector<std::uint8_t> got = run(make_batch_sim(nl, width));
-            ASSERT_EQ(want, got)
-                << "iter=" << iter << " width=" << width << " base=" << base
-                << " fuse=" << fuse << " jit=" << jit;
-          }
-        }
-        set_fuse_override(-1);
-        set_jit_override(-1);
+        const std::vector<std::uint8_t> got = run(make_batch_sim(nl, width));
+        ASSERT_EQ(want, got)
+            << "iter=" << iter << " width=" << width << " base=" << base;
       }
     }
   }
 }
 
-TEST(GateProgKnobMatrix, RandomNetlistsMatchSimulatorAtEveryFuseSetting) {
-  run_knob_matrix(0xF00D, 25, /*with_jit=*/false);
-}
-
-TEST(GateProgKnobMatrix, RandomNetlistsMatchSimulatorUnderJit) {
-  if (!jit_compiler_available()) GTEST_SKIP() << "no system C++ compiler";
-  EngineKnobGuard guard;
-  const std::string dir = ::testing::TempDir() + "gpf-jit-matrix";
-  set_jit_cache_dir_override(dir);
-  jit_reset_for_tests();
-  run_knob_matrix(0xBEEF, 3, /*with_jit=*/true);
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// JIT disk cache
-// ---------------------------------------------------------------------------
-
-TEST(GateJitCache, StaleOrCorruptCacheEntryIsRecompiled) {
-  if (!jit_compiler_available()) GTEST_SKIP() << "no system C++ compiler";
-  EngineKnobGuard guard;
-  namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "gpf-jit-stale";
-  fs::remove_all(dir);
-  set_jit_cache_dir_override(dir);
-  set_jit_override(1);  // JIT even a tiny netlist
-  jit_reset_for_tests();
-
-  Rng rng(0xCAFE);
-  const Netlist nl = random_netlist(rng);
-  std::vector<Net> probe;
-  for (const PortBus& b : nl.outputs())
-    probe.insert(probe.end(), b.nets.begin(), b.nets.end());
-  const std::vector<StuckFault> faults{{probe.front(), true},
-                                       {probe.front(), false}};
-
-  const auto drive_once = [&] {
-    auto sim = make_batch_sim(nl, 64);
-    sim->set_observed(probe);
-    sim->begin(faults);
-    sim->eval();
-    std::vector<std::uint8_t> out;
-    for (const Net n : probe)
-      for (unsigned k = 0; k < faults.size(); ++k)
-        out.push_back(sim->value(n, k) ? 1 : 0);
-    return out;
-  };
-
-  const std::vector<std::uint8_t> baseline = drive_once();
-  std::vector<fs::path> so_files;
-  for (const auto& e : fs::directory_iterator(dir))
-    if (e.path().extension() == ".so") so_files.push_back(e.path());
-  ASSERT_EQ(so_files.size(), 1u) << "expected exactly one cached module";
-
-  // Corrupt the cached module; a fresh process (simulated by resetting the
-  // in-memory memo) must detect the bad entry, recompile, and still be exact.
-  // Replace via rename rather than truncating in place: the first module is
-  // still mapped, and shrinking a live-mapped .so is a SIGBUS waiting to
-  // happen — a genuinely stale cache entry is always a fresh inode anyway.
-  {
-    const fs::path bad = so_files[0].string() + ".bad";
-    std::ofstream(bad, std::ios::trunc) << "not an ELF";
-    fs::rename(bad, so_files[0]);
-  }
-  jit_reset_for_tests();
-  EXPECT_EQ(drive_once(), baseline);
-  EXPECT_GT(fs::file_size(so_files[0]), 16u) << "stale entry was not rebuilt";
-
-  // A valid cache entry is reused across "processes" (memo reset again).
-  const auto stamp = fs::last_write_time(so_files[0]);
-  jit_reset_for_tests();
-  EXPECT_EQ(drive_once(), baseline);
-  EXPECT_EQ(stamp, fs::last_write_time(so_files[0]))
-      << "valid entry was recompiled instead of reloaded";
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Knob plumbing
-// ---------------------------------------------------------------------------
-
-TEST(GateProgKnobs, OverridesTakePrecedenceAndReset) {
-  EngineKnobGuard guard;
-  set_fuse_override(0);
-  EXPECT_FALSE(fuse_enabled());
-  set_fuse_override(1);
-  EXPECT_TRUE(fuse_enabled());
-
-  set_jit_override(0);
-  EXPECT_EQ(jit_mode(), JitMode::Off);
-  set_jit_override(1);
-  EXPECT_EQ(jit_mode(), JitMode::On);
-  set_jit_override(2);
-  EXPECT_EQ(jit_mode(), JitMode::Auto);
-  EXPECT_STREQ(jit_mode_name(JitMode::Off), "off");
-  EXPECT_STREQ(jit_mode_name(JitMode::On), "on");
-  EXPECT_STREQ(jit_mode_name(JitMode::Auto), "auto");
-
-  set_jit_cache_dir_override("/nonexistent/scratch");
-  EXPECT_EQ(jit_cache_dir(), "/nonexistent/scratch");
-  set_jit_cache_dir_override("");
-  // GPF_JIT_CACHE_DIR is re-read on every call (it is not latched), so the
-  // environment is testable in-process.
-  ::setenv("GPF_JIT_CACHE_DIR", "/env/dir", 1);
-  EXPECT_EQ(jit_cache_dir(), "/env/dir");
-  ::unsetenv("GPF_JIT_CACHE_DIR");
-  EXPECT_NE(jit_cache_dir().find("gpf-jit"), std::string::npos);
-}
-
-TEST(GateProgKnobs, EngineDescReflectsResolvedConfiguration) {
-  EngineKnobGuard guard;
-  Rng rng(7);
-  const Netlist nl = random_netlist(rng);
-
-  set_jit_override(0);
-  set_fuse_override(1);
-  EXPECT_STREQ(make_batch_sim(nl, 64)->engine_desc(), "fused");
-  set_fuse_override(0);
-  EXPECT_STREQ(make_batch_sim(nl, 64)->engine_desc(), "full");
-  EXPECT_STREQ(batch_engine_tag(), "interp");
+TEST(GateProgKnobMatrix, RandomNetlistsMatchSimulatorAtEveryWidth) {
+  run_width_matrix(0xF00D, 25);
 }
 
 }  // namespace

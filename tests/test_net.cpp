@@ -31,7 +31,6 @@
 #include "errmodel/models.hpp"
 #include "gate/batchsim.hpp"
 #include "gate/collapse.hpp"
-#include "gate/jit.hpp"
 #include "net/coordinator.hpp"
 #include "net/dispatch.hpp"
 #include "net/framing.hpp"
@@ -947,12 +946,10 @@ TEST(NetE2E, FleetExportMatchesSingleProcessByteForByte) {
   }
 }
 
-// Engine knobs cannot leak into fleet results: a two-worker fleet running
-// the optimized engine (JIT'd when the container has a compiler) must export
-// the same bytes as a single-process run on the interpreter with the JIT
-// off, and hold the same records as the brute oracle's store (whose export
+// A two-worker gate fleet must export the same bytes as a single-process
+// run, and hold the same records as the brute oracle's store (whose export
 // names a different engine, so only the records are compared there).
-TEST(NetE2E, GateFleetJitExportMatchesInterpreterSingleProcess) {
+TEST(NetE2E, GateFleetExportMatchesSingleProcessAndBrute) {
   constexpr std::size_t kMaxIssues = 30;
   const auto meta_for = [](EngineKind engine) {
     return report::gate_campaign_meta(gate::UnitKind::Decoder,
@@ -961,15 +958,7 @@ TEST(NetE2E, GateFleetJitExportMatchesInterpreterSingleProcess) {
   };
   const store::CampaignMeta meta = meta_for(EngineKind::Batch);
   const auto& traces = report::collect_profiling_traces(kMaxIssues);
-  struct EngineGuard {
-    ~EngineGuard() {
-      set_jit_override(-1);
-      set_jit_cache_dir_override("");
-      gate::jit_reset_for_tests();
-    }
-  } guard;
 
-  set_jit_override(0);
   const std::string solo_path = temp_store_path("gate_solo");
   {
     store::CampaignCheckpoint ckpt(solo_path, meta);
@@ -981,9 +970,6 @@ TEST(NetE2E, GateFleetJitExportMatchesInterpreterSingleProcess) {
     report::run_unit_campaign_store(traces, ckpt);
   }
 
-  set_jit_override(gate::jit_compiler_available() ? 1 : 0);
-  set_jit_cache_dir_override(testing::TempDir() + "gpf-jit-fleet");
-  gate::jit_reset_for_tests();
   const std::string fleet_path = temp_store_path("gate_fleet");
   {
     store::CampaignCheckpoint ckpt(fleet_path, meta);
@@ -996,7 +982,6 @@ TEST(NetE2E, GateFleetJitExportMatchesInterpreterSingleProcess) {
   std::remove(solo_path.c_str());
   std::remove(brute_path.c_str());
   std::remove(fleet_path.c_str());
-  std::filesystem::remove_all(testing::TempDir() + "gpf-jit-fleet");
 }
 
 TEST(NetE2E, FleetResumesPartialStore) {

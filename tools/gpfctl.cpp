@@ -37,8 +37,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -46,6 +46,7 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -58,7 +59,6 @@
 #include "common/env.hpp"
 #include "common/threadpool.hpp"
 #include "gate/batchsim.hpp"
-#include "gate/jit.hpp"
 #include "net/framing.hpp"
 #include "net/protocol.hpp"
 #include "net/service.hpp"
@@ -153,20 +153,21 @@ void drive_campaign(store::CampaignCheckpoint& ckpt, std::size_t limit) {
       std::string(store::campaign_kind_name(meta.kind)) + " " + ckpt.path());
 
   // Progress reporter: a low-rate side thread printing retired count, recent
-  // rate, and ETA while the campaign runs (GPF_STATUS_MS=0 silences it).
+  // rate, and ETA while the campaign runs (GPF_STATUS_MS=0 silences it). It
+  // waits on `done` between lines, so the campaign's end wakes it at once.
   const std::uint64_t status_ms = status_interval_ms();
-  std::atomic<bool> finished{false};
+  std::mutex done_mu;
+  std::condition_variable done;
+  bool finished = false;
   std::thread reporter;
   if (status_ms > 0) {
-    reporter = std::thread([&ckpt, &finished, before, status_ms,
-                            owned = owned_ids(meta)] {
+    reporter = std::thread([&ckpt, &done_mu, &done, &finished, before,
+                            status_ms, owned = owned_ids(meta)] {
       auto last_t = std::chrono::steady_clock::now();
       std::size_t last_n = before;
-      std::uint64_t slept = 0;
-      while (!finished.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        if ((slept += 50) < status_ms) continue;
-        slept = 0;
+      std::unique_lock<std::mutex> lk(done_mu);
+      while (!done.wait_for(lk, std::chrono::milliseconds(status_ms),
+                            [&finished] { return finished; })) {
         const auto now = std::chrono::steady_clock::now();
         const std::size_t n = ckpt.done_count();
         const double dt = std::chrono::duration<double>(now - last_t).count();
@@ -196,7 +197,11 @@ void drive_campaign(store::CampaignCheckpoint& ckpt, std::size_t limit) {
   }
 
   const auto stop_reporter = [&] {
-    finished.store(true, std::memory_order_relaxed);
+    {
+      const std::lock_guard<std::mutex> lk(done_mu);
+      finished = true;
+    }
+    done.notify_one();
     if (reporter.joinable()) reporter.join();
   };
   try {
@@ -438,8 +443,7 @@ int cmd_status(const Args& a) {
         if (report::gate_campaign_engine(s.meta) == EngineKind::Batch) {
           const std::size_t lanes = gate::batch_lane_width();
           std::cout << "  batch lanes: " << lanes << " ("
-                    << gate::batch_simd_path(lanes) << ", "
-                    << gate::batch_engine_tag() << ")\n";
+                    << gate::batch_simd_path(lanes) << ")\n";
         }
       } catch (const std::runtime_error& e) {
         std::cout << "  not resumable: " << e.what() << "\n";
